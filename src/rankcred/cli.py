@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ def _marginal_quantile(marginal: np.ndarray, q: float) -> int:
 
 
 def _cmd_fit(args) -> int:
-    ds = parse_dataset(args.dataset)
+    ds = parse_dataset(Path(args.dataset))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -54,11 +55,7 @@ def _cmd_fit(args) -> int:
         summary = summarize(draws)
     else:
         cfg = HbConfig(
-            samples=args.samples,
-            burn_in=args.burnin,
-            thin=args.thin,
-            seed=args.seed,
-            include_intercept=not args.no_intercept,
+            samples=args.samples, seed=args.seed, include_intercept=not args.no_intercept
         )
         draws = gibbs_hb(ds, cfg)
         summary = summarize(draws)
@@ -156,7 +153,7 @@ def _write_plot_data(path, ds: Dataset, dist, alpha):
 
 
 def _cmd_kww(args) -> int:
-    ds = parse_dataset(args.dataset)
+    ds = parse_dataset(Path(args.dataset))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ranks = kww.rank_confidence_set(ds, args.alpha, args.method)
@@ -185,6 +182,9 @@ def _cmd_kww(args) -> int:
 def _cmd_simulate(args) -> int:
     with open(args.config) as f:
         raw = json.load(f)
+    unknown = sorted(set(raw) - {f.name for f in fields(SimConfig)})
+    if unknown:
+        raise DomainError(f"unknown simulation config keys: {unknown}")
     for key in ("a_grid", "beta1_grid", "d"):
         if key in raw:
             raw[key] = tuple(raw[key])
@@ -212,8 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--weights", choices=["equal", "mahal"], default="equal")
     fit.add_argument("--alpha", type=float, default=0.1)
     fit.add_argument("--samples", type=int, default=50000)
-    fit.add_argument("--burnin", type=int, default=2000)
-    fit.add_argument("--thin", type=int, default=1)
+    fit.add_argument(
+        "--burnin", type=int, help="ignored: HB draws are independent and need no burn-in"
+    )
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--no-intercept", action="store_true")
     fit.add_argument("--out", default=".")
@@ -244,7 +245,7 @@ def run_command(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DomainError, OSError, json.JSONDecodeError, TypeError) as exc:
+    except (DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

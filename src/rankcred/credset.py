@@ -60,7 +60,7 @@ def _check_alpha(draws: PosteriorDraws, alpha: float):
     if not 0 < alpha < 1:
         raise DomainError(f"alpha={alpha} must be in (0, 1)")
     if draws.S * (1 - alpha) < 1:
-        raise DomainError(f"S(1-alpha) = {draws.S * (1 - alpha):.3g} < 1: nothing to select")
+        raise DomainError(f"S(1-alpha) = {draws.S * (1 - alpha):.3g} < 1: no draw to select")
 
 
 def _joint_inside(theta: np.ndarray, kappa: float) -> np.ndarray:
@@ -78,7 +78,7 @@ def tune_kappa(
     """Bisection for the per-coordinate level kappa.
 
     The joint-inclusion count K_J(kappa) is non-increasing in kappa, so we
-    bisect until it lands within `tol` of round(S(1-alpha)).  Default
+    bisect until it lands at most `tol` from round(S(1-alpha)).  Default
     tol = max(1, S/10000); K_J is a step function, exact attainment may be
     impossible.
     """

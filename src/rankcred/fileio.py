@@ -32,13 +32,14 @@ def _parse_float(text: str, row: int, column: str) -> float:
 
 
 def parse_dataset(source) -> Dataset:
-    """Read a dataset from a CSV path or CSV text.
+    """Read a dataset from a CSV path (a Path, or a str without a newline)
+    or from CSV text (a str containing a newline).
 
     Required columns: id, y, d.  Optional: x1..xp (consecutive), gold.
     Column order is free.  Row numbers in error messages count the header
     as row 1.
     """
-    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and "," not in source):
+    if isinstance(source, Path) or "\n" not in source:
         text = Path(source).read_text()
     else:
         text = source

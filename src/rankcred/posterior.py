@@ -1,5 +1,6 @@
-"""Posterior samplers: independent-normal UB draws and the Gibbs chain
-for the hierarchical (Fay-Herriot) model with variance prior (Dbar+A)^(-1/2).
+"""Posterior samplers: independent-normal UB draws and exact independent
+draws for the hierarchical (Fay-Herriot) model with a flat prior on beta and
+the variance prior (Dbar+A)^(-1/2).
 """
 
 from __future__ import annotations
@@ -13,43 +14,34 @@ from .domain import Dataset, DomainError
 UB = "UB"
 HB = "HB"
 
+# log-A grid for the model-variance marginal: nodes, and log units beyond
+# [log min d, log max d] on each side
+A_GRID_POINTS = 4001
+A_GRID_SPAN = 16.0
+
 
 @dataclass(frozen=True)
 class HbConfig:
-    """Gibbs chain settings for the hierarchical model."""
+    """Sampler settings for the hierarchical model."""
 
     samples: int = 50000
-    burn_in: int = 2000
-    thin: int = 1
     seed: int = 0
     include_intercept: bool = True
-    init_a: float | None = None  # defaults to mean(d)
-    fix_a: float | None = None  # degenerate test hook: freeze the model variance
 
     def __post_init__(self):
         if self.samples < 1:
             raise DomainError(f"samples={self.samples} must be >= 1")
-        if self.burn_in < 0:
-            raise DomainError(f"burn_in={self.burn_in} must be >= 0")
-        if self.thin < 1:
-            raise DomainError(f"thin={self.thin} must be >= 1")
-        if self.init_a is not None and self.init_a <= 0:
-            raise DomainError(f"init_a={self.init_a} must be > 0")
-        if self.fix_a is not None and self.fix_a <= 0:
-            raise DomainError(f"fix_a={self.fix_a} must be > 0")
 
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """S kept draws of the mean vector, plus (beta, A) chains for HB."""
+    """S draws of the mean vector, plus the matching (beta, A) draws for HB."""
 
     theta: np.ndarray  # (S, m)
     model: str  # UB or HB
     seed: int
     beta: np.ndarray | None = None  # (S, q), HB only
     a: np.ndarray | None = None  # (S,), HB only
-    burn_in: int = 0
-    thin: int = 1
 
     def __post_init__(self):
         if self.theta.ndim != 2 or self.theta.shape[0] < 1:
@@ -92,70 +84,69 @@ def sample_ub(ds: Dataset, S: int, seed: int) -> PosteriorDraws:
     return PosteriorDraws(theta=theta, model=UB, seed=seed)
 
 
-def cond_theta(y, d, xb, a, rng) -> np.ndarray:
-    """One draw of theta | beta, A: shrink each y_i toward its regression fit.
+def _gls(a, X, y, d):
+    """Generalized least squares of y on X for each model variance in `a`.
 
+    Returns the weights w = 1/(A + d) (n, m), the information matrices
+    X'V^-1 X (n, q, q) and the GLS coefficients (n, q), V = diag(A + d).
+    """
+    w = 1.0 / (a[:, None] + d)
+    wx = w[:, :, None] * X
+    info = X.T @ wx
+    beta_hat = np.linalg.solve(info, (y @ wx)[..., None])[..., 0]
+    return w, info, beta_hat
+
+
+def _draw_a(X, y, d, S, rng) -> np.ndarray:
+    """S draws of A from its marginal posterior by inverse CDF on a log grid.
+
+    With beta integrated out under its flat prior (Fay and Herriot 1979),
+    p(A | y) ~ (dbar+A)^(-1/2) |V|^(-1/2) |X'V^-1 X|^(-1/2) exp(-y'Py/2).
+    The density is evaluated in u = log A on A_GRID_POINTS nodes spanning
+    A_GRID_SPAN log units beyond the range of d on each side, and inverted
+    by linear interpolation of its trapezoid CDF.
+    """
+    u = np.linspace(np.log(d.min()) - A_GRID_SPAN, np.log(d.max()) + A_GRID_SPAN, A_GRID_POINTS)
+    a = np.exp(u)
+    w, info, beta_hat = _gls(a, X, y, d)
+    resid = y - beta_hat @ X.T
+    log_dens = (
+        -0.5 * np.log(d.mean() + a)
+        + 0.5 * np.log(w).sum(axis=1)
+        - 0.5 * np.linalg.slogdet(info)[1]
+        - 0.5 * (w * resid**2).sum(axis=1)
+        + u  # Jacobian of u = log A
+    )
+    dens = np.exp(log_dens - log_dens.max())
+    cdf = np.concatenate([[0.0], np.cumsum(dens[1:] + dens[:-1])])
+    return np.exp(np.interp(rng.random(S) * cdf[-1], cdf, u))
+
+
+def _draw_beta(X, y, d, a, rng) -> np.ndarray:
+    """beta | A, y ~ Normal(GLS fit, (X'V^-1 X)^-1) for each A in `a` (S,)."""
+    _, info, beta_hat = _gls(a, X, y, d)
+    chol = np.linalg.cholesky(np.linalg.inv(info))
+    return beta_hat + (chol @ rng.standard_normal(beta_hat.shape)[..., None])[..., 0]
+
+
+def draw_theta(y, d, xb, a, rng) -> np.ndarray:
+    """theta | beta, A, y for each row of the regression fits `xb` (S, m) and
+    each model variance in `a` (S,): shrink y toward the fit,
     theta_i ~ Normal((A y_i + d_i xb_i)/(A + d_i), A d_i/(A + d_i)).
     """
-    if a <= 0:
-        raise DomainError(f"model variance a={a} must be > 0")
+    if np.any(a <= 0):
+        raise DomainError("model variances must all be > 0")
+    a = a[:, None]
     mean = (a * y + d * xb) / (a + d)
-    var = a * d / (a + d)
-    return mean + np.sqrt(var) * rng.standard_normal(len(y))
-
-
-def cond_beta(xtx_inv_chol, xtx_inv_xt, theta, a, rng) -> np.ndarray:
-    """One draw of beta | theta, A ~ Normal((X'X)^-1 X' theta, A (X'X)^-1).
-
-    Takes the precomputed Cholesky factor of (X'X)^-1 and the projector
-    (X'X)^-1 X' so the per-sweep cost is two small matmuls.
-    """
-    if a <= 0:
-        raise DomainError(f"model variance a={a} must be > 0")
-    mean = xtx_inv_xt @ theta
-    q = len(mean)
-    return mean + np.sqrt(a) * (xtx_inv_chol @ rng.standard_normal(q))
-
-
-def cond_a_rejection(theta, xb, dbar, rng, max_tries: int = 100_000_000) -> float:
-    """Rejection draw of the model variance A.
-
-    Target density is proportional to (dbar+A)^(-1/2) A^(-m/2) exp(-SSE/(2A))
-    with SSE the residual sum of squares of theta on the regression fit.
-    Proposal: A ~ InverseGamma(m/2 - 1, SSE/2); accept w.p. sqrt(dbar/(dbar+A)).
-
-    Proposals are drawn in growing batches: at small m the proposal is
-    heavy-tailed, and when SSE wanders far above dbar the acceptance rate
-    drops like sqrt(dbar/SSE), so single-draw looping would be too slow.
-    """
-    theta = np.asarray(theta, dtype=float)
-    m = len(theta)
-    shape = m / 2.0 - 1.0
-    if shape <= 0:
-        raise DomainError(f"m={m} too small for a proper inverse-gamma proposal (need m >= 3)")
-    if dbar <= 0:
-        raise DomainError(f"dbar={dbar} must be > 0")
-    sse = float(np.sum((theta - xb) ** 2))
-    if sse == 0.0:
-        raise DomainError("zero residual sum of squares: degenerate input to variance draw")
-    scale = sse / 2.0
-    batch, tried = 4, 0
-    while tried < max_tries:
-        n = min(batch, max_tries - tried)
-        a = scale / rng.gamma(shape, size=n)
-        hit = np.flatnonzero(rng.random(n) <= np.sqrt(dbar / (dbar + a)))
-        if hit.size:
-            return float(a[hit[0]])
-        tried += n
-        batch = min(batch * 4, 1 << 20)
-    raise DomainError("rejection sampler failed to accept; input may be degenerate")
+    return mean + np.sqrt(a * d / (a + d)) * rng.standard_normal(mean.shape)
 
 
 def gibbs_hb(ds: Dataset, cfg: HbConfig) -> PosteriorDraws:
-    """Gibbs chain for (theta, beta, A) under the hierarchical model.
+    """Independent posterior draws of (theta, beta, A) under the hierarchical model.
 
-    Sweeps theta | beta, A -> beta | theta, A -> A | theta, beta, discarding
-    `burn_in` initial sweeps and keeping every `thin`-th of the rest.
+    The name is historical: the model was first fit by a Gibbs chain.  Each
+    draw is exact and independent: A from its marginal posterior on a log
+    grid, then beta given A, then theta given beta and A.
     """
     X = design_matrix(ds, cfg.include_intercept)
     m, q = X.shape
@@ -164,51 +155,14 @@ def gibbs_hb(ds: Dataset, cfg: HbConfig) -> PosteriorDraws:
             f"propriety guard: need m > p + 2 (m={m}, design columns={q}); "
             "posterior of the model variance would have a non-integrable tail"
         )
-    xtx = X.T @ X
-    if np.linalg.matrix_rank(xtx) < q:
+    if np.linalg.matrix_rank(X.T @ X) < q:
         raise DomainError("design matrix is rank deficient")
-    xtx_inv = np.linalg.inv(xtx)
-    xtx_inv_chol = np.linalg.cholesky(xtx_inv)
-    xtx_inv_xt = xtx_inv @ X.T
 
-    y, d = ds.y, ds.d
-    dbar = float(np.mean(d))
     rng = np.random.default_rng(cfg.seed)
-
-    # start at the least-squares fit with A at the mean sampling variance
-    a = cfg.fix_a if cfg.fix_a is not None else (cfg.init_a if cfg.init_a is not None else dbar)
-    theta = y.copy()
-    beta = xtx_inv_xt @ y
-
-    S = cfg.samples
-    theta_out = np.empty((S, m))
-    beta_out = np.empty((S, q))
-    a_out = np.empty(S)
-
-    kept = 0
-    total = cfg.burn_in + S * cfg.thin
-    for sweep in range(total):
-        xb = X @ beta
-        theta = cond_theta(y, d, xb, a, rng)
-        beta = cond_beta(xtx_inv_chol, xtx_inv_xt, theta, a, rng)
-        if cfg.fix_a is None:
-            a = cond_a_rejection(theta, X @ beta, dbar, rng)
-        if sweep >= cfg.burn_in and (sweep - cfg.burn_in) % cfg.thin == 0:
-            theta_out[kept] = theta
-            beta_out[kept] = beta
-            a_out[kept] = a
-            kept += 1
-    assert kept == S
-
-    return PosteriorDraws(
-        theta=theta_out,
-        model=HB,
-        seed=cfg.seed,
-        beta=beta_out,
-        a=a_out,
-        burn_in=cfg.burn_in,
-        thin=cfg.thin,
-    )
+    a = _draw_a(X, ds.y, ds.d, cfg.samples, rng)
+    beta = _draw_beta(X, ds.y, ds.d, a, rng)
+    theta = draw_theta(ds.y, ds.d, beta @ X.T, a, rng)
+    return PosteriorDraws(theta=theta, model=HB, seed=cfg.seed, beta=beta, a=a)
 
 
 def summarize(draws: PosteriorDraws) -> PosteriorSummary:

@@ -32,7 +32,6 @@ class SimConfig:
     alpha: float = 0.1
     seed: int = 0
     samples: int = 2000  # posterior draws per replication
-    burnin: int = 500
 
     def __post_init__(self):
         if self.n_reps < 1:
@@ -135,7 +134,7 @@ def run_cell(cfg: SimConfig, x, a, beta1, cell_index):
         for (geometry, weighting), dev in devs.items():
             add(("UB", geometry, weighting), dev, sizes[geometry])
 
-        hb = gibbs_hb(ds, HbConfig(samples=cfg.samples, burn_in=cfg.burnin, seed=seed_hb))
+        hb = gibbs_hb(ds, HbConfig(samples=cfg.samples, seed=seed_hb))
         summ = summarize(hb)
         devs, sizes = _fit_one_model(hb, summ.mean, summ.cov, cfg.alpha, xi)
         for (geometry, weighting), dev in devs.items():

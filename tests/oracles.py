@@ -1,13 +1,16 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 Each oracle recomputes a quantity by a route disjoint from the library
-implementation it checks (enumeration, explicit inverses, quadrature).
+implementation it checks (enumeration, explicit inverses, quadrature, and
+the Gibbs chain for the hierarchical model).
 """
 
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.stats import norm
+
+from rankcred import DomainError
 
 
 def pairwise_rank(values):
@@ -51,6 +54,39 @@ def variance_target_cdf(a_values, m, sse, dbar):
     return np.interp(np.log(np.asarray(a_values)), u, cdf)
 
 
+def _intercept_only_log_marginal(u, y, d):
+    """Log of the intercept-only HB marginal of A, in u = log A, with the
+    per-node weights w_i = 1/(A+d_i), W = sum w_i and GLS mean ybar_w."""
+    a = np.exp(u)[:, None]  # (G, 1)
+    w = 1.0 / (a + d[None, :])  # (G, m)
+    W = w.sum(axis=1, keepdims=True)
+    ybar = (w * y).sum(axis=1, keepdims=True) / W
+    Q = (w * (y - ybar) ** 2).sum(axis=1, keepdims=True)
+    log_dens = (
+        -0.5 * np.log(d.mean() + a)
+        + 0.5 * np.log(w).sum(axis=1, keepdims=True)
+        - 0.5 * np.log(W)
+        - Q / 2
+        + np.log(a)  # Jacobian of u = log A
+    )
+    return a, W, ybar, log_dens
+
+
+def hb_variance_marginal_cdf(a_values, y, d):
+    """Intercept-only HB marginal CDF of A by trapezoid quadrature in log A.
+
+    Same density as `hb_quadrature_posterior`, on 40 log units beyond the
+    range of d on each side, evaluated at each requested A.
+    """
+    y = np.asarray(y, float)
+    d = np.asarray(d, float)
+    u = np.linspace(np.log(d.min()) - 40, np.log(d.max()) + 40, 400001)
+    log_dens = _intercept_only_log_marginal(u, y, d)[3][:, 0]
+    dens = np.exp(log_dens - log_dens.max())
+    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(u))])
+    return np.interp(np.log(np.asarray(a_values)), u, cdf / cdf[-1])
+
+
 def hb_quadrature_posterior(y, d, n_grid=400001):
     """Intercept-only HB posterior moments of theta by 1-D quadrature over A.
 
@@ -61,20 +97,8 @@ def hb_quadrature_posterior(y, d, n_grid=400001):
     """
     y = np.asarray(y, float)
     d = np.asarray(d, float)
-    dbar = d.mean()
     u = np.linspace(np.log(d.min()) - 16, np.log(d.max()) + 16, n_grid)
-    a = np.exp(u)[:, None]  # (G, 1)
-    w = 1.0 / (a + d[None, :])  # (G, m)
-    W = w.sum(axis=1, keepdims=True)
-    ybar = (w * y).sum(axis=1, keepdims=True) / W
-    Q = (w * (y - ybar) ** 2).sum(axis=1, keepdims=True)
-    log_dens = (
-        -0.5 * np.log(dbar + a)
-        + 0.5 * np.log(w).sum(axis=1, keepdims=True)
-        - 0.5 * np.log(W)
-        - Q / 2
-        + np.log(a)  # Jacobian of u = log A
-    )
+    a, W, ybar, log_dens = _intercept_only_log_marginal(u, y, d)
     log_dens -= log_dens.max()
     dens = np.exp(log_dens)
     du = u[1] - u[0]
@@ -123,3 +147,93 @@ def range_deviation_total(rank_lo, rank_hi, xi):
         ranks = range(int(lo), int(hi) + 1)
         total += sum(abs(j - float(x)) for j in ranks) / len(ranks)
     return total
+
+
+def cond_theta(y, d, xb, a, rng):
+    """One draw of theta | beta, A: shrink each y_i toward its regression fit.
+
+    theta_i ~ Normal((A y_i + d_i xb_i)/(A + d_i), A d_i/(A + d_i)).
+    """
+    if a <= 0:
+        raise DomainError(f"model variance a={a} must be > 0")
+    mean = (a * y + d * xb) / (a + d)
+    var = a * d / (a + d)
+    return mean + np.sqrt(var) * rng.standard_normal(len(y))
+
+
+def cond_beta(xtx_inv_chol, xtx_inv_xt, theta, a, rng):
+    """One draw of beta | theta, A ~ Normal((X'X)^-1 X' theta, A (X'X)^-1).
+
+    Takes the precomputed Cholesky factor of (X'X)^-1 and the projector
+    (X'X)^-1 X' so the per-sweep cost is two small matmuls.
+    """
+    if a <= 0:
+        raise DomainError(f"model variance a={a} must be > 0")
+    mean = xtx_inv_xt @ theta
+    q = len(mean)
+    return mean + np.sqrt(a) * (xtx_inv_chol @ rng.standard_normal(q))
+
+
+def cond_a_rejection(theta, xb, dbar, rng, max_tries=100_000_000):
+    """Rejection draw of the model variance A.
+
+    Target density is proportional to (dbar+A)^(-1/2) A^(-m/2) exp(-SSE/(2A))
+    with SSE the residual sum of squares of theta on the regression fit.
+    Proposal: A ~ InverseGamma(m/2 - 1, SSE/2); accept w.p. sqrt(dbar/(dbar+A)).
+
+    Proposals are drawn in growing batches: at small m the proposal is
+    heavy-tailed, and when SSE wanders far above dbar the acceptance rate
+    drops like sqrt(dbar/SSE), so single-draw looping would be too slow.
+    """
+    theta = np.asarray(theta, dtype=float)
+    m = len(theta)
+    shape = m / 2.0 - 1.0
+    if shape <= 0:
+        raise DomainError(f"m={m} too small for a proper inverse-gamma proposal (need m >= 3)")
+    if dbar <= 0:
+        raise DomainError(f"dbar={dbar} must be > 0")
+    sse = float(np.sum((theta - xb) ** 2))
+    if sse == 0.0:
+        raise DomainError("zero residual sum of squares: degenerate input to variance draw")
+    scale = sse / 2.0
+    batch, tried = 4, 0
+    while tried < max_tries:
+        n = min(batch, max_tries - tried)
+        a = scale / rng.gamma(shape, size=n)
+        hit = np.flatnonzero(rng.random(n) <= np.sqrt(dbar / (dbar + a)))
+        if hit.size:
+            return float(a[hit[0]])
+        tried += n
+        batch = min(batch * 4, 1 << 20)
+    raise DomainError("rejection sampler failed to accept; input may be degenerate")
+
+
+def gibbs_hb_reference(y, d, X, samples, burn_in, seed):
+    """The paper's Gibbs chain for (theta, beta, A) under the hierarchical model.
+
+    Sweeps theta | beta, A -> beta | theta, A -> A | theta, beta from the
+    least-squares fit with A = mean(d), discards `burn_in` sweeps and keeps
+    the next `samples`.  Returns the (theta, beta, A) draws.
+    """
+    y = np.asarray(y, float)
+    d = np.asarray(d, float)
+    X = np.asarray(X, float)
+    xtx_inv = np.linalg.inv(X.T @ X)
+    xtx_inv_chol = np.linalg.cholesky(xtx_inv)
+    xtx_inv_xt = xtx_inv @ X.T
+    dbar = float(d.mean())
+    rng = np.random.default_rng(seed)
+
+    a = dbar
+    beta = xtx_inv_xt @ y
+    theta_out = np.empty((samples, len(y)))
+    beta_out = np.empty((samples, X.shape[1]))
+    a_out = np.empty(samples)
+    for sweep in range(burn_in + samples):
+        theta = cond_theta(y, d, X @ beta, a, rng)
+        beta = cond_beta(xtx_inv_chol, xtx_inv_xt, theta, a, rng)
+        a = cond_a_rejection(theta, X @ beta, dbar, rng)
+        if sweep >= burn_in:
+            k = sweep - burn_in
+            theta_out[k], beta_out[k], a_out[k] = theta, beta, a
+    return theta_out, beta_out, a_out

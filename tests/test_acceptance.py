@@ -16,11 +16,11 @@ import rankcred as rc
 from rankcred import credset, metrics, rankdist
 from rankcred.cli import run_command
 from rankcred.fileio import emit_dataset
-from rankcred.posterior import cond_a_rejection
 from rankcred.simlab import run_cell
 
 from conftest import make_dataset
 from oracles import (
+    cond_a_rejection,
     hb_quadrature_posterior,
     range_deviation_total,
     sidak_critical_value,
@@ -193,7 +193,7 @@ def test_criterion_8_size_measures(baseball, ub_draws, hb_draws, hb_summary):
 @pytest.mark.slow
 @criterion(9)
 def test_criterion_9_simulation_spot_cells():
-    cfg = rc.SimConfig(n_reps=200, samples=2000, burnin=500, seed=0)
+    cfg = rc.SimConfig(n_reps=200, samples=2000, seed=0)
     # the covariate vector is drawn once and held fixed; this realization
     # reproduces the published spot-cell values (results vary noticeably
     # with the spread of the single fixed draw)
@@ -244,7 +244,7 @@ def test_criterion_10_property_suites(baseball):
 
     # Gibbs chain against the 1-D quadrature posterior oracle at m = 3
     ds3 = make_dataset([0.5, 1.0, 1.8], [0.3, 0.2, 0.4])
-    chain = rc.gibbs_hb(ds3, rc.HbConfig(samples=1000000, burn_in=10000, seed=5))
+    chain = rc.gibbs_hb(ds3, rc.HbConfig(samples=1000000, seed=5))
     summ = rc.summarize(chain)
     means, variances = hb_quadrature_posterior([0.5, 1.0, 1.8], [0.3, 0.2, 0.4])
     assert np.allclose(summ.mean, means, rtol=0.01)
@@ -268,8 +268,8 @@ def test_criterion_10_property_suites(baseball):
     assert total == pytest.approx(18 * 19 / 2, abs=1e-9)
 
     # seed determinism, byte for byte
-    c1 = rc.gibbs_hb(baseball, rc.HbConfig(samples=3000, burn_in=500, seed=21))
-    c2 = rc.gibbs_hb(baseball, rc.HbConfig(samples=3000, burn_in=500, seed=21))
+    c1 = rc.gibbs_hb(baseball, rc.HbConfig(samples=3000, seed=21))
+    c2 = rc.gibbs_hb(baseball, rc.HbConfig(samples=3000, seed=21))
     assert c1.theta.tobytes() == c2.theta.tobytes()
     u1 = rc.sample_ub(baseball, 3000, seed=22)
     u2 = rc.sample_ub(baseball, 3000, seed=22)
@@ -307,7 +307,7 @@ def test_criterion_11_pipeline_and_covariate_dominance(tmp_path):
     assert run_command(["kww", str(csv_path), "--out", str(tmp_path / "kww")]) == 0
 
     # informative covariates: HB beats UB beats KWW in average deviation
-    cfg = rc.SimConfig(n_reps=30, samples=1000, burnin=300, seed=17)
+    cfg = rc.SimConfig(n_reps=30, samples=1000, seed=17)
     xs = np.random.default_rng(cfg.seed).uniform(0.0, 1.0, cfg.m)
     rows = {(r["method"], r["geometry"], r["weighting"]): r for r in run_cell(cfg, xs, 0.005, 0.4, 0)}
     hb = rows[("HB", "cartesian", "mahal")]["avg_exp_abs_dev"]

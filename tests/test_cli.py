@@ -46,6 +46,14 @@ class TestFileio:
         assert rc.parse_dataset(data_path) == rc.parse_dataset(DATA_CSV)
         assert rc.parse_dataset(str(data_path)) == rc.parse_dataset(DATA_CSV)
 
+    def test_comma_in_path(self, tmp_path):
+        p = tmp_path / "results,v2.csv"
+        p.write_text(DATA_CSV)
+        assert rc.parse_dataset(str(p)) == rc.parse_dataset(DATA_CSV)
+        assert rc.parse_dataset(p) == rc.parse_dataset(DATA_CSV)
+        assert run_command(["kww", str(p), "--out", str(tmp_path / "out")]) == 0
+        assert len(read_csv(tmp_path / "out" / "kww_ranksets.csv")) == 6
+
     def test_column_order_free(self):
         reordered = "d,gold,y,id\n0.004,0.35,0.40,a\n0.005,0.33,0.35,b\n"
         ds = rc.parse_dataset(reordered)
@@ -163,6 +171,14 @@ class TestFitCommand:
         for name in ("rank_matrix.csv", "rank_summary.csv", "size_report.json", "posterior_summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_burnin_flag_ignored(self, data_path, tmp_path):
+        with_flag, without = tmp_path / "o1", tmp_path / "o2"
+        self.run_fit(data_path, with_flag, "--model", "hb")
+        args = ["fit", str(data_path), "--samples", "2000", "--seed", "3", "--model", "hb"]
+        assert run_command([*args, "--out", str(without)]) == 0
+        for name in ("rank_matrix.csv", "rank_summary.csv", "size_report.json", "posterior_summary.json"):
+            assert (with_flag / name).read_bytes() == (without / name).read_bytes()
+
     def test_plot_data(self, data_path, tmp_path):
         out = tmp_path / "out"
         assert self.run_fit(data_path, out, "--model", "ub", "--plot-data") == 0
@@ -188,7 +204,6 @@ class TestSimulateCommand:
             "n_reps": 1,
             "seed": 2,
             "samples": 200,
-            "burnin": 50,
         }
         cfg_path = tmp_path / "sim.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -203,10 +218,28 @@ class TestSimulateCommand:
         methods = {r[2] for r in rows[1:]}
         assert methods == {"KWW", "UB", "HB"}
 
-    def test_bad_config_key(self, tmp_path):
+    def test_bad_config_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "sim.json"
         cfg_path.write_text(json.dumps({"bogus": 1}))
         assert run_command(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 1
+        assert "bogus" in capsys.readouterr().err
+
+    def test_retired_burnin_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps({"n_reps": 1, "burnin": 500}))
+        assert run_command(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 1
+        assert "burnin" in capsys.readouterr().err
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        # only input errors map to exit 1; a TypeError is a bug and surfaces
+        def broken(cfg):
+            raise TypeError("broken study")
+
+        monkeypatch.setattr("rankcred.cli.run_study", broken)
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps({"n_reps": 1}))
+        with pytest.raises(TypeError, match="broken study"):
+            run_command(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")])
 
     def test_malformed_json(self, tmp_path):
         cfg_path = tmp_path / "sim.json"

@@ -4,15 +4,17 @@ from scipy import stats
 from scipy.special import ndtr
 
 import rankcred as rc
-from rankcred.posterior import (
+from rankcred.posterior import design_matrix, draw_theta
+
+from conftest import make_dataset
+from oracles import (
     cond_a_rejection,
     cond_beta,
     cond_theta,
-    design_matrix,
+    gibbs_hb_reference,
+    hb_variance_marginal_cdf,
+    variance_target_cdf,
 )
-
-from conftest import make_dataset
-from oracles import variance_target_cdf
 
 
 class TestSampleUb:
@@ -154,37 +156,69 @@ class TestGibbsHb:
     def test_propriety_guard(self):
         ds = make_dataset([1.0, 2.0, 3.0], np.ones(3), x=[(0.1,), (0.2,), (0.3,)])
         with pytest.raises(rc.DomainError, match="propriety guard"):
-            rc.gibbs_hb(ds, rc.HbConfig(samples=10, burn_in=0, seed=0))
+            rc.gibbs_hb(ds, rc.HbConfig(samples=10, seed=0))
 
     def test_rank_deficient_design(self):
         # duplicated covariate column collides with the intercept
         x = [(1.0, 1.0)] * 8
         ds = make_dataset(np.arange(8.0), np.ones(8), x=x)
         with pytest.raises(rc.DomainError):
-            rc.gibbs_hb(ds, rc.HbConfig(samples=10, burn_in=0, seed=0))
+            rc.gibbs_hb(ds, rc.HbConfig(samples=10, seed=0))
 
     def test_seed_determinism(self, baseball):
-        cfg = rc.HbConfig(samples=200, burn_in=50, seed=9)
+        cfg = rc.HbConfig(samples=200, seed=9)
         a = rc.gibbs_hb(baseball, cfg)
         b = rc.gibbs_hb(baseball, cfg)
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.a, b.a)
         assert np.array_equal(a.beta, b.beta)
 
-    def test_thinning_and_burnin_shapes(self, baseball):
-        draws = rc.gibbs_hb(baseball, rc.HbConfig(samples=100, burn_in=37, thin=3, seed=2))
-        assert draws.theta.shape == (100, 18)
-        assert draws.burn_in == 37 and draws.thin == 3
-
     def test_fixed_huge_a_matches_ub(self, baseball):
-        # A frozen at 1e6: the HB conditional for theta degenerates to the
+        # A held at 1e6: the HB draw of theta given A degenerates to the
         # UB posterior; compare marginals by two-sample KS
-        hb = rc.gibbs_hb(
-            baseball, rc.HbConfig(samples=4000, burn_in=100, seed=13, fix_a=1e6)
-        )
+        xb = np.full((4000, baseball.m), baseball.y.mean())
+        a = np.full(4000, 1e6)
+        theta = draw_theta(baseball.y, baseball.d, xb, a, np.random.default_rng(13))
         ub = rc.sample_ub(baseball, 4000, seed=14)
         for i in range(baseball.m):
-            assert stats.ks_2samp(hb.theta[:, i], ub.theta[:, i]).pvalue > 0.01
+            assert stats.ks_2samp(theta[:, i], ub.theta[:, i]).pvalue > 0.01
+
+    def test_draw_theta_requires_positive_a(self, baseball):
+        xb = np.zeros((2, baseball.m))
+        with pytest.raises(rc.DomainError):
+            draw_theta(baseball.y, baseball.d, xb, np.array([1e-3, 0.0]), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "y, d",
+        [
+            ([0.5, 1.0, 1.8], [0.3, 0.2, 0.4]),
+            (tuple(rc.baseball_dataset().y), tuple(rc.baseball_dataset().d)),
+        ],
+        ids=["m3", "baseball"],
+    )
+    def test_a_marginal_ks_against_quadrature(self, y, d):
+        # the oracle integrates over +-40 log units, wider than the sampler's
+        # grid, so the KS distance also bounds the grid truncation
+        ds = make_dataset(y, d)
+        a = np.sort(rc.gibbs_hb(ds, rc.HbConfig(samples=100000, seed=3)).a)
+        cdf = hb_variance_marginal_cdf(a, y, d)
+        n = len(a)
+        ks = max(np.max(cdf - np.arange(n) / n), np.max(np.arange(1, n + 1) / n - cdf))
+        assert ks < 0.02
+
+    def test_covariate_model_matches_gibbs_reference(self):
+        # q = 2 design, outside the intercept-only quadrature oracle: the
+        # exact sampler against the paper's Gibbs chain
+        rng = np.random.default_rng(23)
+        x = rng.uniform(0.0, 1.0, 10)
+        d = rng.uniform(0.5, 2.0, 10)
+        _, ds = rc.generate_instance(x, 0.2, 2.0, 1.0, d, rng)
+        assert design_matrix(ds).shape == (10, 2)
+        exact = rc.gibbs_hb(ds, rc.HbConfig(samples=400000, seed=24)).theta
+        ref, _, _ = gibbs_hb_reference(ds.y, ds.d, design_matrix(ds), 100000, 2000, seed=25)
+        sd = ref.std(axis=0)
+        assert np.all(np.abs(exact.mean(axis=0) - ref.mean(axis=0)) < 0.05 * sd)
+        assert np.allclose(exact.var(axis=0), ref.var(axis=0), rtol=0.05)
 
     def test_posterior_a_matches_benchmark_scale(self, hb_summary):
         assert hb_summary.a_mean == pytest.approx(0.0024, rel=0.20)

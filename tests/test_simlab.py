@@ -78,7 +78,6 @@ def tiny_config():
         n_reps=2,
         seed=5,
         samples=300,
-        burnin=100,
     )
 
 
@@ -128,7 +127,6 @@ class TestRunStudy:
             n_reps=4,
             seed=6,
             samples=600,
-            burnin=200,
         )
         rows = rc.run_study(cfg)
         kww_dev = next(r for r in rows if r["method"] == "KWW")["avg_exp_abs_dev"]
