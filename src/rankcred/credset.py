@@ -8,6 +8,7 @@ S(1-alpha), and an elliptical (approximate HPD) set cut at the empirical
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -51,11 +52,6 @@ class CredibleSelection:
         return len(self.indices)
 
 
-def _quantile(a, q, axis=None):
-    # linear interpolation between order statistics ("type 7"), pinned
-    return np.quantile(a, q, axis=axis, method="linear")
-
-
 def _check_alpha(draws: PosteriorDraws, alpha: float):
     if not 0 < alpha < 1:
         raise DomainError(f"alpha={alpha} must be in (0, 1)")
@@ -63,10 +59,43 @@ def _check_alpha(draws: PosteriorDraws, alpha: float):
         raise DomainError(f"S(1-alpha) = {draws.S * (1 - alpha):.3g} < 1: no draw to select")
 
 
-def _joint_inside(theta: np.ndarray, kappa: float) -> np.ndarray:
-    lo = _quantile(theta, kappa / 2, axis=0)
-    hi = _quantile(theta, 1 - kappa / 2, axis=0)
-    return np.all((theta >= lo) & (theta <= hi), axis=1)
+def _sorted_quantile(cols: np.ndarray, q: float) -> np.ndarray:
+    """np.quantile(theta, q, axis=0, method="linear") read off `cols`, the
+    columns of theta sorted ascending (m, S), by numpy's own float steps:
+    index (S-1)q, and the lerp taken from the upper end when gamma >= 0.5."""
+    v = (cols.shape[1] - 1) * q
+    i = math.floor(v) if v < cols.shape[1] - 1 else -1  # numpy: gamma from -1 at the end
+    a = cols[:, i]
+    b = cols[:, i + 1] if i >= 0 else a
+    diff, gamma = b - a, v - i
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
+def _place_extremes(theta: np.ndarray):
+    """Per draw: its smallest and largest place (0-based) in the sorted columns."""
+    S = len(theta)
+    low, high, place = np.full(S, S), np.zeros(S, dtype=int), np.empty(S, dtype=int)
+    for col in theta.T:
+        place[np.argsort(col)] = np.arange(S)
+        np.minimum(low, place, out=low)
+        np.maximum(high, place, out=high)
+    return low, high
+
+
+def _count_inside(theta, cols, low, high, lo, hi) -> int:
+    """K_J: draws with lo <= theta_s <= hi in every coordinate.
+
+    With p the place of theta_sc in sorted column c (ties in any order),
+    #(col_c < theta_sc) <= p < #(col_c <= theta_sc), so lo_c <= theta_sc <= hi_c
+    iff #(col_c < lo_c) <= p < #(col_c <= hi_c).  Against the largest and
+    smallest of these cut-offs a draw's place extremes settle it, except
+    for the few between them, which are compared as floats.
+    """
+    lo_cut = np.array([np.searchsorted(col, v, "left") for col, v in zip(cols, lo)])
+    hi_cut = np.array([np.searchsorted(col, v, "right") for col, v in zip(cols, hi)])
+    sure = (low >= lo_cut.max()) & (high < hi_cut.min())
+    rows = theta[(low >= lo_cut.min()) & (high < hi_cut.max()) & ~sure]
+    return np.count_nonzero(sure) + np.count_nonzero(np.all((rows >= lo) & (rows <= hi), axis=1))
 
 
 def tune_kappa(
@@ -81,6 +110,13 @@ def tune_kappa(
     bisect until it lands at most `tol` from round(S(1-alpha)).  Default
     tol = max(1, S/10000); K_J is a step function, exact attainment may be
     impossible.
+
+    K_J counts the draws inside the box of type-7 quantiles at kappa/2 and
+    1 - kappa/2, and equals the count under np.quantile(..., method="linear")
+    exactly.  Each column is sorted once (`draws.sorted_columns`), so a step
+    reads the box off the sorted columns, turns it into per-column rank
+    cut-offs and counts the draws by their smallest and largest place in
+    the sorted columns: O(m log S + S) per step.
     """
     _check_alpha(draws, alpha)
     theta = draws.theta
@@ -88,12 +124,19 @@ def tune_kappa(
     target = round(S * (1 - alpha))
     if tol is None:
         tol = max(1, S // 10000)
+    if tol < 0:
+        raise DomainError(f"tol={tol} must be >= 0")
+    if max_iter < 1:
+        raise DomainError(f"max_iter={max_iter} must be >= 1")
+    cols = draws.sorted_columns
+    low, high = _place_extremes(theta)
 
     lo, hi = 0.0, 1.0 - 1e-12
     kappa = 1 - (1 - alpha) ** (1 / draws.m)  # independence initial guess
     best_kappa, best_err = kappa, np.inf
     for _ in range(max_iter):
-        k_j = int(np.count_nonzero(_joint_inside(theta, kappa)))
+        box = _sorted_quantile(cols, kappa / 2), _sorted_quantile(cols, 1 - kappa / 2)
+        k_j = int(_count_inside(theta, cols, low, high, *box))
         err = abs(k_j - target)
         if err < best_err:
             best_kappa, best_err = kappa, err
@@ -121,9 +164,8 @@ def cartesian_select(
 ) -> CredibleSelection:
     """Select draws inside the kappa-tuned product of quantile intervals."""
     kappa = tune_kappa(draws, alpha, tol=tol, max_iter=max_iter)
-    theta = draws.theta
-    lo = _quantile(theta, kappa / 2, axis=0)
-    hi = _quantile(theta, 1 - kappa / 2, axis=0)
+    theta, cols = draws.theta, draws.sorted_columns
+    lo, hi = _sorted_quantile(cols, kappa / 2), _sorted_quantile(cols, 1 - kappa / 2)
     inside = np.all((theta >= lo) & (theta <= hi), axis=1)
     indices = np.flatnonzero(inside)
     if len(indices) == 0:
@@ -173,7 +215,7 @@ def elliptical_select(
     center = np.asarray(center, dtype=float)
     dispersion = np.asarray(dispersion, dtype=float)
     distances = mahalanobis_many(draws.theta, center, dispersion)
-    cutoff = float(_quantile(distances, 1 - alpha))
+    cutoff = float(np.quantile(distances, 1 - alpha, method="linear"))
     indices = np.flatnonzero(distances <= cutoff)
     return CredibleSelection(
         indices=indices,

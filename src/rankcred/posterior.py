@@ -6,6 +6,7 @@ the variance prior (Dbar+A)^(-1/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -46,6 +47,9 @@ class PosteriorDraws:
     def __post_init__(self):
         if self.theta.ndim != 2 or self.theta.shape[0] < 1:
             raise DomainError("theta draws must be a non-empty S x m matrix")
+        if not np.isfinite(self.theta).all():
+            s, c = np.argwhere(~np.isfinite(self.theta))[0]
+            raise DomainError(f"theta draw {s}, coordinate {c} is not finite: {self.theta[s, c]}")
         if self.a is not None and np.any(self.a <= 0):
             raise DomainError("model-variance draws must all be > 0")
 
@@ -56,6 +60,15 @@ class PosteriorDraws:
     @property
     def m(self) -> int:
         return self.theta.shape[1]
+
+    @cached_property
+    def sorted_columns(self) -> np.ndarray:
+        """(m, S): row c holds theta[:, c] in ascending order; sorted on first
+        use, then shared by every caller, so it is read-only."""
+        cols = self.theta.T.copy(order="C")
+        cols.sort(axis=1)
+        cols.flags.writeable = False
+        return cols
 
 
 @dataclass(frozen=True)

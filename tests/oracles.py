@@ -6,6 +6,8 @@ the Gibbs chain for the hierarchical model).
 """
 
 
+import warnings
+
 import numpy as np
 from scipy.optimize import brentq
 from scipy.stats import norm
@@ -36,6 +38,51 @@ def kappa_grid_scan(theta, alpha, n_grid=4000):
         k = int(np.all((theta >= lo) & (theta <= hi), axis=1).sum())
         best = min(best, abs(k - target))
     return best
+
+
+def _joint_inside(theta, kappa):
+    lo = np.quantile(theta, kappa / 2, axis=0, method="linear")
+    hi = np.quantile(theta, 1 - kappa / 2, axis=0, method="linear")
+    return np.all((theta >= lo) & (theta <= hi), axis=1)
+
+
+def cartesian_select_reference(theta, alpha, tol=None, max_iter=60):
+    """The Cartesian selection with a full np.quantile box and S x m compare
+    at every bisection step.  Returns (kappa, lower, upper, indices)."""
+    S, m = theta.shape
+    target = round(S * (1 - alpha))
+    if tol is None:
+        tol = max(1, S // 10000)
+
+    def tune():
+        lo, hi = 0.0, 1.0 - 1e-12
+        kappa = 1 - (1 - alpha) ** (1 / m)  # independence initial guess
+        best_kappa, best_err = kappa, np.inf
+        for _ in range(max_iter):
+            k_j = int(np.count_nonzero(_joint_inside(theta, kappa)))
+            err = abs(k_j - target)
+            if err < best_err:
+                best_kappa, best_err = kappa, err
+            if err <= tol:
+                return kappa
+            if k_j > target:
+                lo = kappa  # too many inside: widen kappa
+            else:
+                hi = kappa
+            kappa = (lo + hi) / 2
+        warnings.warn(
+            f"kappa tuning: bisection exhausted after {max_iter} iterations; "
+            f"best |K_J - target| = {best_err}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return best_kappa
+
+    kappa = tune()
+    lo = np.quantile(theta, kappa / 2, axis=0, method="linear")
+    hi = np.quantile(theta, 1 - kappa / 2, axis=0, method="linear")
+    inside = np.all((theta >= lo) & (theta <= hi), axis=1)
+    return kappa, lo, hi, np.flatnonzero(inside)
 
 
 def variance_target_cdf(a_values, m, sse, dbar):

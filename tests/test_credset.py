@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import rankcred as rc
-from rankcred.credset import mahalanobis_many
+from rankcred.credset import _sorted_quantile, mahalanobis_many
 from rankcred.posterior import PosteriorDraws
 
-from oracles import kappa_grid_scan, mahalanobis_explicit
+from oracles import cartesian_select_reference, kappa_grid_scan, mahalanobis_explicit
 
 
 def normal_draws(S, m, seed=0):
@@ -51,6 +54,87 @@ class TestTuneKappa:
         for alpha in (0.0, 1.0, -0.5):
             with pytest.raises(rc.DomainError):
                 rc.tune_kappa(draws, alpha)
+
+    def test_invalid_tol(self):
+        draws = normal_draws(100, 2)
+        with pytest.raises(rc.DomainError, match="tol"):
+            rc.tune_kappa(draws, 0.1, tol=-1)
+        with pytest.raises(rc.DomainError, match="tol"):
+            rc.cartesian_select(draws, 0.1, tol=-1)
+
+    def test_invalid_max_iter(self):
+        draws = normal_draws(100, 2)
+        for max_iter in (0, -3):
+            with pytest.raises(rc.DomainError, match="max_iter"):
+                rc.tune_kappa(draws, 0.1, max_iter=max_iter)
+
+
+def select_both(draws, alpha, tol=None):
+    """Library selection (None when it refuses an empty box) and the
+    np.quantile reference; both must warn alike."""
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        try:
+            sel = rc.cartesian_select(draws, alpha, tol=tol)
+        except rc.DomainError as err:
+            assert "selection is empty" in str(err)
+            sel = None
+    with warnings.catch_warnings(record=True) as expected:
+        warnings.simplefilter("always")
+        ref = cartesian_select_reference(draws.theta, alpha, tol=tol)
+    assert [str(w.message) for w in got] == [str(w.message) for w in expected]
+    return sel, ref
+
+
+def assert_same_selection(sel, ref):
+    kappa, lower, upper, indices = ref
+    if sel is None:
+        assert len(indices) == 0
+        return
+    assert sel.cart.kappa == kappa
+    assert sel.cart.lower.tobytes() == lower.tobytes()
+    assert sel.cart.upper.tobytes() == upper.tobytes()
+    assert np.array_equal(sel.indices, indices)
+
+
+class TestMatchesQuantileReference:
+    """The sorted-column count gives the np.quantile-per-step selection bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 2], ids=["14-step", "51-step"])
+    def test_baseball_hb(self, baseball, seed):
+        # fit seed 0 meets tol after 14 bisection steps, fit seed 2 after 51
+        draws = rc.gibbs_hb(baseball, rc.HbConfig(samples=50000, seed=seed))
+        assert_same_selection(*select_both(draws, 0.1))
+
+    @given(
+        S=st.integers(2, 400),
+        m=st.integers(1, 6),
+        spread=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.01, 0.5, exclude_min=True, exclude_max=True),
+        tol=st.sampled_from([0, None]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tied_integer_draws(self, S, m, spread, seed, alpha, tol):
+        rng = np.random.default_rng(seed)
+        theta = rng.integers(-spread, spread + 1, size=(S, m)).astype(float)
+        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        assert_same_selection(*select_both(draws, alpha, tol))
+
+    def test_sorted_quantile_is_numpy_type7(self):
+        rng = np.random.default_rng(12)
+        for S in (1, 2, 1025, 5000):
+            theta = rng.standard_normal((S, 5))
+            draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+            cols = draws.sorted_columns
+            assert cols is draws.sorted_columns and not cols.flags.writeable
+            qs = [0.0, 1e-12, 0.5, 1 - 1e-12, 1.0, *rng.random(50)]
+            if S == 1025:  # (S-1)q = k + 1/2 exactly: the two lerp branches meet
+                qs += [(k + 0.5) / 1024 for k in (0, 1, 511, 1022)]
+                assert all(((S - 1) * q) % 1 == 0.5 for q in qs[-4:])
+            for q in qs:
+                want = np.quantile(theta, q, axis=0, method="linear")
+                assert _sorted_quantile(cols, q).tobytes() == want.tobytes(), (S, q)
 
 
 class TestCartesianSelect:

@@ -175,13 +175,14 @@ class TestGibbsHb:
 
     def test_fixed_huge_a_matches_ub(self, baseball):
         # A held at 1e6: the HB draw of theta given A degenerates to the
-        # UB posterior; compare marginals by two-sample KS
+        # UB posterior; compare marginals by two-sample KS, one test per
+        # coordinate at the Bonferroni level 0.01/m for the family
         xb = np.full((4000, baseball.m), baseball.y.mean())
         a = np.full(4000, 1e6)
         theta = draw_theta(baseball.y, baseball.d, xb, a, np.random.default_rng(13))
         ub = rc.sample_ub(baseball, 4000, seed=14)
         for i in range(baseball.m):
-            assert stats.ks_2samp(theta[:, i], ub.theta[:, i]).pvalue > 0.01
+            assert stats.ks_2samp(theta[:, i], ub.theta[:, i]).pvalue > 0.01 / baseball.m
 
     def test_draw_theta_requires_positive_a(self, baseball):
         xb = np.zeros((2, baseball.m))
@@ -228,6 +229,17 @@ class TestGibbsHb:
         shrink = np.mean(baseball.d / (baseball.d + hb_draws.a[:, None]), axis=0)
         assert 0.55 < shrink.min() < 0.70
         assert 0.70 < shrink.max() < 0.80
+
+
+class TestPosteriorDraws:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draw_named(self, bad):
+        # the first non-finite draw in row order is named
+        theta = np.zeros((6, 3))
+        theta[4, 2] = bad
+        theta[5, 0] = bad
+        with pytest.raises(rc.DomainError, match="draw 4, coordinate 2 is not finite"):
+            rc.PosteriorDraws(theta=theta, model="UB", seed=0)
 
 
 class TestSummarize:
