@@ -1,15 +1,14 @@
 """Empirical (1-alpha) credible subsets of posterior draws.
 
-Two geometries: a Cartesian product of per-coordinate quantile intervals
-with the per-coordinate level kappa tuned so the joint count hits
-S(1-alpha), and an elliptical (approximate HPD) set cut at the empirical
+Two geometries: a Cartesian product of per-coordinate intervals between
+order statistics, peeled from a symmetric start until it holds
+round(S(1-alpha)) draws (kappa is the mean per-coordinate quantile level
+of its sides), and an elliptical (approximate HPD) set cut at the empirical
 (1-alpha) quantile of Mahalanobis distances.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,122 +58,75 @@ def _check_alpha(draws: PosteriorDraws, alpha: float):
         raise DomainError(f"S(1-alpha) = {draws.S * (1 - alpha):.3g} < 1: no draw to select")
 
 
-def _sorted_quantile(cols: np.ndarray, q: float) -> np.ndarray:
-    """np.quantile(theta, q, axis=0, method="linear") read off `cols`, the
-    columns of theta sorted ascending (m, S), by numpy's own float steps:
-    index (S-1)q, and the lerp taken from the upper end when gamma >= 0.5."""
-    v = (cols.shape[1] - 1) * q
-    i = math.floor(v) if v < cols.shape[1] - 1 else -1  # numpy: gamma from -1 at the end
-    a = cols[:, i]
-    b = cols[:, i + 1] if i >= 0 else a
-    diff, gamma = b - a, v - i
-    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+def tune_kappa(draws: PosteriorDraws, alpha: float) -> CartesianBounds:
+    """The Cartesian box holding round(S(1-alpha)) draws, its sides read off
+    the order statistics col_c[0] <= ... <= col_c[S-1] of each coordinate.
 
+    Depth.  Draw s has depth min over c of min(#(col_c <= theta_sc),
+    #(col_c >= theta_sc)), counted with ties, and lies in the symmetric box
+    [col_c[k], col_c[S-1-k]] in every coordinate exactly when its depth is
+    greater than k.  The box starts at the largest such k that holds at least
+    the target count: the target-th largest depth minus one, capped at
+    (S-1)//2 so that no side passes the other.
 
-def _place_extremes(theta: np.ndarray):
-    """Per draw: its smallest and largest place (0-based) in the sorted columns."""
-    S = len(theta)
-    low, high, place = np.full(S, S), np.zeros(S, dtype=int), np.empty(S, dtype=int)
-    for col in theta.T:
-        place[np.argsort(col)] = np.arange(S)
-        np.minimum(low, place, out=low)
-        np.maximum(high, place, out=high)
-    return low, high
+    Peel.  The sides then move inward one order statistic at a time,
+    round-robin (c=0 lower, c=0 upper, c=1 lower, ...), and every draw whose
+    value leaves the box goes with the step.  Peeling stops when the count K
+    equals the target, or just before a step would take K below it or move a
+    side past the other.  Without ties a step removes at most one draw, so K
+    equals the target; with ties K is the first count reached at or above it.
 
-
-def _count_inside(theta, cols, low, high, lo, hi) -> int:
-    """K_J: draws with lo <= theta_s <= hi in every coordinate.
-
-    With p the place of theta_sc in sorted column c (ties in any order),
-    #(col_c < theta_sc) <= p < #(col_c <= theta_sc), so lo_c <= theta_sc <= hi_c
-    iff #(col_c < lo_c) <= p < #(col_c <= hi_c).  Against the largest and
-    smallest of these cut-offs a draw's place extremes settle it, except
-    for the few between them, which are compared as floats.
-    """
-    lo_cut = np.array([np.searchsorted(col, v, "left") for col, v in zip(cols, lo)])
-    hi_cut = np.array([np.searchsorted(col, v, "right") for col, v in zip(cols, hi)])
-    sure = (low >= lo_cut.max()) & (high < hi_cut.min())
-    rows = theta[(low >= lo_cut.min()) & (high < hi_cut.max()) & ~sure]
-    return np.count_nonzero(sure) + np.count_nonzero(np.all((rows >= lo) & (rows <= hi), axis=1))
-
-
-def tune_kappa(
-    draws: PosteriorDraws,
-    alpha: float,
-    tol: int | None = None,
-    max_iter: int = 60,
-) -> float:
-    """Bisection for the per-coordinate level kappa.
-
-    The joint-inclusion count K_J(kappa) is non-increasing in kappa, so we
-    bisect until it lands at most `tol` from round(S(1-alpha)).  Default
-    tol = max(1, S/10000); K_J is a step function, exact attainment may be
-    impossible.
-
-    K_J counts the draws inside the box of type-7 quantiles at kappa/2 and
-    1 - kappa/2, and equals the count under np.quantile(..., method="linear")
-    exactly.  Each column is sorted once (`draws.sorted_columns`), so a step
-    reads the box off the sorted columns, turns it into per-column rank
-    cut-offs and counts the draws by their smallest and largest place in
-    the sorted columns: O(m log S + S) per step.
+    kappa is the type-7 quantile level of the final sides: with lo_c and
+    S-1-hi_c order statistics peeled off below and above coordinate c,
+    kappa = mean_c(lo_c + S-1-hi_c) / (S-1).
     """
     _check_alpha(draws, alpha)
-    theta = draws.theta
-    S = draws.S
+    S, m = draws.S, draws.m
     target = round(S * (1 - alpha))
-    if tol is None:
-        tol = max(1, S // 10000)
-    if tol < 0:
-        raise DomainError(f"tol={tol} must be >= 0")
-    if max_iter < 1:
-        raise DomainError(f"max_iter={max_iter} must be >= 1")
-    cols = draws.sorted_columns
-    low, high = _place_extremes(theta)
+    values = np.ascontiguousarray(draws.theta.T)  # (m, S), row c = coordinate c
+    cols = np.empty((m, S))  # row c sorted ascending
+    depth, col_depth = np.full(S, S), np.empty(S, dtype=int)
+    for c, col in enumerate(values):
+        order = np.argsort(col)
+        cols[c] = v = col[order]
+        # tie run r of the sorted column spans places starts[r]..starts[r+1]-1; each of
+        # its draws has #(col <= v) = starts[r+1] and #(col >= v) = S - starts[r]
+        starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1], True])
+        col_depth[order] = np.repeat(np.minimum(starts[1:], S - starts[:-1]), np.diff(starts))
+        np.minimum(depth, col_depth, out=depth)
 
-    lo, hi = 0.0, 1.0 - 1e-12
-    kappa = 1 - (1 - alpha) ** (1 / draws.m)  # independence initial guess
-    best_kappa, best_err = kappa, np.inf
-    for _ in range(max_iter):
-        box = _sorted_quantile(cols, kappa / 2), _sorted_quantile(cols, 1 - kappa / 2)
-        k_j = int(_count_inside(theta, cols, low, high, *box))
-        err = abs(k_j - target)
-        if err < best_err:
-            best_kappa, best_err = kappa, err
-        if err <= tol:
-            return kappa
-        if k_j > target:
-            lo = kappa  # too many inside: widen kappa
-        else:
-            hi = kappa
-        kappa = (lo + hi) / 2
-    warnings.warn(
-        f"kappa tuning: bisection exhausted after {max_iter} iterations; "
-        f"best |K_J - target| = {best_err}",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return best_kappa
+    k = min(int(np.partition(depth, S - target)[S - target]) - 1, (S - 1) // 2)
+    cut = np.array([[k, S - 1 - k]] * m)  # (m, 2): index of the lower and upper side
+    inside = depth > k
+    K = np.count_nonzero(inside)
+    step = 0
+    while K > target:
+        c, side = divmod(step % (2 * m), 2)
+        step += 1
+        if cut[c, 0] == cut[c, 1]:
+            break
+        i = cut[c, side] + (1 if side == 0 else -1)
+        out = inside & (values[c] < cols[c, i] if side == 0 else values[c] > cols[c, i])
+        n = np.count_nonzero(out)
+        if K - n < target:
+            break
+        inside &= ~out
+        K -= n
+        cut[c, side] = i
+
+    rows = np.arange(m)
+    kappa = float(np.mean(cut[:, 0] + S - 1 - cut[:, 1])) / (S - 1)
+    return CartesianBounds(lower=cols[rows, cut[:, 0]], upper=cols[rows, cut[:, 1]], kappa=kappa)
 
 
-def cartesian_select(
-    draws: PosteriorDraws,
-    alpha: float,
-    tol: int | None = None,
-    max_iter: int = 60,
-) -> CredibleSelection:
-    """Select draws inside the kappa-tuned product of quantile intervals."""
-    kappa = tune_kappa(draws, alpha, tol=tol, max_iter=max_iter)
-    theta, cols = draws.theta, draws.sorted_columns
-    lo, hi = _sorted_quantile(cols, kappa / 2), _sorted_quantile(cols, 1 - kappa / 2)
-    inside = np.all((theta >= lo) & (theta <= hi), axis=1)
-    indices = np.flatnonzero(inside)
-    if len(indices) == 0:
-        raise DomainError("cartesian selection is empty; draws may be pathological")
+def cartesian_select(draws: PosteriorDraws, alpha: float) -> CredibleSelection:
+    """Select the draws inside the box of `tune_kappa`: round(S(1-alpha)) of
+    them when no coordinate has tied draws, otherwise at least that many."""
+    bounds = tune_kappa(draws, alpha)
+    theta = draws.theta
+    inside = np.all((theta >= bounds.lower) & (theta <= bounds.upper), axis=1)
     return CredibleSelection(
-        indices=indices,
-        alpha=alpha,
-        geometry=CARTESIAN,
-        cart=CartesianBounds(lower=lo, upper=hi, kappa=kappa),
+        indices=np.flatnonzero(inside), alpha=alpha, geometry=CARTESIAN, cart=bounds
     )
 
 
@@ -191,9 +143,7 @@ def _cho_factor_spd(dispersion: np.ndarray):
 
 def mahalanobis(theta, center, dispersion) -> float:
     """Squared Mahalanobis distance (theta-center)' dispersion^-1 (theta-center)."""
-    diff = np.asarray(theta, dtype=float) - np.asarray(center, dtype=float)
-    cho = _cho_factor_spd(np.asarray(dispersion, dtype=float))
-    return float(diff @ cho_solve(cho, diff))
+    return float(mahalanobis_many(np.asarray(theta, dtype=float)[None, :], center, dispersion)[0])
 
 
 def mahalanobis_many(thetas: np.ndarray, center, dispersion) -> np.ndarray:

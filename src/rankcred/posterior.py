@@ -6,7 +6,6 @@ the variance prior (Dbar+A)^(-1/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -60,15 +59,6 @@ class PosteriorDraws:
     @property
     def m(self) -> int:
         return self.theta.shape[1]
-
-    @cached_property
-    def sorted_columns(self) -> np.ndarray:
-        """(m, S): row c holds theta[:, c] in ascending order; sorted on first
-        use, then shared by every caller, so it is read-only."""
-        cols = self.theta.T.copy(order="C")
-        cols.sort(axis=1)
-        cols.flags.writeable = False
-        return cols
 
 
 @dataclass(frozen=True)

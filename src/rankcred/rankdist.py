@@ -98,20 +98,18 @@ def build_distribution(
     else:
         raise DomainError(f"unknown weighting {weighting!r}")
 
-    probs = np.zeros((m, m))
-    # tie-free rows (the usual case for continuous draws) vectorize to a
-    # permutation scatter; rows with exact ties take the table path
+    # tie-free rows (the usual case for continuous draws) add their weight
+    # to cell (rank, entity) in one weighted count; rows with exact ties
+    # take the table path
     sorted_rows = np.sort(theta, axis=1)
     tied = (np.diff(sorted_rows, axis=1) == 0).any(axis=1)
     clean = ~tied
-    if clean.any():
-        order = np.argsort(theta[clean], axis=1, kind="stable")
-        ranks = np.empty_like(order)
-        rows = np.arange(order.shape[0])[:, None]
-        ranks[rows, order] = np.arange(m)[None, :]
-        w = weights[clean]
-        np.add.at(probs, (ranks.ravel(), np.tile(np.arange(m), order.shape[0])),
-                  np.repeat(w, m))
+    order = np.argsort(theta[clean], axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    ranks[np.arange(order.shape[0])[:, None], order] = np.arange(m)
+    cells = (ranks * m + np.arange(m)).ravel()
+    probs = np.zeros((m, m))
+    probs += np.bincount(cells, weights=np.repeat(weights[clean], m), minlength=m * m).reshape(m, m)
     for s in np.flatnonzero(tied):
         probs += weights[s] * rank_table(theta[s])
 

@@ -85,6 +85,47 @@ def cartesian_select_reference(theta, alpha, tol=None, max_iter=60):
     return kappa, lo, hi, np.flatnonzero(inside)
 
 
+def box_peel_reference(theta, alpha):
+    """The Cartesian box of `credset.tune_kappa`, recounted with plain loops
+    over every draw at every symmetric cut and at every peel step.
+    Returns (kappa, lower, upper, indices)."""
+    rows = np.asarray(theta, dtype=float).tolist()
+    S, m = len(rows), len(rows[0])
+    target = round(S * (1 - alpha))
+    cols = [sorted(r[c] for r in rows) for c in range(m)]
+
+    def inside(lo, hi):
+        return [
+            s
+            for s, r in enumerate(rows)
+            if all(cols[c][lo[c]] <= r[c] <= cols[c][hi[c]] for c in range(m))
+        ]
+
+    k = max(j for j in range((S - 1) // 2 + 1) if len(inside([j] * m, [S - 1 - j] * m)) >= target)
+    lo, hi = [k] * m, [S - 1 - k] * m
+    sel = inside(lo, hi)
+    sides = [(c, side) for c in range(m) for side in (0, 1)]
+    step = 0
+    while len(sel) != target:
+        c, side = sides[step % len(sides)]
+        step += 1
+        new_lo, new_hi = list(lo), list(hi)
+        if side == 0:
+            new_lo[c] += 1
+        else:
+            new_hi[c] -= 1
+        if new_lo[c] > new_hi[c]:
+            break
+        new_sel = inside(new_lo, new_hi)
+        if len(new_sel) < target:
+            break
+        lo, hi, sel = new_lo, new_hi, new_sel
+    kappa = sum(lo[c] + S - 1 - hi[c] for c in range(m)) / m / (S - 1)
+    lower = np.array([cols[c][lo[c]] for c in range(m)])
+    upper = np.array([cols[c][hi[c]] for c in range(m)])
+    return kappa, lower, upper, np.array(sel, dtype=int)
+
+
 def variance_target_cdf(a_values, m, sse, dbar):
     """Grid-quadrature CDF of the density ~ (dbar+A)^(-1/2) A^(-m/2) e^(-sse/2A).
 

@@ -1,15 +1,20 @@
-import warnings
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import rankcred as rc
-from rankcred.credset import _sorted_quantile, mahalanobis_many
+from rankcred.credset import mahalanobis_many
 from rankcred.posterior import PosteriorDraws
 
-from oracles import cartesian_select_reference, kappa_grid_scan, mahalanobis_explicit
+from oracles import (
+    box_peel_reference,
+    cartesian_select_reference,
+    kappa_grid_scan,
+    mahalanobis_explicit,
+)
 
 
 def normal_draws(S, m, seed=0):
@@ -20,13 +25,13 @@ def normal_draws(S, m, seed=0):
 class TestTuneKappa:
     def test_one_coordinate_recovers_alpha(self):
         draws = normal_draws(20000, 1, seed=1)
-        kappa = rc.tune_kappa(draws, alpha=0.1)
+        kappa = rc.tune_kappa(draws, alpha=0.1).kappa
         assert kappa == pytest.approx(0.1, abs=0.02)
 
     def test_close_to_grid_oracle(self):
         draws = normal_draws(2000, 3, seed=2)
-        kappa = rc.tune_kappa(draws, alpha=0.1, tol=0)
-        sel = rc.cartesian_select(draws, alpha=0.1, tol=0)
+        kappa = rc.tune_kappa(draws, alpha=0.1).kappa
+        sel = rc.cartesian_select(draws, alpha=0.1)
         target = round(2000 * 0.9)
         achieved = abs(sel.K - target)
         assert achieved <= max(1, kappa_grid_scan(draws.theta, 0.1, n_grid=1500))
@@ -34,20 +39,9 @@ class TestTuneKappa:
 
     def test_tiny_alpha_selects_almost_everything(self):
         draws = normal_draws(1000, 4, seed=3)
-        sel = rc.cartesian_select(draws, alpha=0.002, tol=0)
+        sel = rc.cartesian_select(draws, alpha=0.002)
         assert sel.K >= 998
         assert sel.cart.kappa < 0.01
-
-    def test_initial_kappa_is_near_solution_for_independent_coords(self):
-        # with independent coordinates the independence guess already lands
-        # within binomial noise of the target count
-        S, m, alpha = 30000, 6, 0.1
-        draws = normal_draws(S, m, seed=4)
-        kappa0 = 1 - (1 - alpha) ** (1 / m)
-        lo = np.quantile(draws.theta, kappa0 / 2, axis=0)
-        hi = np.quantile(draws.theta, 1 - kappa0 / 2, axis=0)
-        k = int(np.all((draws.theta >= lo) & (draws.theta <= hi), axis=1).sum())
-        assert abs(k - S * (1 - alpha)) < 5 * np.sqrt(S * alpha * (1 - alpha))
 
     def test_invalid_alpha(self):
         draws = normal_draws(100, 2)
@@ -55,86 +49,81 @@ class TestTuneKappa:
             with pytest.raises(rc.DomainError):
                 rc.tune_kappa(draws, alpha)
 
-    def test_invalid_tol(self):
-        draws = normal_draws(100, 2)
-        with pytest.raises(rc.DomainError, match="tol"):
-            rc.tune_kappa(draws, 0.1, tol=-1)
-        with pytest.raises(rc.DomainError, match="tol"):
-            rc.cartesian_select(draws, 0.1, tol=-1)
 
-    def test_invalid_max_iter(self):
-        draws = normal_draws(100, 2)
-        for max_iter in (0, -3):
-            with pytest.raises(rc.DomainError, match="max_iter"):
-                rc.tune_kappa(draws, 0.1, max_iter=max_iter)
-
-
-def select_both(draws, alpha, tol=None):
-    """Library selection (None when it refuses an empty box) and the
-    np.quantile reference; both must warn alike."""
-    with warnings.catch_warnings(record=True) as got:
-        warnings.simplefilter("always")
-        try:
-            sel = rc.cartesian_select(draws, alpha, tol=tol)
-        except rc.DomainError as err:
-            assert "selection is empty" in str(err)
-            sel = None
-    with warnings.catch_warnings(record=True) as expected:
-        warnings.simplefilter("always")
-        ref = cartesian_select_reference(draws.theta, alpha, tol=tol)
-    assert [str(w.message) for w in got] == [str(w.message) for w in expected]
-    return sel, ref
-
-
-def assert_same_selection(sel, ref):
-    kappa, lower, upper, indices = ref
-    if sel is None:
-        assert len(indices) == 0
-        return
+def peeled_box(theta, alpha):
+    """Library selection checked against `box_peel_reference`; None when
+    S(1-alpha) < 1 leaves no draw to select."""
+    draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+    S = len(theta)
+    if S * (1 - alpha) < 1:
+        with pytest.raises(rc.DomainError, match="no draw to select"):
+            rc.cartesian_select(draws, alpha)
+        return None
+    sel = rc.cartesian_select(draws, alpha)
+    kappa, lower, upper, indices = box_peel_reference(theta, alpha)
     assert sel.cart.kappa == kappa
     assert sel.cart.lower.tobytes() == lower.tobytes()
     assert sel.cart.upper.tobytes() == upper.tobytes()
     assert np.array_equal(sel.indices, indices)
+    assert sel.K >= round(S * (1 - alpha))
+    return sel
 
 
-class TestMatchesQuantileReference:
-    """The sorted-column count gives the np.quantile-per-step selection bit for bit."""
-
-    @pytest.mark.parametrize("seed", [0, 2], ids=["14-step", "51-step"])
-    def test_baseball_hb(self, baseball, seed):
-        # fit seed 0 meets tol after 14 bisection steps, fit seed 2 after 51
-        draws = rc.gibbs_hb(baseball, rc.HbConfig(samples=50000, seed=seed))
-        assert_same_selection(*select_both(draws, 0.1))
+class TestBoxPeeling:
+    """The peeled box equals the plain-loop recount of every box tried."""
 
     @given(
-        S=st.integers(2, 400),
+        S=st.integers(1, 400),
         m=st.integers(1, 6),
         spread=st.integers(1, 20),
         seed=st.integers(0, 2**32 - 1),
         alpha=st.floats(0.01, 0.5, exclude_min=True, exclude_max=True),
-        tol=st.sampled_from([0, None]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_tied_integer_draws(self, S, m, spread, seed, alpha, tol):
+    @example(S=3, m=1, spread=0, seed=0, alpha=0.4)  # one value: the sides meet before K = 2
+    def test_tied_integer_draws(self, S, m, spread, seed, alpha):
         rng = np.random.default_rng(seed)
-        theta = rng.integers(-spread, spread + 1, size=(S, m)).astype(float)
-        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
-        assert_same_selection(*select_both(draws, alpha, tol))
+        peeled_box(rng.integers(-spread, spread + 1, size=(S, m)).astype(float), alpha)
 
-    def test_sorted_quantile_is_numpy_type7(self):
-        rng = np.random.default_rng(12)
-        for S in (1, 2, 1025, 5000):
-            theta = rng.standard_normal((S, 5))
-            draws = PosteriorDraws(theta=theta, model="UB", seed=0)
-            cols = draws.sorted_columns
-            assert cols is draws.sorted_columns and not cols.flags.writeable
-            qs = [0.0, 1e-12, 0.5, 1 - 1e-12, 1.0, *rng.random(50)]
-            if S == 1025:  # (S-1)q = k + 1/2 exactly: the two lerp branches meet
-                qs += [(k + 0.5) / 1024 for k in (0, 1, 511, 1022)]
-                assert all(((S - 1) * q) % 1 == 0.5 for q in qs[-4:])
-            for q in qs:
-                want = np.quantile(theta, q, axis=0, method="linear")
-                assert _sorted_quantile(cols, q).tobytes() == want.tobytes(), (S, q)
+    @given(
+        S=st.integers(1, 400),
+        m=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.01, 0.5, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_continuous_draws_hit_target(self, S, m, seed, alpha):
+        sel = peeled_box(np.random.default_rng(seed).standard_normal((S, m)), alpha)
+        if sel is not None:
+            assert sel.K == round(S * (1 - alpha))
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.375, 0.45])
+    def test_two_draws_select_one(self, alpha):
+        draws = PosteriorDraws(theta=np.array([[-1.0], [1.0]]), model="UB", seed=0)
+        sel = rc.cartesian_select(draws, alpha)
+        assert sel.K == 1
+        assert list(sel.indices) == [1]
+
+
+class TestMatchesQuantileReference:
+    """Against the np.quantile bisection (`cartesian_select_reference`),
+    every side lies on the order statistic at or just after the reference's
+    type-7 index (S-1)kappa/2, and the count is exact."""
+
+    @pytest.mark.parametrize("seed", [0, 2], ids=["14-step", "51-step"])
+    def test_baseball_hb(self, baseball, seed):
+        # the reference meets its tol after 14 bisection steps at fit seed 0, 51 at seed 2
+        draws = rc.gibbs_hb(baseball, rc.HbConfig(samples=50000, seed=seed))
+        S = draws.S
+        sel = rc.cartesian_select(draws, 0.1)
+        kappa_ref, _, _, ref_indices = cartesian_select_reference(draws.theta, 0.1)
+        assert sel.K == round(S * 0.9)
+        assert abs(len(ref_indices) - round(S * 0.9)) <= max(1, S // 10000)
+        cols = np.sort(draws.theta, axis=0)
+        below = [np.searchsorted(cols[:, c], sel.cart.lower[c]) for c in range(draws.m)]
+        above = [S - np.searchsorted(cols[:, c], sel.cart.upper[c], "right") for c in range(draws.m)]
+        floor = math.floor((S - 1) * kappa_ref / 2)
+        assert set(below + above) <= {floor, floor + 1}
 
 
 class TestCartesianSelect:
@@ -152,7 +141,7 @@ class TestCartesianSelect:
 
     def test_ub_bounds_match_normal_quantiles(self, baseball, ub_draws):
         # bounds converge to y -/+ z_{1-kappa/2} sqrt(d); kappa near the
-        # independence value (bisection oracle = closed form here)
+        # independence value 1 - 0.9^(1/18), in closed form here
         sel = rc.cartesian_select(ub_draws, alpha=0.1)
         kappa_ref = 1 - 0.9 ** (1 / 18)
         assert sel.cart.kappa == pytest.approx(kappa_ref, rel=0.35)

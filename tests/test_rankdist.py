@@ -118,6 +118,16 @@ class TestBuildDistribution:
         d2 = rc.build_distribution(sel, warped)
         assert np.allclose(d1.probs, d2.probs)
 
+    def test_tie_free_rows_match_rank_tables(self):
+        # the weighted count over (rank, entity) cells against the table path
+        theta = np.random.default_rng(5).standard_normal((40, 6))
+        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        sel = rc.elliptical_select(draws, np.zeros(6), np.eye(6), alpha=0.01)
+        dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
+        w = np.exp(-sel.ellip.distances[sel.indices] / 2)
+        manual = sum(wi * rank_table(t) for wi, t in zip(w / w.sum(), theta[sel.indices]))
+        assert np.allclose(dist.probs, manual, atol=1e-12)
+
     def test_tied_rows_handled(self):
         theta = np.array([[1.0, 1.0, 2.0], [1.0, 2.0, 3.0], [2.0, 2.0, 2.0]])
         draws = PosteriorDraws(theta=theta, model="UB", seed=0)
