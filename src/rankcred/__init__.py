@@ -8,7 +8,7 @@ from .credset import (
     tune_kappa,
 )
 from .domain import HIGHEST_OF_TIES, MIDRANK, Dataset, DomainError, Entity, rank_of
-from .fileio import baseball_dataset, parse_dataset
+from .fileio import baseball_dataset, parse_csv_text, parse_dataset
 from .kww import BONFERRONI, INDEPENDENCE, KwwRankSet, gamma_from_alpha, rank_confidence_set
 from .metrics import (
     SizeReport,
@@ -72,6 +72,7 @@ __all__ = [
     "kww_abs_deviation",
     "mahalanobis",
     "orthotope_size",
+    "parse_csv_text",
     "parse_dataset",
     "rank_confidence_set",
     "rank_marginal",

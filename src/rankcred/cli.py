@@ -18,19 +18,15 @@ from .simlab import RESULT_COLUMNS, SimConfig, run_study
 
 
 def _round12(obj):
-    """Round floats to the pinned 12 significant digits for JSON output."""
+    """Round floats (np.float64 included) to the pinned 12 significant digits for JSON."""
     if isinstance(obj, float):
         return float(FMT % obj)
     if isinstance(obj, dict):
         return {k: _round12(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_round12(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _round12(obj.tolist())
-    if isinstance(obj, (np.floating,)):
-        return float(FMT % float(obj))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
@@ -45,7 +41,7 @@ def _marginal_quantile(marginal: np.ndarray, q: float) -> int:
 
 
 def _cmd_fit(args) -> int:
-    ds = parse_dataset(Path(args.dataset))
+    ds = parse_dataset(args.dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -153,7 +149,7 @@ def _write_plot_data(path, ds: Dataset, dist, alpha):
 
 
 def _cmd_kww(args) -> int:
-    ds = parse_dataset(Path(args.dataset))
+    ds = parse_dataset(args.dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ranks = kww.rank_confidence_set(ds, args.alpha, args.method)
@@ -252,3 +248,7 @@ def run_command(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run_command())
+
+
+if __name__ == "__main__":
+    main()

@@ -31,18 +31,18 @@ def _parse_float(text: str, row: int, column: str) -> float:
     return v
 
 
-def parse_dataset(source) -> Dataset:
-    """Read a dataset from a CSV path (a Path, or a str without a newline)
-    or from CSV text (a str containing a newline).
+def parse_dataset(path) -> Dataset:
+    """Read a dataset from the CSV file at `path` (a str or a Path)."""
+    return parse_csv_text(Path(path).read_text())
+
+
+def parse_csv_text(text: str) -> Dataset:
+    """Parse a dataset from CSV text.
 
     Required columns: id, y, d.  Optional: x1..xp (consecutive), gold.
     Column order is free.  Row numbers in error messages count the header
     as row 1.
     """
-    if isinstance(source, Path) or "\n" not in source:
-        text = Path(source).read_text()
-    else:
-        text = source
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None:
         raise DomainError("empty input: no CSV header found")
@@ -79,7 +79,7 @@ def parse_dataset(source) -> Dataset:
 
 
 def emit_dataset(ds: Dataset) -> str:
-    """Inverse of parse_dataset (round-trips through the pinned format)."""
+    """Inverse of parse_csv_text (round-trips through the pinned format)."""
     cols = ["id", "y", "d"] + [f"x{k}" for k in range(1, ds.p + 1)]
     if ds.has_gold:
         cols.append("gold")
@@ -97,7 +97,7 @@ def emit_dataset(ds: Dataset) -> str:
 def baseball_dataset() -> Dataset:
     """The bundled 18-player batting-average fixture."""
     text = resources.files("rankcred.data").joinpath("baseball.csv").read_text()
-    return parse_dataset(text)
+    return parse_csv_text(text)
 
 
 def write_matrix_csv(path, probs: np.ndarray, ids: list[str]) -> None:

@@ -6,6 +6,7 @@ the variance prior (Dbar+A)^(-1/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,16 @@ class PosteriorDraws:
     @property
     def m(self) -> int:
         return self.theta.shape[1]
+
+    @cached_property
+    def row_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each draw's argsort (order[s, k] is the entity at rank k+1; any sort kind
+        gives a tie-free draw's one permutation) and exact-tie flag, read-only."""
+        order = np.argsort(self.theta, axis=1)
+        tied = (np.diff(np.take_along_axis(self.theta, order, axis=1), axis=1) == 0).any(axis=1)
+        order.flags.writeable = False
+        tied.flags.writeable = False
+        return order, tied
 
 
 @dataclass(frozen=True)

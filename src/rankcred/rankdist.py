@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .credset import CARTESIAN, CredibleSelection, mahalanobis_many
+from .credset import CredibleSelection, mahalanobis_many
 from .domain import DomainError
 from .posterior import PosteriorDraws
 
@@ -75,17 +75,17 @@ def build_distribution(
     """
     if selection.K == 0:
         raise DomainError("cannot build a distribution from an empty selection")
-    theta = draws.theta[selection.indices]
-    K, m = theta.shape
+    idx = selection.indices
+    K, m = selection.K, draws.m
 
     if weighting == EQUAL:
         weights = np.full(K, 1.0 / K)
     elif weighting == MAHALANOBIS_EXP:
         if selection.ellip is not None:
-            dist = selection.ellip.distances[selection.indices]
+            dist = selection.ellip.distances[idx]
         elif mahal_context is not None:
             center, dispersion = mahal_context
-            dist = mahalanobis_many(theta, center, dispersion)
+            dist = mahalanobis_many(draws.theta[idx], center, dispersion)
         else:
             raise DomainError(
                 "mahal weighting on a Cartesian selection needs mahal_context=(center, dispersion)"
@@ -98,26 +98,19 @@ def build_distribution(
     else:
         raise DomainError(f"unknown weighting {weighting!r}")
 
-    # tie-free rows (the usual case for continuous draws) add their weight
-    # to cell (rank, entity) in one weighted count; rows with exact ties
-    # take the table path
-    sorted_rows = np.sort(theta, axis=1)
-    tied = (np.diff(sorted_rows, axis=1) == 0).any(axis=1)
-    clean = ~tied
-    order = np.argsort(theta[clean], axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    ranks[np.arange(order.shape[0])[:, None], order] = np.arange(m)
-    cells = (ranks * m + np.arange(m)).ravel()
+    # tie-free draws add their weight to cell (k, order[s, k]) for every rank
+    # k in one count that sums each cell in draw order (np.bincount over no
+    # cells gives ints, hence the float start); tied draws take the table path
+    order, tied = draws.row_order
+    tied = tied[idx]
+    cells = (order[idx[~tied]] + m * np.arange(m)).ravel()
     probs = np.zeros((m, m))
-    probs += np.bincount(cells, weights=np.repeat(weights[clean], m), minlength=m * m).reshape(m, m)
+    probs += np.bincount(cells, weights=np.repeat(weights[~tied], m), minlength=m * m).reshape(m, m)
     for s in np.flatnonzero(tied):
-        probs += weights[s] * rank_table(theta[s])
+        probs += weights[s] * rank_table(draws.theta[idx[s]])
 
     return RankCredibleDistribution(
-        probs=probs,
-        weighting=weighting,
-        model=draws.model,
-        geometry=selection.geometry,
+        probs=probs, weighting=weighting, model=draws.model, geometry=selection.geometry
     )
 
 

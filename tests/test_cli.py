@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rankcred as rc
 from rankcred.cli import run_command
@@ -35,46 +39,87 @@ def read_csv(path):
 
 class TestFileio:
     def test_round_trip(self):
-        ds = rc.parse_dataset(DATA_CSV)
-        assert rc.parse_dataset(emit_dataset(ds)) == ds
+        ds = rc.parse_csv_text(DATA_CSV)
+        assert rc.parse_csv_text(emit_dataset(ds)) == ds
 
     def test_round_trip_with_covariates(self):
         ds = make_dataset([0.1, 0.2, 0.3], [0.01, 0.02, 0.01], x=[(1.0,), (2.0,), (3.0,)])
-        assert rc.parse_dataset(emit_dataset(ds)) == ds
+        assert rc.parse_csv_text(emit_dataset(ds)) == ds
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1),
+                st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False),
+                st.floats(min_value=1e-300, max_value=1e300),
+                st.floats(-1e6, 1e6),
+                st.floats(-1e6, 1e6),
+                st.floats(-1e6, 1e6),
+            ),
+            min_size=2,
+            max_size=8,
+            unique_by=lambda r: r[0],
+        ),
+        p=st.integers(0, 2),
+        has_gold=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_parse_emit_round_trip(self, rows, p, has_gold):
+        # emit writes 12 significant digits: one pass moves every value by
+        # less than a unit in its 12th digit, and a second pass changes nothing
+        ds = rc.Dataset(
+            entities=tuple(
+                rc.Entity(id=i, y=y, d=d, x=(x1, x2)[:p], gold=g if has_gold else None)
+                for i, y, d, x1, x2, g in rows
+            )
+        )
+        once = rc.parse_csv_text(emit_dataset(ds))
+        assert once.ids == ds.ids
+        assert (once.p, once.has_gold) == (ds.p, ds.has_gold)
+        for a, b in ((once.y, ds.y), (once.d, ds.d), (once.x, ds.x)):
+            assert np.allclose(a, b, rtol=1e-11, atol=0)
+        if has_gold:
+            assert np.allclose(once.gold, ds.gold, rtol=1e-11, atol=0)
+        assert emit_dataset(once) == emit_dataset(ds)
+        assert rc.parse_csv_text(emit_dataset(once)) == once
 
     def test_path_and_text_both_work(self, data_path):
-        assert rc.parse_dataset(data_path) == rc.parse_dataset(DATA_CSV)
-        assert rc.parse_dataset(str(data_path)) == rc.parse_dataset(DATA_CSV)
+        assert rc.parse_dataset(data_path) == rc.parse_csv_text(DATA_CSV)
+        assert rc.parse_dataset(str(data_path)) == rc.parse_csv_text(DATA_CSV)
+
+    def test_header_only_text(self):
+        with pytest.raises(rc.DomainError, match="no data rows found"):
+            rc.parse_csv_text("id,y,d")
 
     def test_comma_in_path(self, tmp_path):
         p = tmp_path / "results,v2.csv"
         p.write_text(DATA_CSV)
-        assert rc.parse_dataset(str(p)) == rc.parse_dataset(DATA_CSV)
-        assert rc.parse_dataset(p) == rc.parse_dataset(DATA_CSV)
+        assert rc.parse_dataset(str(p)) == rc.parse_csv_text(DATA_CSV)
+        assert rc.parse_dataset(p) == rc.parse_csv_text(DATA_CSV)
         assert run_command(["kww", str(p), "--out", str(tmp_path / "out")]) == 0
         assert len(read_csv(tmp_path / "out" / "kww_ranksets.csv")) == 6
 
     def test_column_order_free(self):
         reordered = "d,gold,y,id\n0.004,0.35,0.40,a\n0.005,0.33,0.35,b\n"
-        ds = rc.parse_dataset(reordered)
+        ds = rc.parse_csv_text(reordered)
         assert ds.ids == ["a", "b"]
         assert ds.y[0] == 0.40
 
     def test_missing_column_message(self):
         with pytest.raises(rc.DomainError, match="missing required column 'd'"):
-            rc.parse_dataset("id,y\na,0.1\n")
+            rc.parse_csv_text("id,y\na,0.1\n")
 
     def test_bad_value_names_row_and_column(self):
         with pytest.raises(rc.DomainError, match="row 3, column 'y'"):
-            rc.parse_dataset("id,y,d\na,0.1,0.01\nb,oops,0.01\n")
+            rc.parse_csv_text("id,y,d\na,0.1,0.01\nb,oops,0.01\n")
 
     def test_nonconsecutive_covariates(self):
         with pytest.raises(rc.DomainError, match="consecutive"):
-            rc.parse_dataset("id,y,d,x2\na,0.1,0.01,1.0\nb,0.2,0.01,2.0\n")
+            rc.parse_csv_text("id,y,d,x2\na,0.1,0.01,1.0\nb,0.2,0.01,2.0\n")
 
     def test_nonpositive_d(self):
         with pytest.raises(rc.DomainError, match="must be > 0"):
-            rc.parse_dataset("id,y,d\na,0.1,0.0\nb,0.2,0.01\n")
+            rc.parse_csv_text("id,y,d\na,0.1,0.0\nb,0.2,0.01\n")
 
     def test_bundled_baseball(self, baseball):
         assert baseball.m == 18
@@ -91,7 +136,7 @@ class TestKwwCommand:
         rows = read_csv(out / "kww_ranksets.csv")
         assert rows[0] == ["id", "L", "U", "rank_lo", "rank_hi", "eps_kww"]
         assert len(rows) == 6
-        ks = rc.rank_confidence_set(rc.parse_dataset(DATA_CSV), 0.1)
+        ks = rc.rank_confidence_set(rc.parse_csv_text(DATA_CSV), 0.1)
         for i, row in enumerate(rows[1:]):
             assert int(row[3]) == ks.rank_lo[i]
             assert int(row[4]) == ks.rank_hi[i]
@@ -178,6 +223,22 @@ class TestFitCommand:
         assert run_command([*args, "--out", str(without)]) == 0
         for name in ("rank_matrix.csv", "rank_summary.csv", "size_report.json", "posterior_summary.json"):
             assert (with_flag / name).read_bytes() == (without / name).read_bytes()
+
+    def test_module_entry_point(self, data_path, tmp_path):
+        # `python -m rankcred.cli` runs the same main() as the installed script
+        src = str(Path(rc.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = tmp_path / "out"
+        argv = ["fit", str(data_path), "--samples", "2000", "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankcred.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert sorted(p.name for p in out.iterdir()) == [
+            "posterior_summary.json", "rank_matrix.csv", "rank_summary.csv", "size_report.json",
+        ]
 
     def test_plot_data(self, data_path, tmp_path):
         out = tmp_path / "out"

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import rankcred as rc
 from rankcred.posterior import PosteriorDraws
@@ -136,6 +136,48 @@ class TestBuildDistribution:
         manual = sum(rank_table(t) for t in theta) / 3.0
         assert np.allclose(dist.probs, manual, atol=1e-12)
         assert np.allclose(dist.probs.sum(axis=0), 1.0, atol=DS_TOL)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        S=st.integers(30, 300),
+        m=st.integers(2, 6),
+        spread=st.integers(2, 8),
+        alphas=st.tuples(st.floats(0.05, 0.25), st.floats(0.3, 0.5)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_subset_selections_with_ties(self, seed, S, m, spread, alphas):
+        # integer draws: each selection reads the shared per-draw order at
+        # its own indices, and tied rows go through rank_table
+        theta = np.random.default_rng(seed).integers(-spread, spread + 1, (S, m)).astype(float)
+        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        order, tied = draws.row_order
+        assume(tied.any() and not tied.all())
+        sels = [rc.cartesian_select(draws, a) for a in alphas]
+        assume(all(sel.K < S for sel in sels))
+        center = theta.mean(axis=0)
+        dispersion = np.cov(theta.T).reshape(m, m) + np.eye(m)
+        for sel in sels:
+            rows = theta[sel.indices]
+            dist = np.array([rc.mahalanobis(t, center, dispersion) for t in rows])
+            for weighting, w in (
+                (rc.EQUAL, np.ones(sel.K)),
+                (rc.MAHALANOBIS_EXP, np.exp(-(dist - dist.min()) / 2)),
+            ):
+                got = rc.build_distribution(sel, draws, weighting, (center, dispersion))
+                manual = sum(wi * rank_table(t) for wi, t in zip(w / w.sum(), rows))
+                assert np.allclose(got.probs, manual, rtol=0, atol=1e-12)
+        assert draws.row_order[0] is order and draws.row_order[1] is tied
+        with pytest.raises(ValueError):
+            order[0, 0] = 0
+        with pytest.raises(ValueError):
+            tied[0] = False
+
+    def test_every_selected_row_tied(self):
+        theta = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        sel = rc.elliptical_select(draws, theta.mean(axis=0), np.eye(2), alpha=0.01)
+        dist = rc.build_distribution(sel, draws)
+        assert np.array_equal(dist.probs, np.full((2, 2), 0.5))
 
     def test_extreme_distances_stay_finite(self):
         # weights survive distances large enough to underflow exp(-d/2)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rankcred as rc
+from rankcred import kww, rankdist
 from rankcred.simlab import RESULT_COLUMNS, run_cell
 
 
@@ -136,3 +137,42 @@ class TestRunStudy:
             if r["method"] == "HB" and r["geometry"] == "cartesian" and r["weighting"] == rc.MAHALANOBIS_EXP
         )["avg_exp_abs_dev"]
         assert hb_dev < kww_dev
+
+    def test_scores_match_per_entity_metrics(self, monkeypatch):
+        # run_cell scores each rank matrix and the KWW ranges in one array
+        # expression; recompute every score entity by entity
+        seen = []
+        for module, name in ((kww, "rank_confidence_set"), (rankdist, "build_distribution")):
+            fn = getattr(module, name)
+
+            def spy(*args, _fn=fn, **kwargs):
+                result = _fn(*args, **kwargs)
+                seen.append((args[0], result))
+                return result
+
+            monkeypatch.setattr(module, name, spy)
+        cfg = rc.SimConfig(
+            m=6, a_grid=(0.05,), beta1_grid=(0.0,), d=tuple(np.full(6, 0.01)), n_reps=1, seed=5,
+            samples=300,
+        )
+        rows = {
+            (r["method"], r["geometry"], r["weighting"]): r["avg_exp_abs_dev"]
+            for r in run_cell(cfg, np.linspace(0, 1, 6), 0.05, 0.0, 0)
+        }
+        (ds, ranks), *built = seen
+        xi = rc.rank_of(ds.gold)
+        assert np.any(ranks.rank_hi - ranks.rank_lo < 5)  # not every range is 1..6
+        kww_dev = np.mean(
+            [rc.kww_abs_deviation(lo, hi, x) for lo, hi, x in zip(ranks.rank_lo, ranks.rank_hi, xi)]
+        )
+        assert rows[("KWW", "cartesian", "none")] == pytest.approx(kww_dev, abs=1e-12)
+        keys = [
+            (model, geometry, weighting)
+            for model in ("UB", "HB")
+            for geometry in ("cartesian", "elliptical")
+            for weighting in (rc.EQUAL, rc.MAHALANOBIS_EXP)
+        ]
+        assert len(built) == len(keys)
+        for key, (_, dist) in zip(keys, built):
+            dev = np.mean([rc.expected_abs_deviation(dist.probs[:, i], xi[i]) for i in range(6)])
+            assert rows[key] == pytest.approx(dev, abs=1e-12)
