@@ -31,7 +31,7 @@ def _round12(obj):
 
 
 def _write_json(path, payload):
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(_round12(payload), f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -46,9 +46,10 @@ def _cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     if args.model == "ub":
+        # UB writes only the posterior mean; its dispersion is diag(d)
         draws = sample_ub(ds, args.samples, args.seed)
         center, dispersion = ds.y, np.diag(ds.d)
-        summary = summarize(draws)
+        mean, a_stats = draws.theta.mean(axis=0), {}
     else:
         cfg = HbConfig(
             samples=args.samples, seed=args.seed, include_intercept=not args.no_intercept
@@ -56,6 +57,8 @@ def _cmd_fit(args) -> int:
         draws = gibbs_hb(ds, cfg)
         summary = summarize(draws)
         center, dispersion = summary.mean, summary.cov
+        mean = summary.mean
+        a_stats = {"a_mean": summary.a_mean, "a_median": summary.a_median}
 
     if args.set == "cartesian":
         sel = credset.cartesian_select(draws, args.alpha)
@@ -113,14 +116,12 @@ def _cmd_fit(args) -> int:
         "model": dist.model,
         "seed": args.seed,
         "samples": draws.S,
-        "mean": dict(zip(ds.ids, summary.mean)),
+        "mean": dict(zip(ds.ids, mean)),
+        **a_stats,
     }
-    if summary.a_mean is not None:
-        post["a_mean"] = summary.a_mean
-        post["a_median"] = summary.a_median
     if ds.has_gold:
         post["tese_direct"] = metrics.tese(ds.y, ds.gold)
-        post["tese_posterior_mean"] = metrics.tese(summary.mean, ds.gold)
+        post["tese_posterior_mean"] = metrics.tese(mean, ds.gold)
     _write_json(out / "posterior_summary.json", post)
 
     if args.plot_data:
@@ -135,12 +136,14 @@ def _write_plot_data(path, ds: Dataset, dist, alpha):
     observed = rank_of(ds.y, tie_rule="highest")
     rows = []
     for i, ident in enumerate(ds.ids):
-        rows.append(["kww_range", ident, int(ranks.rank_lo[i]), float(ranks.rank_hi[i])])
-        rows.append(["observed_rank", ident, int(observed[i]), 1.0])
-        for k in range(ds.m):
-            p = dist.probs[k, i]
-            if p > 0:
-                rows.append(["credible_cell", ident, k + 1, float(p)])
+        rows.append(["kww_range", ident, ranks.rank_lo[i], ranks.rank_hi[i]])
+        rows.append(["observed_rank", ident, observed[i], 1])
+        column = dist.probs[:, i]
+        ranks_held = np.flatnonzero(column > 0)
+        rows += [
+            ["credible_cell", ident, k, p]
+            for k, p in zip((ranks_held + 1).tolist(), column[ranks_held].tolist())
+        ]
     if ds.has_gold:
         gold_ranks = ds.gold_ranks()
         for i, ident in enumerate(ds.ids):
@@ -176,7 +179,7 @@ def _cmd_kww(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.config) as f:
+    with open(args.config, encoding="utf-8") as f:
         raw = json.load(f)
     unknown = sorted(set(raw) - {f.name for f in fields(SimConfig)})
     if unknown:
@@ -189,7 +192,7 @@ def _cmd_simulate(args) -> int:
     write_rows_csv(
         args.out,
         RESULT_COLUMNS,
-        [[r[c] if isinstance(r[c], str) else float(r[c]) for c in RESULT_COLUMNS] for r in rows],
+        [[r[c] for c in RESULT_COLUMNS] for r in rows],
     )
     return 0
 

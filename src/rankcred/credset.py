@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, solve_triangular
 
 from .domain import DomainError
 from .posterior import PosteriorDraws
@@ -147,10 +147,14 @@ def mahalanobis(theta, center, dispersion) -> float:
 
 
 def mahalanobis_many(thetas: np.ndarray, center, dispersion) -> np.ndarray:
-    """Squared Mahalanobis distances for every row of `thetas`."""
+    """Squared Mahalanobis distances for every row of `thetas`: with
+    dispersion = L L' (Cholesky), ||L^-1 (theta - center)||^2, one
+    triangular solve."""
     diff = thetas - np.asarray(center, dtype=float)
-    cho = _cho_factor_spd(np.asarray(dispersion, dtype=float))
-    return np.einsum("si,is->s", diff, cho_solve(cho, diff.T))
+    chol, _ = _cho_factor_spd(np.asarray(dispersion, dtype=float))
+    # diff is a temporary of this call, so the solve may overwrite it
+    z = solve_triangular(chol, diff.T, lower=True, overwrite_b=True)
+    return np.einsum("is,is->s", z, z)
 
 
 def elliptical_select(

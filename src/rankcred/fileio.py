@@ -32,8 +32,9 @@ def _parse_float(text: str, row: int, column: str) -> float:
 
 
 def parse_dataset(path) -> Dataset:
-    """Read a dataset from the CSV file at `path` (a str or a Path)."""
-    return parse_csv_text(Path(path).read_text())
+    """Read a dataset from the UTF-8 CSV file at `path` (a str or a Path); a
+    leading byte-order mark is skipped."""
+    return parse_csv_text(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def parse_csv_text(text: str) -> Dataset:
@@ -102,16 +103,19 @@ def baseball_dataset() -> Dataset:
 
 def write_matrix_csv(path, probs: np.ndarray, ids: list[str]) -> None:
     """m x m credible matrix; rows are ranks 1..m, columns the entities."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["rank"] + ids)
-        for k in range(probs.shape[0]):
-            writer.writerow([k + 1] + [fmt(v) for v in probs[k]])
+    # a formatted number holds no comma, quote or newline, so only the ids
+    # need the csv module's quoting
+    row_format = "%d" + ("," + FMT) * probs.shape[1] + "\n"
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f, lineterminator="\n").writerow(["rank"] + ids)
+        for k, row in enumerate(probs.tolist(), start=1):
+            f.write(row_format % (k, *row))
 
 
 def write_rows_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as f:
+    """CSV of `header` and `rows`: strings as they are, numbers in FMT."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([v if isinstance(v, str) else fmt(v) for v in row])
+            writer.writerow([v if isinstance(v, str) else FMT % v for v in row])

@@ -69,18 +69,19 @@ def lambda_sets(ivals: np.ndarray) -> np.ndarray:
     """Counts (|Lambda_L|, |Lambda_R|, |Lambda_O|) per entity.
 
     j is clearly-left of i when U_j <= L_i, clearly-right when U_i <= L_j;
-    the remainder overlap.  The three sets partition the other m-1 entities.
+    the remainder overlap (Klein, Wright & Wieczorek 2020).  A pair that
+    meets both tests is two identical point intervals L = U, which overlap,
+    so the three sets partition the other m-1 entities.
     """
     L = ivals[:, 0]
     U = ivals[:, 1]
     m = len(L)
-    # pairwise comparisons; the diagonal never satisfies U_i <= L_i for
-    # non-degenerate intervals, but mask it anyway
-    off = ~np.eye(m, dtype=bool)
-    left = (U[None, :] <= L[:, None]) & off  # left[i, j]: j left of i
-    right = (U[:, None] <= L[None, :]) & off
+    below = U[None, :] <= L[:, None]  # below[i, j]: U_j <= L_i
+    # left[i, j]: j clearly left of i; the diagonal and pairs of identical
+    # points are below both ways and drop out
+    left = below & ~below.T
     n_left = left.sum(axis=1)
-    n_right = right.sum(axis=1)
+    n_right = left.sum(axis=0)
     n_over = (m - 1) - n_left - n_right
     return np.column_stack([n_left, n_right, n_over])
 

@@ -20,6 +20,16 @@ HB = "HB"
 A_GRID_POINTS = 4001
 A_GRID_SPAN = 16.0
 
+# cells (draws x entities) per block of draws that the rank count handles at
+# once: bounds its temporaries at a few MB whatever S and m are
+BLOCK_CELLS = 2**18
+
+
+def row_blocks(n: int, m: int) -> list[slice]:
+    """Consecutive slices of at most max(1, BLOCK_CELLS // m) rows covering 0..n-1."""
+    step = max(1, BLOCK_CELLS // m)
+    return [slice(start, start + step) for start in range(0, n, step)]
+
 
 @dataclass(frozen=True)
 class HbConfig:
@@ -64,9 +74,15 @@ class PosteriorDraws:
     @cached_property
     def row_order(self) -> tuple[np.ndarray, np.ndarray]:
         """Each draw's argsort (order[s, k] is the entity at rank k+1; any sort kind
-        gives a tie-free draw's one permutation) and exact-tie flag, read-only."""
-        order = np.argsort(self.theta, axis=1)
-        tied = (np.diff(np.take_along_axis(self.theta, order, axis=1), axis=1) == 0).any(axis=1)
+        gives a tie-free draw's one permutation) and exact-tie flag, read-only.
+        Sorted block by block of draws, so the sorted values take one block."""
+        order = np.empty(self.theta.shape, dtype=np.intp)
+        tied = np.empty(self.S, dtype=bool)
+        for rows in row_blocks(self.S, self.m):
+            theta = self.theta[rows]
+            order[rows] = block = np.argsort(theta, axis=1)
+            sorted_theta = np.take_along_axis(theta, block, axis=1)
+            tied[rows] = (np.diff(sorted_theta, axis=1) == 0).any(axis=1)
         order.flags.writeable = False
         tied.flags.writeable = False
         return order, tied
@@ -94,7 +110,9 @@ def sample_ub(ds: Dataset, S: int, seed: int) -> PosteriorDraws:
     if S < 1:
         raise DomainError(f"S={S} must be >= 1")
     rng = np.random.default_rng(seed)
-    theta = ds.y + np.sqrt(ds.d) * rng.standard_normal((S, ds.m))
+    theta = rng.standard_normal((S, ds.m))
+    theta *= np.sqrt(ds.d)
+    theta += ds.y
     return PosteriorDraws(theta=theta, model=UB, seed=seed)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .credset import CredibleSelection, mahalanobis_many
 from .domain import DomainError
-from .posterior import PosteriorDraws
+from .posterior import PosteriorDraws, row_blocks
 
 EQUAL = "equal"
 MAHALANOBIS_EXP = "mahal"
@@ -26,9 +26,7 @@ DS_TOL = 1e-9
 @dataclass(frozen=True)
 class RankCredibleDistribution:
     probs: np.ndarray  # (m, m), row k / column i = P(entity i holds rank k)
-    weighting: str
     model: str
-    geometry: str
 
     @property
     def m(self) -> int:
@@ -99,19 +97,20 @@ def build_distribution(
         raise DomainError(f"unknown weighting {weighting!r}")
 
     # tie-free draws add their weight to cell (k, order[s, k]) for every rank
-    # k in one count that sums each cell in draw order (np.bincount over no
-    # cells gives ints, hence the float start); tied draws take the table path
+    # k; the blocks go in draw order, so each cell sums its weights in draw
+    # order; tied draws take the table path
     order, tied = draws.row_order
     tied = tied[idx]
-    cells = (order[idx[~tied]] + m * np.arange(m)).ravel()
+    free, free_weights = idx[~tied], weights[~tied]
     probs = np.zeros((m, m))
-    probs += np.bincount(cells, weights=np.repeat(weights[~tied], m), minlength=m * m).reshape(m, m)
+    flat, rank_offsets = probs.reshape(-1), m * np.arange(m)
+    for rows in row_blocks(len(free), m):
+        cells = (order[free[rows]] + rank_offsets).ravel()
+        np.add.at(flat, cells, np.repeat(free_weights[rows], m))
     for s in np.flatnonzero(tied):
         probs += weights[s] * rank_table(draws.theta[idx[s]])
 
-    return RankCredibleDistribution(
-        probs=probs, weighting=weighting, model=draws.model, geometry=selection.geometry
-    )
+    return RankCredibleDistribution(probs=probs, model=draws.model)
 
 
 def rank_marginal(dist: RankCredibleDistribution, i: int) -> np.ndarray:

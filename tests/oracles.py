@@ -27,6 +27,28 @@ def mahalanobis_explicit(theta, center, dispersion):
     return float(diff @ np.linalg.inv(dispersion) @ diff)
 
 
+def mahalanobis_solve(thetas, center, dispersion):
+    """Squared Mahalanobis distance of every row of `thetas`, each from one
+    LU solve against the full dispersion matrix (no Cholesky factor)."""
+    diff = np.asarray(thetas, float) - np.asarray(center, float)
+    return np.einsum("si,is->s", diff, np.linalg.solve(dispersion, diff.T))
+
+
+def lambda_sets_reference(intervals):
+    """KWW's (|Lambda_L|, |Lambda_R|, |Lambda_O|) by a loop over pairs: j is
+    left of i when U_j <= L_i, right when U_i <= L_j, and overlaps i when
+    neither or both hold (both: two identical point intervals)."""
+    m = len(intervals)
+    counts = np.zeros((m, 3), dtype=int)
+    for i, (lo_i, hi_i) in enumerate(intervals):
+        for j, (lo_j, hi_j) in enumerate(intervals):
+            if j == i:
+                continue
+            left, right = hi_j <= lo_i, hi_i <= lo_j
+            counts[i, 2 if left == right else 0 if left else 1] += 1
+    return counts
+
+
 def kappa_grid_scan(theta, alpha, n_grid=4000):
     """Best achievable |K_J - target| over a dense kappa grid."""
     S = theta.shape[0]

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 import rankcred as rc
 from rankcred.cli import run_command
-from rankcred.fileio import emit_dataset
+from rankcred import cli
+from rankcred.fileio import emit_dataset, write_matrix_csv, write_rows_csv
 from rankcred.rankdist import DS_TOL
 
 from conftest import make_dataset
@@ -35,6 +37,17 @@ def data_path(tmp_path):
 def read_csv(path):
     with open(path, newline="") as f:
         return list(csv.reader(f))
+
+
+def csv_reference(header, rows):
+    """UTF-8 bytes of the csv module writing `header` and `rows`, every
+    non-string value as float in %.12g."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([v if isinstance(v, str) else "%.12g" % float(v) for v in row])
+    return out.getvalue().encode("utf-8")
 
 
 class TestFileio:
@@ -98,6 +111,34 @@ class TestFileio:
         assert rc.parse_dataset(p) == rc.parse_csv_text(DATA_CSV)
         assert run_command(["kww", str(p), "--out", str(tmp_path / "out")]) == 0
         assert len(read_csv(tmp_path / "out" / "kww_ranksets.csv")) == 6
+
+    def test_byte_order_mark(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + DATA_CSV.encode("utf-8"))
+        assert rc.parse_dataset(p) == rc.parse_csv_text(DATA_CSV)
+
+    def test_writers_match_csv_module(self, tmp_path):
+        ids = ["plain", "comma,id", 'quote"id', "Zoë", " lead"]
+        probs = np.array(
+            [
+                [1 / 3, 1e-300, 0.0, 2 / 3, 1.0],
+                [0.1, 0.2, -0.0, 1e-17, 0.7],
+                [5e-324, 0.25, 0.5, 0.125, 0.125],
+            ]
+        )
+        write_matrix_csv(tmp_path / "m.csv", probs, ids)
+        expected = csv_reference(["rank"] + ids, [[k + 1, *p] for k, p in enumerate(probs)])
+        assert (tmp_path / "m.csv").read_bytes() == expected
+
+        header = ["id", "int", "float", "tiny", "np_int", "text"]
+        rows = [
+            ["comma,id", 3, np.float64(0.1), 1e-300, np.int64(7), ""],
+            ['quote"id', 10**13, np.float64(-0.0), 2 / 3, np.intp(0), "a,b"],
+            ["Zoë", -12, np.float64(123456789.123456), 5e-324, np.int64(-1), 'say "hi"'],
+        ]
+        write_rows_csv(tmp_path / "r.csv", header, rows)
+        assert (tmp_path / "r.csv").read_bytes() == csv_reference(header, rows)
 
     def test_column_order_free(self):
         reordered = "d,gold,y,id\n0.004,0.35,0.40,a\n0.005,0.33,0.35,b\n"
@@ -208,6 +249,35 @@ class TestFitCommand:
         # shrinkage: HB means are pulled toward the common level
         means = [post["mean"][k] for k in ("a", "b", "c", "d", "e")]
         assert np.std(means) < np.std([0.40, 0.35, 0.30, 0.25, 0.20])
+
+    def test_ub_fit_skips_covariance(self, data_path, tmp_path, monkeypatch):
+        # a UB fit writes only the posterior mean, so it never summarizes
+        def no_summary(draws):
+            raise AssertionError("UB fit called summarize")
+
+        monkeypatch.setattr(cli, "summarize", no_summary)
+        out = tmp_path / "out"
+        assert self.run_fit(data_path, out, "--model", "ub", "--set", "elliptical") == 0
+        post = json.loads((out / "posterior_summary.json").read_text())
+        draws = rc.sample_ub(rc.parse_dataset(data_path), 2000, seed=3)
+        means = [float("%.12g" % v) for v in draws.theta.mean(axis=0)]
+        assert [post["mean"][k] for k in ("a", "b", "c", "d", "e")] == means
+
+    def test_non_ascii_ids_round_trip(self, tmp_path):
+        ids = ["Zoë", "東京", "a,b", 'q"t', "plain"]
+        ys = [0.4, 0.35, 0.3, 0.25, 0.2]
+        ds = rc.Dataset(entities=tuple(rc.Entity(id=i, y=y, d=0.004) for i, y in zip(ids, ys)))
+        p = tmp_path / "data.csv"
+        p.write_text(emit_dataset(ds), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["fit", str(p), "--model", "ub", "--samples", "2000", "--plot-data"]
+        assert run_command([*argv, "--out", str(out)]) == 0
+        with open(out / "rank_matrix.csv", newline="", encoding="utf-8") as f:
+            assert next(csv.reader(f)) == ["rank"] + ids
+        with open(out / "rank_summary.csv", newline="", encoding="utf-8") as f:
+            assert [row[0] for row in csv.reader(f)][1:] == ids
+        post = json.loads((out / "posterior_summary.json").read_text(encoding="utf-8"))
+        assert sorted(post["mean"]) == sorted(ids)
 
     def test_reruns_byte_identical(self, data_path, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"

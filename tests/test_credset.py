@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
+from scipy.linalg import cho_factor
 
 import rankcred as rc
-from rankcred.credset import mahalanobis_many
+from rankcred.credset import _JITTER, mahalanobis_many
 from rankcred.posterior import PosteriorDraws
 
 from oracles import (
@@ -14,6 +15,7 @@ from oracles import (
     cartesian_select_reference,
     kappa_grid_scan,
     mahalanobis_explicit,
+    mahalanobis_solve,
 )
 
 
@@ -188,6 +190,32 @@ class TestMahalanobis:
         disp = np.outer([1.0, 1.0], [1.0, 1.0])
         val = rc.mahalanobis([1e-8, 1e-8], [0.0, 0.0], disp)
         assert np.isfinite(val)
+
+    def test_many_matches_solve_oracle_m200(self):
+        rng = np.random.default_rng(12)
+        m = 200
+        B = rng.standard_normal((m, m))
+        disp = B @ B.T / m + np.diag(rng.uniform(0.5, 2.0, m))
+        center = rng.standard_normal(m)
+        thetas = center + rng.standard_normal((500, m)) * 2
+        got = mahalanobis_many(thetas, center, disp)
+        assert np.allclose(got, mahalanobis_solve(thetas, center, disp), rtol=1e-10, atol=0)
+
+    def test_many_jitter_path_matches_solve_oracle_m200(self):
+        # the 1/S covariance of S = 150 draws of m = 200 coordinates has rank
+        # 149: its Cholesky factor needs the jitter, and the draws lie in its
+        # range, where the jittered form is well conditioned
+        rng = np.random.default_rng(13)
+        thetas = rng.standard_normal((150, 200)) * rng.uniform(0.5, 2.0, 200)
+        center = thetas.mean(axis=0)
+        disp = np.cov(thetas.T, bias=True)
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(disp, lower=True)
+        jittered = disp + _JITTER * np.mean(np.diag(disp)) * np.eye(200)
+        got = mahalanobis_many(thetas, center, disp)
+        assert np.allclose(got, mahalanobis_solve(thetas, center, jittered), rtol=1e-10, atol=0)
+        # S draws in S-1 dimensions all lie at distance S-1 from their mean
+        assert np.allclose(got, 149.0, rtol=1e-8, atol=0)
 
 
 class TestEllipticalSelect:

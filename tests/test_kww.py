@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 import rankcred as rc
 from rankcred.kww import intervals, lambda_sets
 
 from conftest import make_dataset
-from oracles import box_rank_ranges
+from oracles import box_rank_ranges, lambda_sets_reference
 
 
 class TestGamma:
@@ -83,6 +84,48 @@ class TestLambdaSets:
         counts = lambda_sets(ivals)
         assert np.all(counts.sum(axis=1) == 9)
 
+    def test_equal_endpoints(self):
+        # shared lower or upper ends overlap; an upper end equal to another's
+        # lower end separates
+        ivals = np.array([[0.0, 2.0], [0.0, 1.0], [1.0, 2.0], [2.0, 3.0]])
+        counts = lambda_sets(ivals)
+        assert counts.tolist() == [[0, 1, 2], [0, 2, 1], [1, 1, 1], [3, 0, 0]]
+        assert np.array_equal(counts, lambda_sets_reference(ivals))
+
+    def test_degenerate_intervals(self):
+        # a point inside an interval overlaps it; a point at an end separates
+        ivals = np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 3.0], [0.0, 2.0], [5.0, 5.0]])
+        counts = lambda_sets(ivals)
+        assert counts.tolist() == [[1, 2, 1], [0, 3, 1], [2, 1, 1], [0, 1, 3], [4, 0, 0]]
+        assert np.array_equal(counts, lambda_sets_reference(ivals))
+
+    def test_identical_intervals_overlap(self):
+        # identical point intervals meet both U_j <= L_i and U_i <= L_j; they
+        # overlap, like identical proper intervals
+        ivals = np.array([[0.0, 1.0], [0.0, 1.0], [2.0, 2.0], [2.0, 2.0], [2.0, 2.0]])
+        counts = lambda_sets(ivals)
+        assert counts.tolist() == [[0, 3, 1], [0, 3, 1], [2, 0, 2], [2, 0, 2], [2, 0, 2]]
+        assert np.array_equal(counts, lambda_sets_reference(ivals))
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(0, 2)).map(lambda t: (t[0], t[0] + t[1])),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integer_endpoints_match_definitions(self, pairs):
+        # small integer ends: equal endpoints, points and identical intervals
+        ivals = np.array(pairs, dtype=float)
+        counts = lambda_sets(ivals)
+        assert np.array_equal(counts, lambda_sets_reference(ivals))
+        assert np.all(counts >= 0)
+        assert np.all(counts.sum(axis=1) == len(ivals) - 1)
+        rank_lo = counts[:, 0] + 1
+        rank_hi = counts[:, 0] + counts[:, 2] + 1
+        assert np.all((1 <= rank_lo) & (rank_lo <= rank_hi) & (rank_hi <= len(ivals)))
+
 
 class TestRankConfidenceSet:
     def test_separated_entities_pin_ranks(self):
@@ -97,6 +140,18 @@ class TestRankConfidenceSet:
         ks = rc.rank_confidence_set(ds, alpha=0.1)
         assert np.all(ks.rank_lo == 1)
         assert np.all(ks.rank_hi == 4)
+
+    def test_underflowed_half_width(self):
+        # sqrt(d) is far below the spacing of floats at 1e10, so the first two
+        # intervals are the same point; they share ranks 2..3
+        ds = make_dataset([1e10, 1e10, 0.0], [1e-30, 1e-30, 1.0])
+        ks = rc.rank_confidence_set(ds, alpha=0.1)
+        assert np.all(ks.intervals[:2] == 1e10)
+        assert ks.rank_lo.tolist() == [2, 2, 1]
+        assert ks.rank_hi.tolist() == [3, 3, 1]
+        lo, hi = box_rank_ranges(ks.intervals)
+        assert np.array_equal(ks.rank_lo, lo)
+        assert np.array_equal(ks.rank_hi, hi)
 
     def test_range_contains_observed_rank(self, baseball):
         ks = rc.rank_confidence_set(baseball, alpha=0.1)

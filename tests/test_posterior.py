@@ -41,6 +41,12 @@ class TestSampleUb:
         b = rc.sample_ub(baseball, 500, seed=42)
         assert np.array_equal(a.theta, b.theta)
 
+    def test_draws_are_y_plus_scaled_normals(self, baseball):
+        # scaling and shifting the normals in place gives the bytes of y + sqrt(d) z
+        draws = rc.sample_ub(baseball, 300, seed=5)
+        z = np.random.default_rng(5).standard_normal((300, baseball.m))
+        assert draws.theta.tobytes() == (baseball.y + np.sqrt(baseball.d) * z).tobytes()
+
     def test_rejects_bad_s(self, baseball):
         with pytest.raises(rc.DomainError):
             rc.sample_ub(baseball, 0, seed=1)

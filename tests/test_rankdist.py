@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import rankcred as rc
+from rankcred import posterior
 from rankcred.posterior import PosteriorDraws
 from rankcred.rankdist import DS_TOL, rank_table
 
@@ -58,6 +59,35 @@ def toy_selection_and_draws(S=400, m=5, seed=0):
     draws = PosteriorDraws(theta=theta, model="UB", seed=seed)
     sel = rc.cartesian_select(draws, alpha=0.1)
     return sel, draws
+
+
+def draws_with_ties(S, m, tied_rows, seed):
+    """Normal draws in which each listed row has one exact tie."""
+    theta = np.random.default_rng(seed).standard_normal((S, m))
+    theta[tied_rows, 1] = theta[tied_rows, 0]
+    return theta, list(tied_rows)
+
+
+def one_count_reference(sel, theta, weighting):
+    """The selection's weights, and its distribution as one np.bincount over
+    the cells of its tie-free draws plus the tied draws' tables in selection
+    order.  Returns (weights, probs)."""
+    m = theta.shape[1]
+    if weighting == rc.EQUAL:
+        w = np.full(sel.K, 1.0 / sel.K)
+    else:
+        logw = -sel.ellip.distances[sel.indices] / 2.0
+        logw -= logw.max()
+        w = np.exp(logw)
+        w /= w.sum()
+    rows = theta[sel.indices]
+    tied = (np.diff(np.sort(rows, axis=1), axis=1) == 0).any(axis=1)
+    cells = (np.argsort(rows[~tied], axis=1, kind="stable") + m * np.arange(m)).ravel()
+    probs = np.zeros((m, m))
+    probs += np.bincount(cells, np.repeat(w[~tied], m), m * m).reshape(m, m)
+    for s in np.flatnonzero(tied):
+        probs += w[s] * rank_table(rows[s])
+    return w, probs
 
 
 class TestBuildDistribution:
@@ -171,6 +201,38 @@ class TestBuildDistribution:
             order[0, 0] = 0
         with pytest.raises(ValueError):
             tied[0] = False
+
+    @pytest.mark.parametrize("weighting", [rc.EQUAL, rc.MAHALANOBIS_EXP])
+    def test_selection_over_several_blocks(self, weighting, monkeypatch):
+        # blocks of 16 rows, so 64 draws fill four; the first three hold
+        # exact ties, the last none
+        m = 8
+        monkeypatch.setattr(posterior, "BLOCK_CELLS", 16 * m)
+        theta, tied_rows = draws_with_ties(64, m, [3, 20, 40], seed=22)
+        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        sel = rc.elliptical_select(draws, np.zeros(m), np.eye(m), alpha=0.2)
+        assert sel.indices[-1] >= 48 and set(tied_rows) <= set(sel.indices)
+        assert len(sel.indices) < 64
+        got = rc.build_distribution(sel, draws, weighting).probs
+        w, reference = one_count_reference(sel, theta, weighting)
+        assert got.tobytes() == reference.tobytes()
+        manual = sum(wi * rank_table(t) for wi, t in zip(w, theta[sel.indices]))
+        assert np.allclose(got, manual, rtol=0, atol=1e-12)
+
+    def test_default_blocks_match_one_count(self):
+        # 10000 draws of m = 64 fill three blocks of 4096 rows
+        S, m = 10000, 64
+        assert posterior.BLOCK_CELLS // m == 4096
+        theta, tied_rows = draws_with_ties(S, m, [5, 3000, 4500, 7000], seed=21)
+        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        order, tied = draws.row_order
+        assert np.flatnonzero(tied).tolist() == tied_rows
+        assert np.array_equal(order[~tied], np.argsort(theta[~tied], axis=1, kind="stable"))
+        sel = rc.elliptical_select(draws, np.zeros(m), np.eye(m), alpha=0.2)
+        assert sel.indices[-1] > 2 * 4096 and tied[sel.indices].sum() >= 2
+        for weighting in (rc.EQUAL, rc.MAHALANOBIS_EXP):
+            got = rc.build_distribution(sel, draws, weighting).probs
+            assert got.tobytes() == one_count_reference(sel, theta, weighting)[1].tobytes()
 
     def test_every_selected_row_tied(self):
         theta = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
