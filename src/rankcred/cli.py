@@ -12,7 +12,7 @@ import numpy as np
 
 from . import credset, kww, metrics, rankdist
 from .domain import Dataset, DomainError, rank_of
-from .fileio import FMT, fmt, parse_dataset, write_matrix_csv, write_rows_csv
+from .fileio import FMT, csv_field, fmt, parse_dataset, write_matrix_csv, write_rows_csv
 from .posterior import HbConfig, gibbs_hb, sample_ub, summarize
 from .simlab import RESULT_COLUMNS, SimConfig, run_study
 
@@ -134,21 +134,25 @@ def _write_plot_data(path, ds: Dataset, dist, alpha):
     gold ranks.  No image rendering; feed this to any plotter."""
     ranks = kww.rank_confidence_set(ds, alpha, kww.INDEPENDENCE)
     observed = rank_of(ds.y, tie_rule="highest")
-    rows = []
-    for i, ident in enumerate(ds.ids):
-        rows.append(["kww_range", ident, ranks.rank_lo[i], ranks.rank_hi[i]])
-        rows.append(["observed_rank", ident, observed[i], 1])
+    # write_rows_csv's bytes, built as text: each id quoted once, and each
+    # entity's credible cells in one format call
+    row = "%s,%s," + FMT + "," + FMT + "\n"
+    ids = [csv_field(ident) for ident in ds.ids]
+    lines = ["kind,id,rank,value\n"]
+    for i, ident in enumerate(ids):
+        lines.append(row % ("kww_range", ident, ranks.rank_lo[i], ranks.rank_hi[i]))
+        lines.append(row % ("observed_rank", ident, observed[i], 1))
         column = dist.probs[:, i]
         ranks_held = np.flatnonzero(column > 0)
-        rows += [
-            ["credible_cell", ident, k, p]
-            for k, p in zip((ranks_held + 1).tolist(), column[ranks_held].tolist())
-        ]
+        cells = np.column_stack([ranks_held + 1, column[ranks_held]]).ravel().tolist()
+        cell = f"credible_cell,{ident.replace('%', '%%')},{FMT},{FMT}\n"
+        lines.append(cell * len(ranks_held) % tuple(cells))
     if ds.has_gold:
         gold_ranks = ds.gold_ranks()
-        for i, ident in enumerate(ds.ids):
-            rows.append(["gold_rank", ident, gold_ranks[i], 1.0])
-    write_rows_csv(path, ["kind", "id", "rank", "value"], rows)
+        for i, ident in enumerate(ids):
+            lines.append(row % ("gold_rank", ident, gold_ranks[i], 1.0))
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.write("".join(lines))
 
 
 def _cmd_kww(args) -> int:

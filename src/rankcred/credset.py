@@ -149,9 +149,16 @@ def mahalanobis(theta, center, dispersion) -> float:
 def mahalanobis_many(thetas: np.ndarray, center, dispersion) -> np.ndarray:
     """Squared Mahalanobis distances for every row of `thetas`: with
     dispersion = L L' (Cholesky), ||L^-1 (theta - center)||^2, one
-    triangular solve."""
+    triangular solve.  A diagonal dispersion with a positive diagonal has
+    L = diag(sqrt(var)), so each coordinate is scaled by 1/sqrt(var) instead,
+    the same products the solve forms."""
     diff = thetas - np.asarray(center, dtype=float)
-    chol, _ = _cho_factor_spd(np.asarray(dispersion, dtype=float))
+    dispersion = np.asarray(dispersion, dtype=float)
+    var = np.diagonal(dispersion)
+    if np.all(var > 0) and np.array_equal(dispersion, np.diag(var)):
+        diff *= 1.0 / np.sqrt(var)
+        return np.einsum("si,si->s", diff, diff)
+    chol, _ = _cho_factor_spd(dispersion)
     # diff is a temporary of this call, so the solve may overwrite it
     z = solve_triangular(chol, diff.T, lower=True, overwrite_b=True)
     return np.einsum("is,is->s", z, z)

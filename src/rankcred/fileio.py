@@ -21,6 +21,14 @@ def fmt(v: float) -> str:
     return FMT % float(v)
 
 
+def csv_field(text: str) -> str:
+    """`text` as the csv module writes it as one field of a row (QUOTE_MINIMAL);
+    the empty second field keeps "" unquoted, as it is in a row of several."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([text, ""])
+    return out.getvalue()[:-2]
+
+
 def _parse_float(text: str, row: int, column: str) -> float:
     try:
         v = float(text)

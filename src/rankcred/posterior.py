@@ -80,9 +80,9 @@ class PosteriorDraws:
         tied = np.empty(self.S, dtype=bool)
         for rows in row_blocks(self.S, self.m):
             theta = self.theta[rows]
-            order[rows] = block = np.argsort(theta, axis=1)
-            sorted_theta = np.take_along_axis(theta, block, axis=1)
-            tied[rows] = (np.diff(sorted_theta, axis=1) == 0).any(axis=1)
+            order[rows] = np.argsort(theta, axis=1)
+            values = np.sort(theta, axis=1)
+            tied[rows] = (values[:, 1:] == values[:, :-1]).any(axis=1)
         order.flags.writeable = False
         tied.flags.writeable = False
         return order, tied

@@ -6,13 +6,15 @@ the Gibbs chain for the hierarchical model).
 """
 
 
+import csv
+import io
 import warnings
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.stats import norm
 
-from rankcred import DomainError
+from rankcred import DomainError, kww, rank_of
 
 
 def pairwise_rank(values):
@@ -32,6 +34,36 @@ def mahalanobis_solve(thetas, center, dispersion):
     LU solve against the full dispersion matrix (no Cholesky factor)."""
     diff = np.asarray(thetas, float) - np.asarray(center, float)
     return np.einsum("si,is->s", diff, np.linalg.solve(dispersion, diff.T))
+
+
+def tied_rows_reference(theta):
+    """Whether each row holds two entries equal under ==, by a loop over pairs."""
+    return np.array(
+        [any(row[i] == row[j] for i in range(len(row)) for j in range(i)) for row in theta]
+    )
+
+
+def plot_data_reference(ds, dist, alpha):
+    """UTF-8 bytes of plot_data.csv with every row through csv.writer: KWW
+    ranges, observed ranks and nonzero credible cells entity by entity, then
+    gold ranks; numbers in %.12g."""
+    ranks = kww.rank_confidence_set(ds, alpha, kww.INDEPENDENCE)
+    observed = rank_of(ds.y, tie_rule="highest")
+    rows = []
+    for i, ident in enumerate(ds.ids):
+        rows.append(["kww_range", ident, ranks.rank_lo[i], ranks.rank_hi[i]])
+        rows.append(["observed_rank", ident, observed[i], 1])
+        for k in range(ds.m):
+            if dist.probs[k, i] > 0:
+                rows.append(["credible_cell", ident, k + 1, dist.probs[k, i]])
+    if ds.has_gold:
+        rows += [["gold_rank", ident, g, 1.0] for ident, g in zip(ds.ids, ds.gold_ranks())]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["kind", "id", "rank", "value"])
+    for row in rows:
+        writer.writerow([v if isinstance(v, str) else "%.12g" % v for v in row])
+    return out.getvalue().encode("utf-8")
 
 
 def lambda_sets_reference(intervals):

@@ -17,6 +17,7 @@ from rankcred.fileio import emit_dataset, write_matrix_csv, write_rows_csv
 from rankcred.rankdist import DS_TOL
 
 from conftest import make_dataset
+from oracles import plot_data_reference
 
 DATA_CSV = """id,y,d,gold
 a,0.40,0.004,0.35
@@ -281,9 +282,14 @@ class TestFitCommand:
 
     def test_reruns_byte_identical(self, data_path, tmp_path):
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        self.run_fit(data_path, out1, "--model", "hb")
-        self.run_fit(data_path, out2, "--model", "hb")
-        for name in ("rank_matrix.csv", "rank_summary.csv", "size_report.json", "posterior_summary.json"):
+        self.run_fit(data_path, out1, "--model", "hb", "--plot-data")
+        self.run_fit(data_path, out2, "--model", "hb", "--plot-data")
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == [
+            "plot_data.csv", "posterior_summary.json", "rank_matrix.csv", "rank_summary.csv",
+            "size_report.json",
+        ]
+        for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_burnin_flag_ignored(self, data_path, tmp_path):
@@ -323,6 +329,21 @@ class TestFitCommand:
         for ident in ("a", "b", "c", "d", "e"):
             mass = sum(float(r[3]) for r in cells if r[1] == ident)
             assert mass == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("with_gold", [False, True])
+    def test_plot_data_matches_csv_module(self, tmp_path, with_gold):
+        ids = ["plain", "comma,id", 'quote"id', "Zoë", " lead", "new\nline", "cr\rid", "50%", "p%sq"]
+        entities = [
+            rc.Entity(id=ident, y=float(i), d=0.5, gold=float(i % 4) if with_gold else None)
+            for i, ident in enumerate(ids)
+        ]
+        ds = rc.Dataset(entities=tuple(entities))
+        draws = rc.sample_ub(ds, 2000, seed=1)
+        sel = rc.elliptical_select(draws, ds.y, np.diag(ds.d), 0.1)
+        dist = rc.build_distribution(sel, draws, rc.MAHALANOBIS_EXP)
+        assert (dist.probs == 0).any() and ((dist.probs > 0) & (dist.probs < 1)).any()
+        cli._write_plot_data(tmp_path / "plot.csv", ds, dist, 0.1)
+        assert (tmp_path / "plot.csv").read_bytes() == plot_data_reference(ds, dist, 0.1)
 
 
 class TestSimulateCommand:

@@ -7,6 +7,7 @@ from scipy import stats
 from scipy.linalg import cho_factor
 
 import rankcred as rc
+from rankcred import credset
 from rankcred.credset import _JITTER, mahalanobis_many
 from rankcred.posterior import PosteriorDraws
 
@@ -17,6 +18,18 @@ from oracles import (
     mahalanobis_explicit,
     mahalanobis_solve,
 )
+
+
+def spy_factorizations(monkeypatch) -> list:
+    """Record every dispersion that `mahalanobis_many` factors."""
+    calls, factor = [], credset._cho_factor_spd
+
+    def spy(dispersion):
+        calls.append(dispersion)
+        return factor(dispersion)
+
+    monkeypatch.setattr(credset, "_cho_factor_spd", spy)
+    return calls
 
 
 def normal_draws(S, m, seed=0):
@@ -216,6 +229,46 @@ class TestMahalanobis:
         assert np.allclose(got, mahalanobis_solve(thetas, center, jittered), rtol=1e-10, atol=0)
         # S draws in S-1 dimensions all lie at distance S-1 from their mean
         assert np.allclose(got, 149.0, rtol=1e-8, atol=0)
+
+
+    def test_many_diagonal_matches_solve_oracle_m200(self, monkeypatch):
+        # a positive diagonal scales each coordinate and factors nothing
+        calls = spy_factorizations(monkeypatch)
+        rng = np.random.default_rng(14)
+        var = rng.uniform(0.5, 2.0, 200)
+        center = rng.standard_normal(200)
+        thetas = center + rng.standard_normal((500, 200)) * 2
+        got = mahalanobis_many(thetas, center, np.diag(var))
+        assert calls == []
+        assert np.allclose(got, mahalanobis_solve(thetas, center, np.diag(var)), rtol=1e-12, atol=0)
+
+    def test_many_diagonal_with_zero_takes_jitter(self, monkeypatch):
+        calls = spy_factorizations(monkeypatch)
+        var = np.array([1.0, 0.0, 2.0])
+        thetas = np.random.default_rng(15).standard_normal((50, 3))
+        center = np.array([0.1, 0.2, 0.3])
+        got = mahalanobis_many(thetas, center, np.diag(var))
+        jittered = np.diag(var) + _JITTER * np.mean(var) * np.eye(3)
+        assert len(calls) == 1
+        assert np.allclose(got, mahalanobis_solve(thetas, center, jittered), rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("var", [[1.0, -0.5, 2.0], [1.0, -1.0], [-1.0, 0.0]])
+    def test_many_diagonal_with_negative_raises(self, var, monkeypatch):
+        calls = spy_factorizations(monkeypatch)
+        with pytest.raises(rc.DomainError, match="positive definite"):
+            mahalanobis_many(np.zeros((2, len(var))), np.ones(len(var)), np.diag(var))
+        assert len(calls) == 1
+
+    def test_many_tiny_off_diagonal_is_factored(self, monkeypatch):
+        calls = spy_factorizations(monkeypatch)
+        rng = np.random.default_rng(16)
+        disp = np.diag(rng.uniform(0.5, 2.0, 200))
+        disp[3, 7] = disp[7, 3] = 1e-12
+        center = rng.standard_normal(200)
+        thetas = center + rng.standard_normal((500, 200))
+        got = mahalanobis_many(thetas, center, disp)
+        assert len(calls) == 1
+        assert np.allclose(got, mahalanobis_solve(thetas, center, disp), rtol=1e-12, atol=0)
 
 
 class TestEllipticalSelect:

@@ -7,6 +7,8 @@ from rankcred import posterior
 from rankcred.posterior import PosteriorDraws
 from rankcred.rankdist import DS_TOL, rank_table
 
+from oracles import tied_rows_reference
+
 
 class TestRankTable:
     def test_tie_free_is_permutation(self):
@@ -233,6 +235,34 @@ class TestBuildDistribution:
         for weighting in (rc.EQUAL, rc.MAHALANOBIS_EXP):
             got = rc.build_distribution(sel, draws, weighting).probs
             assert got.tobytes() == one_count_reference(sel, theta, weighting)[1].tobytes()
+
+    def test_row_order_ties_match_loop_reference(self, monkeypatch):
+        # blocks of 4 draws; row 2's only tie is -0.0 against 0.0, which ==
+        # calls a tie as rank_table does; rows 5 and 9 tie at the lowest and
+        # the highest sorted places, row 12 everywhere
+        m = 6
+        monkeypatch.setattr(posterior, "BLOCK_CELLS", 4 * m)
+        theta = np.random.default_rng(23).standard_normal((14, m))
+        theta[2, [4, 1]] = [-0.0, 0.0]
+        theta[5, [3, 0]] = theta[5].min() - 1.0
+        theta[9, [5, 2]] = theta[9].max() + 1.0
+        theta[12] = 3.0
+        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        order, tied = draws.row_order
+        assert tied.tolist() == tied_rows_reference(theta).tolist()
+        assert np.flatnonzero(tied).tolist() == [2, 5, 9, 12]
+        assert np.array_equal(np.sort(order, axis=1), np.tile(np.arange(m), (14, 1)))
+        assert (np.diff(np.take_along_axis(theta, order, axis=1), axis=1) >= 0).all()
+
+    @given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 40), m=st.integers(2, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_row_order_ties_with_signed_zeros(self, seed, S, m):
+        # integer draws, each zero given a random sign
+        rng = np.random.default_rng(seed)
+        theta = rng.integers(-3, 4, (S, m)) * rng.choice([-1.0, 1.0], (S, m))
+        order, tied = PosteriorDraws(theta=theta, model="UB", seed=0).row_order
+        assert tied.tolist() == tied_rows_reference(theta).tolist()
+        assert (np.diff(np.take_along_axis(theta, order, axis=1), axis=1) >= 0).all()
 
     def test_every_selected_row_tied(self):
         theta = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
