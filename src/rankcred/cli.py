@@ -12,7 +12,8 @@ import numpy as np
 
 from . import credset, kww, metrics, rankdist
 from .domain import Dataset, DomainError, rank_of
-from .fileio import FMT, csv_field, fmt, parse_dataset, write_matrix_csv, write_rows_csv
+from .fileio import FMT, csv_field, fmt, format_matrix, parse_dataset
+from .fileio import write_matrix_csv, write_rows_csv
 from .posterior import HbConfig, gibbs_hb, sample_ub, summarize
 from .simlab import RESULT_COLUMNS, SimConfig, run_study
 
@@ -34,10 +35,6 @@ def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as f:
         json.dump(_round12(payload), f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-def _marginal_quantile(marginal: np.ndarray, q: float) -> int:
-    return int(np.searchsorted(np.cumsum(marginal), q) + 1)
 
 
 def _cmd_fit(args) -> int:
@@ -74,13 +71,17 @@ def _cmd_fit(args) -> int:
         size = metrics.ellipse_size(np.linalg.inv(dispersion), ds.m, sel.ellip.cutoff)
         geometry_meta = {"cutoff": sel.ellip.cutoff}
 
-    write_matrix_csv(out / "rank_matrix.csv", dist.probs, ds.ids)
+    cells = format_matrix(dist.probs)
+    write_matrix_csv(out / "rank_matrix.csv", cells, ds.ids)
 
     observed = rank_of(ds.y)
     gold_ranks = ds.gold_ranks() if ds.has_gold else None
     header = ["id", "y", "observed_rank", "expected_rank", "rank_q05", "rank_q50", "rank_q95"]
     if ds.has_gold:
         header += ["gold_rank", "exp_abs_dev"]
+    # rank quantile q: the first rank whose cumulative mass reaches q
+    cum = np.cumsum(dist.probs, axis=0)
+    q05, q50, q95 = (((cum < q).sum(axis=0) + 1).tolist() for q in (0.05, 0.50, 0.95))
     rows = []
     for i, ident in enumerate(ds.ids):
         marginal = dist.probs[:, i]
@@ -89,9 +90,9 @@ def _cmd_fit(args) -> int:
             ds.y[i],
             observed[i],
             rankdist.expected_rank(dist, i),
-            _marginal_quantile(marginal, 0.05),
-            _marginal_quantile(marginal, 0.50),
-            _marginal_quantile(marginal, 0.95),
+            q05[i],
+            q50[i],
+            q95[i],
         ]
         if ds.has_gold:
             row += [gold_ranks[i], metrics.expected_abs_deviation(marginal, gold_ranks[i])]
@@ -125,28 +126,29 @@ def _cmd_fit(args) -> int:
     _write_json(out / "posterior_summary.json", post)
 
     if args.plot_data:
-        _write_plot_data(out / "plot_data.csv", ds, dist, args.alpha)
+        _write_plot_data(out / "plot_data.csv", ds, dist, cells, args.alpha)
     return 0
 
 
-def _write_plot_data(path, ds: Dataset, dist, alpha):
+def _write_plot_data(path, ds: Dataset, dist, cells, alpha):
     """Tidy overlay data: KWW ranges, nonzero credible cells, observed and
-    gold ranks.  No image rendering; feed this to any plotter."""
+    gold ranks.  No image rendering; feed this to any plotter.  `cells` is
+    `dist.probs` as `fileio.format_matrix` formats it."""
     ranks = kww.rank_confidence_set(ds, alpha, kww.INDEPENDENCE)
     observed = rank_of(ds.y, tie_rule="highest")
     # write_rows_csv's bytes, built as text: each id quoted once, and each
-    # entity's credible cells in one format call
+    # credible cell's value and rank taken from strings formatted once
     row = "%s,%s," + FMT + "," + FMT + "\n"
     ids = [csv_field(ident) for ident in ds.ids]
+    rank_text = [FMT % k for k in range(1, ds.m + 1)]
     lines = ["kind,id,rank,value\n"]
-    for i, ident in enumerate(ids):
+    for i, (ident, column) in enumerate(zip(ids, zip(*cells))):
         lines.append(row % ("kww_range", ident, ranks.rank_lo[i], ranks.rank_hi[i]))
         lines.append(row % ("observed_rank", ident, observed[i], 1))
-        column = dist.probs[:, i]
-        ranks_held = np.flatnonzero(column > 0)
-        cells = np.column_stack([ranks_held + 1, column[ranks_held]]).ravel().tolist()
-        cell = f"credible_cell,{ident.replace('%', '%%')},{FMT},{FMT}\n"
-        lines.append(cell * len(ranks_held) % tuple(cells))
+        lines += [
+            f"credible_cell,{ident},{rank_text[k]},{column[k]}\n"
+            for k in np.flatnonzero(dist.probs[:, i] > 0).tolist()
+        ]
     if ds.has_gold:
         gold_ranks = ds.gold_ranks()
         for i, ident in enumerate(ids):

@@ -109,15 +109,20 @@ def baseball_dataset() -> Dataset:
     return parse_csv_text(text)
 
 
-def write_matrix_csv(path, probs: np.ndarray, ids: list[str]) -> None:
-    """m x m credible matrix; rows are ranks 1..m, columns the entities."""
+def format_matrix(probs: np.ndarray) -> list[list[str]]:
+    """The cells of `probs` in FMT, row by row: one format call per row."""
+    row_format = ",".join([FMT] * probs.shape[1])
+    return [(row_format % tuple(row)).split(",") for row in probs.tolist()]
+
+
+def write_matrix_csv(path, cells: list[list[str]], ids: list[str]) -> None:
+    """m x m credible matrix from its `format_matrix` cells; rows are ranks
+    1..m, columns the entities."""
     # a formatted number holds no comma, quote or newline, so only the ids
     # need the csv module's quoting
-    row_format = "%d" + ("," + FMT) * probs.shape[1] + "\n"
     with open(path, "w", newline="", encoding="utf-8") as f:
         csv.writer(f, lineterminator="\n").writerow(["rank"] + ids)
-        for k, row in enumerate(probs.tolist(), start=1):
-            f.write(row_format % (k, *row))
+        f.write("".join([f"{k},{','.join(row)}\n" for k, row in enumerate(cells, start=1)]))
 
 
 def write_rows_csv(path, header: list[str], rows) -> None:

@@ -73,16 +73,33 @@ class PosteriorDraws:
 
     @cached_property
     def row_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each draw's argsort (order[s, k] is the entity at rank k+1; any sort kind
-        gives a tie-free draw's one permutation) and exact-tie flag, read-only.
-        Sorted block by block of draws, so the sorted values take one block."""
-        order = np.empty(self.theta.shape, dtype=np.intp)
-        tied = np.empty(self.S, dtype=bool)
-        for rows in row_blocks(self.S, self.m):
-            theta = self.theta[rows]
-            order[rows] = np.argsort(theta, axis=1)
+        """Each draw's argsort (order[s, k] is the entity at rank k+1, in the
+        smallest unsigned dtype that holds m - 1) and exact-tie flag, read-only.
+
+        Per block of draws, one sort of order-preserving uint64 keys whose low
+        (m-1).bit_length() bits hold the entity index gives the order.  Draws
+        where two neighbouring keys agree above those bits (every exact tie and
+        any near-tie) are sorted again by value, which flags the exact ties."""
+        m = self.m
+        order = np.empty(self.theta.shape, dtype=np.min_scalar_type(m - 1))
+        tied = np.zeros(self.S, dtype=bool)
+        # uint64 operands only: numpy 1.x turns uint64 mixed with int64 into float64
+        bits = np.uint64((m - 1).bit_length())
+        index_mask = (np.uint64(1) << bits) - np.uint64(1)
+        for rows in row_blocks(self.S, m):
+            keys = (self.theta[rows] + 0.0).view(np.uint64)  # -0.0 and 0.0: one key
+            # negative: flip every bit; otherwise set the sign bit
+            keys ^= (keys.view(np.int64) >> 63).view(np.uint64) | np.uint64(1 << 63)
+            keys &= ~index_mask
+            keys |= np.arange(m, dtype=np.uint64)
+            keys.sort(axis=1)
+            order[rows] = keys & index_mask
+            keys >>= bits
+            near = rows.start + np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
+            theta = self.theta[near]
+            order[near] = np.argsort(theta, axis=1)
             values = np.sort(theta, axis=1)
-            tied[rows] = (values[:, 1:] == values[:, :-1]).any(axis=1)
+            tied[near] = (values[:, 1:] == values[:, :-1]).any(axis=1)
         order.flags.writeable = False
         tied.flags.writeable = False
         return order, tied

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import rankcred as rc
 from rankcred.cli import run_command
 from rankcred import cli
-from rankcred.fileio import emit_dataset, write_matrix_csv, write_rows_csv
+from rankcred.fileio import emit_dataset, format_matrix, write_matrix_csv, write_rows_csv
 from rankcred.rankdist import DS_TOL
 
 from conftest import make_dataset
@@ -128,7 +128,7 @@ class TestFileio:
                 [5e-324, 0.25, 0.5, 0.125, 0.125],
             ]
         )
-        write_matrix_csv(tmp_path / "m.csv", probs, ids)
+        write_matrix_csv(tmp_path / "m.csv", format_matrix(probs), ids)
         expected = csv_reference(["rank"] + ids, [[k + 1, *p] for k, p in enumerate(probs)])
         assert (tmp_path / "m.csv").read_bytes() == expected
 
@@ -237,6 +237,25 @@ class TestFitCommand:
         # Monte Carlo mean of the UB draws, centered on y_a
         assert post["mean"]["a"] == pytest.approx(0.40, abs=0.01)
 
+    def test_rank_quantiles_at_exact_mass(self, data_path, tmp_path, monkeypatch):
+        # a column's running mass that equals q exactly stops at that rank,
+        # as np.searchsorted's left side does
+        probs = np.zeros((5, 5))
+        probs[:2, 0] = [0.05, 0.95]
+        probs[:3, 1] = [0.25, 0.25, 0.5]
+        probs[1:3, 2] = [0.95, 0.05]
+        probs[3, 3] = probs[4, 4] = 1.0
+        dist = rc.RankCredibleDistribution(probs=probs, model="UB")
+        monkeypatch.setattr(cli.rankdist, "build_distribution", lambda *args, **kw: dist)
+        out = tmp_path / "out"
+        assert self.run_fit(data_path, out, "--model", "ub") == 0
+        got = [[int(v) for v in r[4:7]] for r in read_csv(out / "rank_summary.csv")[1:]]
+        reference = [
+            [int(np.searchsorted(np.cumsum(col), q)) + 1 for q in (0.05, 0.5, 0.95)]
+            for col in probs.T
+        ]
+        assert got == reference == [[1, 2, 2], [1, 2, 3], [2, 2, 2], [4, 4, 4], [5, 5, 5]]
+
     def test_hb_elliptical_artifacts(self, data_path, tmp_path):
         out = tmp_path / "out"
         assert self.run_fit(data_path, out, "--model", "hb", "--set", "elliptical", "--weights", "mahal") == 0
@@ -342,7 +361,7 @@ class TestFitCommand:
         sel = rc.elliptical_select(draws, ds.y, np.diag(ds.d), 0.1)
         dist = rc.build_distribution(sel, draws, rc.MAHALANOBIS_EXP)
         assert (dist.probs == 0).any() and ((dist.probs > 0) & (dist.probs < 1)).any()
-        cli._write_plot_data(tmp_path / "plot.csv", ds, dist, 0.1)
+        cli._write_plot_data(tmp_path / "plot.csv", ds, dist, format_matrix(dist.probs), 0.1)
         assert (tmp_path / "plot.csv").read_bytes() == plot_data_reference(ds, dist, 0.1)
 
 

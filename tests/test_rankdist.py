@@ -239,29 +239,57 @@ class TestBuildDistribution:
     def test_row_order_ties_match_loop_reference(self, monkeypatch):
         # blocks of 4 draws; row 2's only tie is -0.0 against 0.0, which ==
         # calls a tie as rank_table does; rows 5 and 9 tie at the lowest and
-        # the highest sorted places, row 12 everywhere
-        m = 6
-        monkeypatch.setattr(posterior, "BLOCK_CELLS", 4 * m)
-        theta = np.random.default_rng(23).standard_normal((14, m))
-        theta[2, [4, 1]] = [-0.0, 0.0]
-        theta[5, [3, 0]] = theta[5].min() - 1.0
-        theta[9, [5, 2]] = theta[9].max() + 1.0
-        theta[12] = 3.0
-        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
-        order, tied = draws.row_order
-        assert tied.tolist() == tied_rows_reference(theta).tolist()
-        assert np.flatnonzero(tied).tolist() == [2, 5, 9, 12]
-        assert np.array_equal(np.sort(order, axis=1), np.tile(np.arange(m), (14, 1)))
-        assert (np.diff(np.take_along_axis(theta, order, axis=1), axis=1) >= 0).all()
+        # the highest sorted places, row 12 everywhere, row 15 (-0.0 and 0.0
+        # beside +-5e-324) from m = 4.  Rows 3, 7, 10 and 14, one per block,
+        # hold values one ulp apart (nextafter neighbours, subnormals around a
+        # lone -0.0, +-5e-324 and -0.0 among +-1e308), so their keys agree
+        # above the entity bits and they are sorted again by value
+        for m, dtype in [(2, np.uint8), (6, np.uint8), (255, np.uint8), (256, np.uint8), (257, np.uint16)]:
+            monkeypatch.setattr(posterior, "BLOCK_CELLS", 4 * m)
+            rng = np.random.default_rng(23)
+            theta = rng.standard_normal((16, m))
+            theta[2, [m - 1, 0]] = [-0.0, 0.0]
+            theta[5, [m - 1, 0]] = theta[5].min() - 1.0
+            theta[9, [m - 2, 1]] = theta[9].max() + 1.0
+            theta[12] = 3.0
+            ulps = [0.7]
+            for _ in range(m - 1):
+                ulps.append(np.nextafter(ulps[-1], np.inf))
+            theta[3] = rng.permutation(ulps)
+            theta[7] = rng.permutation(np.arange(m) - m // 2) * 5e-324
+            theta[7, theta[7] == 0] = -0.0
+            extremes = [1e308, -1e308, 5e-324, -5e-324, -0.0, 2.2e-308, -2.2e-308, 1.0]
+            theta[10, : min(m, 8)] = extremes[:m]
+            theta[14] = -rng.permutation(ulps)
+            theta[15] = np.resize([-5e-324, -0.0, 5e-324, 0.0], m)
+            draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+            order, tied = draws.row_order
+            assert order.dtype == dtype
+            assert tied.tolist() == tied_rows_reference(theta).tolist()
+            assert np.flatnonzero(tied).tolist() == [2, 5, 9, 12] + ([15] if m >= 4 else [])
+            free = ~tied
+            assert np.array_equal(order[free], np.argsort(theta[free], axis=1, kind="stable"))
+            assert np.array_equal(np.sort(order, axis=1), np.tile(np.arange(m), (16, 1)))
+            ranked = np.take_along_axis(theta, order, axis=1)
+            assert (ranked[:, 1:] >= ranked[:, :-1]).all()
 
-    @given(seed=st.integers(0, 2**32 - 1), S=st.integers(1, 40), m=st.integers(2, 7))
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        S=st.integers(1, 40),
+        m=st.integers(2, 7),
+        nudge=st.sampled_from([0.0, 0.3]),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_row_order_ties_with_signed_zeros(self, seed, S, m):
-        # integer draws, each zero given a random sign
+    def test_row_order_ties_with_signed_zeros(self, seed, S, m, nudge):
+        # integer draws, each zero given a random sign; a share `nudge` of
+        # the entries moves up one ulp, which breaks their ties
         rng = np.random.default_rng(seed)
         theta = rng.integers(-3, 4, (S, m)) * rng.choice([-1.0, 1.0], (S, m))
+        theta = np.where(rng.random((S, m)) < nudge, np.nextafter(theta, np.inf), theta)
         order, tied = PosteriorDraws(theta=theta, model="UB", seed=0).row_order
         assert tied.tolist() == tied_rows_reference(theta).tolist()
+        free = ~tied
+        assert np.array_equal(order[free], np.argsort(theta[free], axis=1, kind="stable"))
         assert (np.diff(np.take_along_axis(theta, order, axis=1), axis=1) >= 0).all()
 
     def test_every_selected_row_tied(self):
