@@ -2,6 +2,7 @@
 
 from .credset import (
     CredibleSelection,
+    Dispersion,
     cartesian_select,
     elliptical_select,
     mahalanobis,
@@ -48,6 +49,7 @@ __all__ = [
     "MIDRANK",
     "CredibleSelection",
     "Dataset",
+    "Dispersion",
     "DomainError",
     "Entity",
     "HbConfig",

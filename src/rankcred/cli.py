@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -37,6 +38,14 @@ def _write_json(path, payload):
         f.write("\n")
 
 
+def _reported_volume(size: metrics.SizeReport) -> float | None:
+    """The volume where a double holds it: 0.0 for a zero side, else a finite
+    normal value; None where it over- or underflows (log_volume holds it)."""
+    if size.log_volume is None or sys.float_info.min <= size.volume < math.inf:
+        return size.volume
+    return None
+
+
 def _cmd_fit(args) -> int:
     ds = parse_dataset(args.dataset)
     out = Path(args.out)
@@ -45,7 +54,7 @@ def _cmd_fit(args) -> int:
     if args.model == "ub":
         # UB writes only the posterior mean; its dispersion is diag(d)
         draws = sample_ub(ds, args.samples, args.seed)
-        center, dispersion = ds.y, np.diag(ds.d)
+        dispersion = credset.Dispersion(ds.y, np.diag(ds.d))
         mean, a_stats = draws.theta.mean(axis=0), {}
     else:
         cfg = HbConfig(
@@ -53,28 +62,26 @@ def _cmd_fit(args) -> int:
         )
         draws = gibbs_hb(ds, cfg)
         summary = summarize(draws)
-        center, dispersion = summary.mean, summary.cov
+        dispersion = credset.Dispersion(summary.mean, summary.cov)
         mean = summary.mean
         a_stats = {"a_mean": summary.a_mean, "a_median": summary.a_median}
 
     if args.set == "cartesian":
         sel = credset.cartesian_select(draws, args.alpha)
-        dist = rankdist.build_distribution(
-            sel, draws, args.weights, mahal_context=(center, dispersion)
-        )
         bounds = np.column_stack([sel.cart.lower, sel.cart.upper])
         size = metrics.orthotope_size(bounds)
         geometry_meta = {"kappa": sel.cart.kappa, "bounds": bounds}
     else:
-        sel = credset.elliptical_select(draws, center, dispersion, args.alpha)
-        dist = rankdist.build_distribution(sel, draws, args.weights)
-        size = metrics.ellipse_size(np.linalg.inv(dispersion), ds.m, sel.ellip.cutoff)
+        sel = credset.elliptical_select(draws, dispersion, args.alpha)
+        size = metrics.ellipse_size(dispersion.log_det, dispersion.precision_diag, sel.ellip.cutoff)
         geometry_meta = {"cutoff": sel.ellip.cutoff}
+    dist = rankdist.build_distribution(sel, draws, args.weights, dispersion=dispersion)
 
     cells = format_matrix(dist.probs)
     write_matrix_csv(out / "rank_matrix.csv", cells, ds.ids)
 
-    observed = rank_of(ds.y)
+    y = ds.y  # Dataset.y builds a new array on every access
+    observed = rank_of(y)
     gold_ranks = ds.gold_ranks() if ds.has_gold else None
     header = ["id", "y", "observed_rank", "expected_rank", "rank_q05", "rank_q50", "rank_q95"]
     if ds.has_gold:
@@ -87,7 +94,7 @@ def _cmd_fit(args) -> int:
         marginal = dist.probs[:, i]
         row = [
             ident,
-            ds.y[i],
+            y[i],
             observed[i],
             rankdist.expected_rank(dist, i),
             q05[i],
@@ -106,7 +113,8 @@ def _cmd_fit(args) -> int:
             "alpha": args.alpha,
             "selected": sel.K,
             "samples": draws.S,
-            "volume": size.volume,
+            "volume": _reported_volume(size),
+            "log_volume": size.log_volume,
             "vol_mth_root": size.vol_mth_root,
             "avg_length": size.avg_length,
             "per_side_lengths": size.per_side_lengths,

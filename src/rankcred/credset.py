@@ -10,6 +10,7 @@ of its sides), and an elliptical (approximate HPD) set cut at the empirical
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, solve_triangular
@@ -32,8 +33,7 @@ class CartesianBounds:
 
 @dataclass(frozen=True)
 class EllipticalGeometry:
-    center: np.ndarray  # (m,)
-    dispersion: np.ndarray  # (m, m) SPD
+    dispersion: Dispersion
     cutoff: float
     distances: np.ndarray  # (S,) Mahalanobis distance of every draw
 
@@ -141,48 +141,66 @@ def _cho_factor_spd(dispersion: np.ndarray):
             raise DomainError("dispersion matrix is not positive definite (even after jitter)")
 
 
+@dataclass(frozen=True)
+class Dispersion:
+    """A center and dispersion matrix for Mahalanobis distances.  A positive,
+    exactly diagonal matrix keeps its variances (`_chol` is None); any other
+    is factored once, on first use, as L L' (Cholesky, jittered if singular)."""
+
+    center: np.ndarray  # (m,)
+    matrix: np.ndarray  # (m, m) SPD
+
+    @cached_property
+    def _chol(self) -> np.ndarray | None:
+        var = np.diagonal(self.matrix)
+        if np.all(var > 0) and np.array_equal(self.matrix, np.diag(var)):
+            return None
+        return _cho_factor_spd(self.matrix)[0]
+
+    def distances(self, thetas: np.ndarray) -> np.ndarray:
+        """Squared distances ||L^-1 (theta - center)||^2 of the rows of `thetas`;
+        L = diag(sqrt(var)) scales each coordinate by 1/sqrt(var), as the solve would."""
+        diff = thetas - self.center
+        if self._chol is None:
+            diff *= 1.0 / np.sqrt(np.diagonal(self.matrix))
+            return np.einsum("si,si->s", diff, diff)
+        # diff is a temporary of this call, so the solve may overwrite it
+        z = solve_triangular(self._chol, diff.T, lower=True, overwrite_b=True)
+        return np.einsum("is,is->s", z, z)
+
+    @property
+    def log_det(self) -> float:
+        """log det of the matrix as factored (jitter included)."""
+        if self._chol is None:
+            return float(np.sum(np.log(np.diagonal(self.matrix))))
+        return 2.0 * float(np.sum(np.log(np.diagonal(self._chol))))
+
+    @property
+    def precision_diag(self) -> np.ndarray:
+        """Diagonal of the inverse matrix: the column sums of squares of L^-1."""
+        if self._chol is None:
+            return 1.0 / np.diagonal(self.matrix)
+        inv = solve_triangular(self._chol, np.eye(len(self._chol)), lower=True)
+        return np.einsum("ij,ij->j", inv, inv)
+
+
 def mahalanobis(theta, center, dispersion) -> float:
     """Squared Mahalanobis distance (theta-center)' dispersion^-1 (theta-center)."""
-    return float(mahalanobis_many(np.asarray(theta, dtype=float)[None, :], center, dispersion)[0])
-
-
-def mahalanobis_many(thetas: np.ndarray, center, dispersion) -> np.ndarray:
-    """Squared Mahalanobis distances for every row of `thetas`: with
-    dispersion = L L' (Cholesky), ||L^-1 (theta - center)||^2, one
-    triangular solve.  A diagonal dispersion with a positive diagonal has
-    L = diag(sqrt(var)), so each coordinate is scaled by 1/sqrt(var) instead,
-    the same products the solve forms."""
-    diff = thetas - np.asarray(center, dtype=float)
-    dispersion = np.asarray(dispersion, dtype=float)
-    var = np.diagonal(dispersion)
-    if np.all(var > 0) and np.array_equal(dispersion, np.diag(var)):
-        diff *= 1.0 / np.sqrt(var)
-        return np.einsum("si,si->s", diff, diff)
-    chol, _ = _cho_factor_spd(dispersion)
-    # diff is a temporary of this call, so the solve may overwrite it
-    z = solve_triangular(chol, diff.T, lower=True, overwrite_b=True)
-    return np.einsum("is,is->s", z, z)
+    return float(Dispersion(center, dispersion).distances(np.asarray(theta, float)[None, :])[0])
 
 
 def elliptical_select(
-    draws: PosteriorDraws,
-    center,
-    dispersion,
-    alpha: float,
+    draws: PosteriorDraws, dispersion: Dispersion, alpha: float
 ) -> CredibleSelection:
     """Select draws whose Mahalanobis distance is at most the empirical
     (1-alpha) quantile cutoff (ties at the cutoff are included)."""
     _check_alpha(draws, alpha)
-    center = np.asarray(center, dtype=float)
-    dispersion = np.asarray(dispersion, dtype=float)
-    distances = mahalanobis_many(draws.theta, center, dispersion)
+    distances = dispersion.distances(draws.theta)
     cutoff = float(np.quantile(distances, 1 - alpha, method="linear"))
     indices = np.flatnonzero(distances <= cutoff)
     return CredibleSelection(
         indices=indices,
         alpha=alpha,
         geometry=ELLIPTICAL,
-        ellip=EllipticalGeometry(
-            center=center, dispersion=dispersion, cutoff=cutoff, distances=distances
-        ),
+        ellip=EllipticalGeometry(dispersion=dispersion, cutoff=cutoff, distances=distances),
     )

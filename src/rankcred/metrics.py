@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lgamma, log, pi, exp
+from math import exp, inf, lgamma, log, pi
 
 import numpy as np
 
@@ -12,7 +12,8 @@ from .domain import DomainError
 
 @dataclass(frozen=True)
 class SizeReport:
-    volume: float
+    volume: float  # exp(log_volume): 0.0 where it underflows, inf where it overflows
+    log_volume: float | None  # None when a side has zero length (volume 0.0)
     vol_mth_root: float  # the simulation tables' convention
     avg_length: float
     geometry: str
@@ -25,17 +26,14 @@ def orthotope_size(bounds: np.ndarray, geometry: str = "cartesian") -> SizeRepor
     lengths = bounds[:, 1] - bounds[:, 0]
     if np.any(lengths < 0):
         raise DomainError("orthotope bounds need U >= L on every side")
-    m = len(lengths)
-    with np.errstate(divide="ignore"):
-        log_lengths = np.log(lengths)
     if np.any(lengths == 0):
-        volume, root = 0.0, 0.0
+        log_vol, volume, root = None, 0.0, 0.0
     else:
-        log_vol = float(np.sum(log_lengths))
-        volume = exp(log_vol)
-        root = exp(log_vol / m)
+        log_vol = float(np.sum(np.log(lengths)))
+        volume, root = _exp(log_vol), exp(log_vol / len(lengths))
     return SizeReport(
         volume=volume,
+        log_volume=log_vol,
         vol_mth_root=root,
         avg_length=float(np.mean(lengths)),
         geometry=geometry,
@@ -43,56 +41,58 @@ def orthotope_size(bounds: np.ndarray, geometry: str = "cartesian") -> SizeRepor
     )
 
 
-def _log_det_spd(K: np.ndarray) -> float:
+def _exp(log_value: float) -> float:
+    """exp(log_value), or inf where that exceeds the largest double."""
     try:
-        chol = np.linalg.cholesky(K)
-    except np.linalg.LinAlgError:
-        raise DomainError("K must be symmetric positive definite")
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+        return exp(log_value)
+    except OverflowError:
+        return inf
 
 
-def log_ellipse_volume(K: np.ndarray, m: int, c: float) -> float:
+def log_ellipse_volume(log_det: float, m: int, c: float) -> float:
     if c <= 0:
         raise DomainError(f"cutoff c={c} must be > 0")
-    return (m / 2) * log(pi) - lgamma((m + 2) / 2) + (m / 2) * log(c) - 0.5 * _log_det_spd(K)
+    return (m / 2) * log(pi) - lgamma((m + 2) / 2) + (m / 2) * log(c) + 0.5 * log_det
 
 
-def ellipse_volume(K: np.ndarray, m: int, c: float) -> float:
-    """Lebesgue volume of {x : x' K x <= c}.
+def ellipse_volume(log_det: float, m: int, c: float) -> float:
+    """Lebesgue volume of {x : x' D^-1 x <= c}, with log_det = log det(D).
 
-    pi^(m/2) / Gamma((m+2)/2) * c^(m/2) / det(K)^(1/2), accumulated in log
-    space so m in the hundreds survives.
+    pi^(m/2) / Gamma((m+2)/2) * c^(m/2) * det(D)^(1/2).  The volume leaves the
+    range of a double once |log volume| passes about 709 (m in the hundreds
+    for ranking data), giving inf or 0.0; `log_ellipse_volume` stays finite.
     """
-    return exp(log_ellipse_volume(np.asarray(K, dtype=float), m, c))
+    return _exp(log_ellipse_volume(log_det, m, c))
 
 
-def ellipse_lengths(K: np.ndarray, m: int, c: float):
+def ellipse_lengths(log_det: float, precision_diag, c: float):
     """Representative and calibrated side lengths of the ellipse.
 
-    L_R,i = B(1/2, (m+1)/2) sqrt(c / K_ii); the calibrated L_M,i rescale the
-    L_R so their product equals the ellipse volume; L_E is their mean.
-    Returns (L_R, L_M, L_E).
+    L_R,i = B(1/2, (m+1)/2) sqrt(c / K_ii), with K_ii = precision_diag[i] of
+    K = D^-1; the calibrated L_M,i rescale the L_R so their product equals
+    the ellipse volume; L_E is their mean.  Returns (L_R, L_M, L_E).
     """
-    K = np.asarray(K, dtype=float)
+    diag = np.asarray(precision_diag, dtype=float)
+    m = len(diag)
     log_beta = lgamma(0.5) + lgamma((m + 1) / 2) - lgamma(m / 2 + 1)
-    diag = np.diag(K)
     if np.any(diag <= 0):
-        raise DomainError("K must have a positive diagonal")
+        raise DomainError("the precision diagonal must be positive")
     log_lr = log_beta + 0.5 * (log(c) - np.log(diag))
-    log_vol = log_ellipse_volume(K, m, c)
+    log_vol = log_ellipse_volume(log_det, m, c)
     log_cal = (log_vol - float(np.sum(log_lr))) / m
     l_r = np.exp(log_lr)
     l_m = np.exp(log_cal + log_lr)
     return l_r, l_m, float(np.mean(l_m))
 
 
-def ellipse_size(K: np.ndarray, m: int, c: float) -> SizeReport:
+def ellipse_size(log_det: float, precision_diag, c: float) -> SizeReport:
     """SizeReport for an elliptical set, lengths by the calibrated measure."""
-    _, l_m, l_e = ellipse_lengths(K, m, c)
-    log_vol = log_ellipse_volume(np.asarray(K, dtype=float), m, c)
+    _, l_m, l_e = ellipse_lengths(log_det, precision_diag, c)
+    log_vol = log_ellipse_volume(log_det, len(l_m), c)
     return SizeReport(
-        volume=exp(log_vol),
-        vol_mth_root=exp(log_vol / m),
+        volume=_exp(log_vol),
+        log_volume=log_vol,
+        vol_mth_root=exp(log_vol / len(l_m)),
         avg_length=l_e,
         geometry="elliptical",
         per_side_lengths=l_m,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .credset import CredibleSelection, mahalanobis_many
+from .credset import CredibleSelection, Dispersion
 from .domain import DomainError
 from .posterior import PosteriorDraws, row_blocks
 
@@ -63,13 +63,13 @@ def build_distribution(
     selection: CredibleSelection,
     draws: PosteriorDraws,
     weighting: str = EQUAL,
-    mahal_context: tuple | None = None,
+    dispersion: Dispersion | None = None,
 ) -> RankCredibleDistribution:
     """Weighted average of rank tables over a credible selection.
 
     Under `mahal` weighting w_s is proportional to exp(-d_s/2) with d_s the
     Mahalanobis distance of draw s; elliptical selections reuse their stored
-    distances, Cartesian selections need `mahal_context = (center, dispersion)`.
+    distances, Cartesian selections need `dispersion`.
     """
     if selection.K == 0:
         raise DomainError("cannot build a distribution from an empty selection")
@@ -81,13 +81,10 @@ def build_distribution(
     elif weighting == MAHALANOBIS_EXP:
         if selection.ellip is not None:
             dist = selection.ellip.distances[idx]
-        elif mahal_context is not None:
-            center, dispersion = mahal_context
-            dist = mahalanobis_many(draws.theta[idx], center, dispersion)
+        elif dispersion is not None:
+            dist = dispersion.distances(draws.theta[idx])
         else:
-            raise DomainError(
-                "mahal weighting on a Cartesian selection needs mahal_context=(center, dispersion)"
-            )
+            raise DomainError("mahal weighting on a Cartesian selection needs a dispersion")
         # exponent shift so the largest weight is exp(0); guards underflow
         logw = -dist / 2.0
         logw -= logw.max()

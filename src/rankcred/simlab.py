@@ -76,24 +76,20 @@ def _avg_deviation(dist: rankdist.RankCredibleDistribution, xi: np.ndarray) -> f
     return float((np.abs(k - xi) * dist.probs).sum() / dist.m)
 
 
-def _fit_one_model(draws, center, dispersion, alpha, xi):
+def _fit_one_model(draws, dispersion: credset.Dispersion, alpha, xi):
     """Cartesian + elliptical selections scored under both weightings."""
     out = {}
     cart = credset.cartesian_select(draws, alpha)
-    ellip = credset.elliptical_select(draws, center, dispersion, alpha)
-    ctx = (center, dispersion)
-    for geometry, sel, kwargs in (
-        ("cartesian", cart, {"mahal_context": ctx}),
-        ("elliptical", ellip, {}),
-    ):
+    ellip = credset.elliptical_select(draws, dispersion, alpha)
+    for geometry, sel in (("cartesian", cart), ("elliptical", ellip)):
         for weighting in (rankdist.EQUAL, rankdist.MAHALANOBIS_EXP):
-            dist = rankdist.build_distribution(sel, draws, weighting, **kwargs)
+            dist = rankdist.build_distribution(sel, draws, weighting, dispersion=dispersion)
             out[(geometry, weighting)] = _avg_deviation(dist, xi)
     bounds = np.column_stack([cart.cart.lower, cart.cart.upper])
     sizes = {
         "cartesian": metrics.orthotope_size(bounds),
         "elliptical": metrics.ellipse_size(
-            np.linalg.inv(dispersion), draws.m, ellip.ellip.cutoff
+            dispersion.log_det, dispersion.precision_diag, ellip.ellip.cutoff
         ),
     }
     return out, sizes
@@ -122,18 +118,16 @@ def run_cell(cfg: SimConfig, x, a, beta1, cell_index):
         kww_dev = float(np.mean((np.abs(j - xi) * in_range).sum(axis=0) / in_range.sum(axis=0)))
         add(("KWW", "cartesian", "none"), kww_dev, metrics.orthotope_size(ranks.intervals))
 
-        seed_ub = rng.integers(2**63)
-        seed_hb = rng.integers(2**63)
-        ub = sample_ub(ds, cfg.samples, seed_ub)
-        devs, sizes = _fit_one_model(ub, ds.y, np.diag(ds.d), cfg.alpha, xi)
-        for (geometry, weighting), dev in devs.items():
-            add(("UB", geometry, weighting), dev, sizes[geometry])
-
-        hb = gibbs_hb(ds, HbConfig(samples=cfg.samples, seed=seed_hb))
+        ub = sample_ub(ds, cfg.samples, rng.integers(2**63))
+        hb = gibbs_hb(ds, HbConfig(samples=cfg.samples, seed=rng.integers(2**63)))
         summ = summarize(hb)
-        devs, sizes = _fit_one_model(hb, summ.mean, summ.cov, cfg.alpha, xi)
-        for (geometry, weighting), dev in devs.items():
-            add(("HB", geometry, weighting), dev, sizes[geometry])
+        for method, draws, dispersion in (
+            ("UB", ub, credset.Dispersion(ds.y, np.diag(ds.d))),
+            ("HB", hb, credset.Dispersion(summ.mean, summ.cov)),
+        ):
+            devs, sizes = _fit_one_model(draws, dispersion, cfg.alpha, xi)
+            for (geometry, weighting), dev in devs.items():
+                add((method, geometry, weighting), dev, sizes[geometry])
 
     rows = []
     for (method, geometry, weighting), (dev, root, length) in sorted(acc.items()):

@@ -46,6 +46,24 @@ def make_dataset(y, d, x=None, gold=None):
     return rc.Dataset(entities=tuple(entities))
 
 
+def count_factorizations(monkeypatch, m) -> list:
+    """Record the name of every call of `credset._cho_factor_spd`,
+    `np.linalg.inv` or `np.linalg.cholesky` on an m x m argument (the HB
+    sampler's batched q x q calls have other shapes)."""
+    from rankcred import credset
+
+    calls = []
+    for module, name in ((credset, "_cho_factor_spd"), (np.linalg, "inv"), (np.linalg, "cholesky")):
+
+        def spy(a, *args, _fn=getattr(module, name), _name=name, **kwargs):
+            if np.shape(a) == (m, m):
+                calls.append(_name)
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 def pytest_terminal_summary(terminalreporter):
     """One pass/fail line per acceptance criterion, immune to capture."""
     try:

@@ -61,10 +61,9 @@ def total_deviation(dist, xi):
 
 def fit_both(draws, center, dispersion, alpha=0.1):
     cart = credset.cartesian_select(draws, alpha)
-    ellip = credset.elliptical_select(draws, center, dispersion, alpha)
-    ctx = (center, dispersion)
+    ellip = credset.elliptical_select(draws, rc.Dispersion(center, dispersion), alpha)
     dist_c = rankdist.build_distribution(
-        cart, draws, rc.MAHALANOBIS_EXP, mahal_context=ctx
+        cart, draws, rc.MAHALANOBIS_EXP, dispersion=rc.Dispersion(center, dispersion)
     )
     dist_e = rankdist.build_distribution(ellip, draws, rc.MAHALANOBIS_EXP)
     return cart, ellip, dist_c, dist_e
@@ -162,7 +161,9 @@ def test_criterion_6_expected_ranks(baseball, ub_draws, hb_draws, hb_summary):
 @criterion(7)
 def test_criterion_7_elliptical_cutoff(baseball):
     draws = rc.sample_ub(baseball, 100000, seed=11)
-    sel = credset.elliptical_select(draws, baseball.y, np.diag(baseball.d), alpha=0.1)
+    sel = credset.elliptical_select(
+        draws, rc.Dispersion(baseball.y, np.diag(baseball.d)), alpha=0.1
+    )
     assert sel.ellip.cutoff == pytest.approx(stats.chi2.ppf(0.9, 18), rel=0.02)
 
 
@@ -176,11 +177,13 @@ def test_criterion_8_size_measures(baseball, ub_draws, hb_draws, hb_summary):
     ub_cart, ub_ellip, _, _ = fit_both(ub_draws, baseball.y, np.diag(baseball.d))
     hb_cart, hb_ellip, _, _ = fit_both(hb_draws, hb_summary.mean, hb_summary.cov)
 
-    hb_e = metrics.ellipse_size(np.linalg.inv(hb_summary.cov), 18, hb_ellip.ellip.cutoff)
+    hb_disp = hb_ellip.ellip.dispersion
+    hb_e = metrics.ellipse_size(hb_disp.log_det, hb_disp.precision_diag, hb_ellip.ellip.cutoff)
     assert hb_e.avg_length == pytest.approx(0.193, rel=0.05)
     assert hb_e.volume == pytest.approx(1.32e-13, rel=0.15)
 
-    ub_e = metrics.ellipse_size(np.diag(1.0 / baseball.d), 18, ub_ellip.ellip.cutoff)
+    ub_disp = ub_ellip.ellip.dispersion
+    ub_e = metrics.ellipse_size(ub_disp.log_det, ub_disp.precision_diag, ub_ellip.ellip.cutoff)
     hb_c = metrics.orthotope_size(np.column_stack([hb_cart.cart.lower, hb_cart.cart.upper]))
     ub_c = metrics.orthotope_size(np.column_stack([ub_cart.cart.lower, ub_cart.cart.upper]))
 
@@ -256,9 +259,11 @@ def test_criterion_10_property_suites(baseball):
     A = rng.standard_normal((18, 18)) + 4 * np.eye(18)
     b = rng.standard_normal(18)
     mapped = rc.PosteriorDraws(theta=base.theta @ A.T + b, model="UB", seed=0)
-    sel = credset.elliptical_select(base, baseball.y, np.diag(baseball.d), alpha=0.1)
+    sel = credset.elliptical_select(
+        base, rc.Dispersion(baseball.y, np.diag(baseball.d)), alpha=0.1
+    )
     sel2 = credset.elliptical_select(
-        mapped, A @ baseball.y + b, A @ np.diag(baseball.d) @ A.T, alpha=0.1
+        mapped, rc.Dispersion(A @ baseball.y + b, A @ np.diag(baseball.d) @ A.T), alpha=0.1
     )
     assert np.array_equal(sel.indices, sel2.indices)
 

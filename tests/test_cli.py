@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from rankcred import cli
 from rankcred.fileio import emit_dataset, format_matrix, write_matrix_csv, write_rows_csv
 from rankcred.rankdist import DS_TOL
 
-from conftest import make_dataset
+from conftest import count_factorizations, make_dataset
 from oracles import plot_data_reference
 
 DATA_CSV = """id,y,d,gold
@@ -270,6 +271,58 @@ class TestFitCommand:
         means = [post["mean"][k] for k in ("a", "b", "c", "d", "e")]
         assert np.std(means) < np.std([0.40, 0.35, 0.30, 0.25, 0.20])
 
+    @pytest.mark.parametrize("samples", ["10", "12"])
+    def test_hb_elliptical_with_fewer_draws_than_entities(self, tmp_path, samples):
+        # S <= m = 18: the covariance of the draws is singular, and the size
+        # reads the jittered factor that the selection used
+        out = tmp_path / "out"
+        data = Path(rc.__file__).parent / "data" / "baseball.csv"
+        argv = ["fit", str(data), "--model", "hb", "--set", "elliptical", "--samples", samples]
+        assert run_command([*argv, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "posterior_summary.json", "rank_matrix.csv", "rank_summary.csv", "size_report.json",
+        ]
+        size = json.loads((out / "size_report.json").read_text())
+        assert math.isfinite(size["log_volume"])
+
+    @pytest.mark.parametrize(
+        "model, geometry, weights, expected",
+        [
+            ("hb", "elliptical", "equal", 1),
+            ("hb", "elliptical", "mahal", 1),
+            ("hb", "cartesian", "mahal", 1),
+            ("hb", "cartesian", "equal", 0),
+            ("ub", "elliptical", "mahal", 0),
+            ("ub", "cartesian", "mahal", 0),
+        ],
+    )
+    def test_one_factorization_per_fit(self, tmp_path, monkeypatch, model, geometry, weights, expected):
+        # selection, weights and size all read one factor of the dispersion;
+        # UB's dispersion diag(d) is never factored
+        calls = count_factorizations(monkeypatch, 18)
+        data = Path(rc.__file__).parent / "data" / "baseball.csv"
+        argv = ["fit", str(data), "--model", model, "--set", geometry, "--weights", weights]
+        assert run_command([*argv, "--samples", "2000", "--out", str(tmp_path / "out")]) == 0
+        assert len(calls) == expected, calls
+
+    @pytest.mark.parametrize("geometry", ["cartesian", "elliptical"])
+    def test_size_report_past_double_range(self, tmp_path, geometry):
+        # m = 1000 as fit-ub-wide generates its data: exp(log volume)
+        # overflows a double, so the volume is null and log_volume holds it
+        rng = np.random.default_rng([1, 1000])
+        x, d = rng.uniform(0.0, 1.0, 1000), rng.uniform(0.5, 2.0, 1000)
+        _, ds = rc.generate_instance(x, 0.2, 0.4, 1.0, d, rng)
+        data = tmp_path / "wide.csv"
+        data.write_text(emit_dataset(ds))
+        out = tmp_path / "out"
+        argv = ["fit", str(data), "--model", "ub", "--set", geometry, "--samples", "2000"]
+        assert run_command([*argv, "--out", str(out)]) == 0
+        assert len(list(out.iterdir())) == 4
+        size = json.loads((out / "size_report.json").read_text())
+        assert size["volume"] is None
+        assert math.log(sys.float_info.max) < size["log_volume"] < math.inf
+        assert math.log(size["vol_mth_root"]) == pytest.approx(size["log_volume"] / 1000, rel=1e-9)
+
     def test_ub_fit_skips_covariance(self, data_path, tmp_path, monkeypatch):
         # a UB fit writes only the posterior mean, so it never summarizes
         def no_summary(draws):
@@ -358,7 +411,7 @@ class TestFitCommand:
         ]
         ds = rc.Dataset(entities=tuple(entities))
         draws = rc.sample_ub(ds, 2000, seed=1)
-        sel = rc.elliptical_select(draws, ds.y, np.diag(ds.d), 0.1)
+        sel = rc.elliptical_select(draws, rc.Dispersion(ds.y, np.diag(ds.d)), 0.1)
         dist = rc.build_distribution(sel, draws, rc.MAHALANOBIS_EXP)
         assert (dist.probs == 0).any() and ((dist.probs > 0) & (dist.probs < 1)).any()
         cli._write_plot_data(tmp_path / "plot.csv", ds, dist, format_matrix(dist.probs), 0.1)

@@ -8,7 +8,7 @@ from scipy.linalg import cho_factor
 
 import rankcred as rc
 from rankcred import credset
-from rankcred.credset import _JITTER, mahalanobis_many
+from rankcred.credset import _JITTER, Dispersion
 from rankcred.posterior import PosteriorDraws
 
 from oracles import (
@@ -21,7 +21,7 @@ from oracles import (
 
 
 def spy_factorizations(monkeypatch) -> list:
-    """Record every dispersion that `mahalanobis_many` factors."""
+    """Record every dispersion that `Dispersion` factors."""
     calls, factor = [], credset._cho_factor_spd
 
     def spy(dispersion):
@@ -211,7 +211,7 @@ class TestMahalanobis:
         disp = B @ B.T / m + np.diag(rng.uniform(0.5, 2.0, m))
         center = rng.standard_normal(m)
         thetas = center + rng.standard_normal((500, m)) * 2
-        got = mahalanobis_many(thetas, center, disp)
+        got = Dispersion(center, disp).distances(thetas)
         assert np.allclose(got, mahalanobis_solve(thetas, center, disp), rtol=1e-10, atol=0)
 
     def test_many_jitter_path_matches_solve_oracle_m200(self):
@@ -225,7 +225,7 @@ class TestMahalanobis:
         with pytest.raises(np.linalg.LinAlgError):
             cho_factor(disp, lower=True)
         jittered = disp + _JITTER * np.mean(np.diag(disp)) * np.eye(200)
-        got = mahalanobis_many(thetas, center, disp)
+        got = Dispersion(center, disp).distances(thetas)
         assert np.allclose(got, mahalanobis_solve(thetas, center, jittered), rtol=1e-10, atol=0)
         # S draws in S-1 dimensions all lie at distance S-1 from their mean
         assert np.allclose(got, 149.0, rtol=1e-8, atol=0)
@@ -238,7 +238,7 @@ class TestMahalanobis:
         var = rng.uniform(0.5, 2.0, 200)
         center = rng.standard_normal(200)
         thetas = center + rng.standard_normal((500, 200)) * 2
-        got = mahalanobis_many(thetas, center, np.diag(var))
+        got = Dispersion(center, np.diag(var)).distances(thetas)
         assert calls == []
         assert np.allclose(got, mahalanobis_solve(thetas, center, np.diag(var)), rtol=1e-12, atol=0)
 
@@ -247,7 +247,7 @@ class TestMahalanobis:
         var = np.array([1.0, 0.0, 2.0])
         thetas = np.random.default_rng(15).standard_normal((50, 3))
         center = np.array([0.1, 0.2, 0.3])
-        got = mahalanobis_many(thetas, center, np.diag(var))
+        got = Dispersion(center, np.diag(var)).distances(thetas)
         jittered = np.diag(var) + _JITTER * np.mean(var) * np.eye(3)
         assert len(calls) == 1
         assert np.allclose(got, mahalanobis_solve(thetas, center, jittered), rtol=1e-10, atol=0)
@@ -256,7 +256,7 @@ class TestMahalanobis:
     def test_many_diagonal_with_negative_raises(self, var, monkeypatch):
         calls = spy_factorizations(monkeypatch)
         with pytest.raises(rc.DomainError, match="positive definite"):
-            mahalanobis_many(np.zeros((2, len(var))), np.ones(len(var)), np.diag(var))
+            Dispersion(np.ones(len(var)), np.diag(var)).distances(np.zeros((2, len(var))))
         assert len(calls) == 1
 
     def test_many_tiny_off_diagonal_is_factored(self, monkeypatch):
@@ -266,31 +266,63 @@ class TestMahalanobis:
         disp[3, 7] = disp[7, 3] = 1e-12
         center = rng.standard_normal(200)
         thetas = center + rng.standard_normal((500, 200))
-        got = mahalanobis_many(thetas, center, disp)
+        got = Dispersion(center, disp).distances(thetas)
         assert len(calls) == 1
         assert np.allclose(got, mahalanobis_solve(thetas, center, disp), rtol=1e-12, atol=0)
 
 
+class TestDispersion:
+    def test_log_det_and_precision_match_lu_oracle_m200(self, monkeypatch):
+        # one factor gives both; np.linalg.slogdet and inv are LU-based
+        calls = spy_factorizations(monkeypatch)
+        rng = np.random.default_rng(17)
+        B = rng.standard_normal((200, 200))
+        disp = B @ B.T / 200 + np.diag(rng.uniform(0.5, 2.0, 200))
+        d = Dispersion(np.zeros(200), disp)
+        assert d.log_det == pytest.approx(np.linalg.slogdet(disp)[1], rel=1e-12)
+        assert np.allclose(d.precision_diag, np.diag(np.linalg.inv(disp)), rtol=1e-10, atol=0)
+        d.distances(rng.standard_normal((5, 200)))
+        assert len(calls) == 1
+
+    def test_jittered_log_det_and_precision(self):
+        # rank-149 covariance of 150 draws at m = 200: both read the jittered
+        # factor; its condition number is about 1e10, hence the tolerances
+        thetas = np.random.default_rng(13).standard_normal((150, 200))
+        disp = np.cov(thetas.T, bias=True)
+        jittered = disp + _JITTER * np.mean(np.diag(disp)) * np.eye(200)
+        d = Dispersion(thetas.mean(axis=0), disp)
+        assert d.log_det == pytest.approx(np.linalg.slogdet(jittered)[1], rel=1e-8)
+        assert np.allclose(d.precision_diag, np.diag(np.linalg.inv(jittered)), rtol=1e-5, atol=0)
+
+    def test_diagonal_is_not_factored(self, monkeypatch):
+        calls = spy_factorizations(monkeypatch)
+        var = np.random.default_rng(18).uniform(0.5, 2.0, 50)
+        d = Dispersion(np.zeros(50), np.diag(var))
+        assert d.log_det == float(np.sum(np.log(var)))
+        assert np.array_equal(d.precision_diag, 1.0 / var)
+        assert calls == []
+
+
 class TestEllipticalSelect:
     def test_cutoff_near_chi2(self, baseball, ub_draws):
-        sel = rc.elliptical_select(ub_draws, baseball.y, np.diag(baseball.d), alpha=0.1)
+        sel = rc.elliptical_select(ub_draws, Dispersion(baseball.y, np.diag(baseball.d)), alpha=0.1)
         ref = stats.chi2.ppf(0.9, df=18)
         assert sel.ellip.cutoff == pytest.approx(ref, rel=0.03)
 
     def test_count_within_one(self, ub_draws):
         for alpha in (0.05, 0.1, 0.3):
-            sel = rc.elliptical_select(ub_draws, np.zeros(18), np.eye(18), alpha)
+            sel = rc.elliptical_select(ub_draws, Dispersion(np.zeros(18), np.eye(18)), alpha)
             assert abs(sel.K - ub_draws.S * (1 - alpha)) <= 1
 
     def test_single_draw_center(self):
         draws = PosteriorDraws(theta=np.array([[1.0, 2.0], [5.0, 5.0]]), model="UB", seed=0)
-        sel = rc.elliptical_select(draws, [1.0, 2.0], np.eye(2), alpha=0.5)
+        sel = rc.elliptical_select(draws, Dispersion([1.0, 2.0], np.eye(2)), alpha=0.5)
         assert list(sel.indices) == [0]
         assert sel.ellip.distances[0] == 0.0
 
     def test_identity_dispersion_is_squared_norm(self):
         draws = normal_draws(200, 3, seed=7)
-        sel = rc.elliptical_select(draws, np.zeros(3), np.eye(3), alpha=0.2)
+        sel = rc.elliptical_select(draws, Dispersion(np.zeros(3), np.eye(3)), alpha=0.2)
         assert np.allclose(sel.ellip.distances, np.sum(draws.theta**2, axis=1))
 
     def test_affine_invariance(self):
@@ -301,14 +333,14 @@ class TestEllipticalSelect:
         center = np.array([0.1, -0.2, 0.3])
         disp = np.eye(3) * 2.0
         mapped = PosteriorDraws(theta=draws.theta @ A.T + b, model="UB", seed=0)
-        sel = rc.elliptical_select(draws, center, disp, alpha=0.1)
-        sel2 = rc.elliptical_select(mapped, A @ center + b, A @ disp @ A.T, alpha=0.1)
+        sel = rc.elliptical_select(draws, Dispersion(center, disp), alpha=0.1)
+        sel2 = rc.elliptical_select(mapped, Dispersion(A @ center + b, A @ disp @ A.T), alpha=0.1)
         assert np.array_equal(sel.indices, sel2.indices)
 
     def test_nesting_in_alpha(self):
         draws = normal_draws(5000, 4, seed=10)
-        sel_wide = rc.elliptical_select(draws, np.zeros(4), np.eye(4), alpha=0.05)
-        sel_narrow = rc.elliptical_select(draws, np.zeros(4), np.eye(4), alpha=0.20)
+        sel_wide = rc.elliptical_select(draws, Dispersion(np.zeros(4), np.eye(4)), alpha=0.05)
+        sel_narrow = rc.elliptical_select(draws, Dispersion(np.zeros(4), np.eye(4)), alpha=0.20)
         assert set(sel_narrow.indices) <= set(sel_wide.indices)
 
     def test_batch_distances_match_scalar(self):
@@ -317,6 +349,6 @@ class TestEllipticalSelect:
         disp = B @ B.T + np.eye(4)
         center = rng.standard_normal(4)
         thetas = rng.standard_normal((20, 4))
-        batch = mahalanobis_many(thetas, center, disp)
+        batch = Dispersion(center, disp).distances(thetas)
         for s in range(20):
             assert batch[s] == pytest.approx(rc.mahalanobis(thetas[s], center, disp), rel=1e-10)

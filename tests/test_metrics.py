@@ -1,9 +1,19 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import special, stats
 
 import rankcred as rc
+from rankcred import cli
 from rankcred.metrics import log_ellipse_volume
+
+
+def ellipse(K):
+    """The ellipse {x : x' K x <= c} as a Dispersion: center 0, matrix K^-1."""
+    return rc.Dispersion(np.zeros(len(K)), np.linalg.inv(K))
 
 
 class TestOrthotopeSize:
@@ -26,6 +36,22 @@ class TestOrthotopeSize:
         assert rep.vol_mth_root == 0.0
         assert rep.avg_length == 2.5
 
+    @pytest.mark.parametrize(
+        "sides, reported",
+        [
+            ([2.0, 0.5], 1.0),
+            ([0.0, 5.0], 0.0),  # log_volume is None: null, never -Infinity
+            ([1e-160, 1e-160], None),  # 1e-320 is subnormal
+            ([0.01] * 500, None),  # underflows to 0.0
+            ([1e3] * 120, None),  # overflows
+        ],
+    )
+    def test_reported_volume(self, sides, reported):
+        # size_report.json writes the volume only where a normal double holds it
+        rep = rc.orthotope_size(np.column_stack([np.zeros(len(sides)), sides]))
+        assert (rep.log_volume is None) == (0.0 in sides)
+        assert cli._reported_volume(rep) == reported
+
     def test_inverted_bounds_rejected(self):
         with pytest.raises(rc.DomainError):
             rc.orthotope_size([[1.0, 0.0]])
@@ -37,32 +63,50 @@ class TestOrthotopeSize:
         assert rep.volume == 0.0 or rep.volume == pytest.approx(1e-1000, abs=1e-300)
         assert rep.vol_mth_root == pytest.approx(0.01)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(1, 5000),
+        lo=st.floats(-3.0, 3.0),
+        hi=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=5000, lo=3.0, hi=3.0, seed=0)  # volume 1e15000 overflows
+    @example(m=5000, lo=-3.0, hi=-3.0, seed=0)  # volume 1e-15000 underflows
+    def test_log_volume_of_any_box(self, m, lo, hi, seed):
+        # side lengths 1e-3..1e3: the log volume is the sum of the log
+        # lengths wherever exp of it leaves the range of a double
+        lengths = 10.0 ** np.random.default_rng(seed).uniform(min(lo, hi), max(lo, hi), m)
+        rep = rc.orthotope_size(np.column_stack([np.zeros(m), lengths]))
+        assert rep.log_volume == pytest.approx(math.fsum(map(math.log, lengths)), rel=0, abs=1e-9)
+        assert 0 < rep.vol_mth_root < math.inf
+        assert (rep.volume == math.inf) == (rep.log_volume > math.log(sys.float_info.max))
+
 
 class TestEllipseVolume:
     def test_unit_disk(self):
-        assert rc.ellipse_volume(np.eye(2), 2, 1.0) == pytest.approx(np.pi)
+        assert rc.ellipse_volume(ellipse(np.eye(2)).log_det, 2, 1.0) == pytest.approx(np.pi)
 
     def test_unit_ball_3d(self):
-        assert rc.ellipse_volume(np.eye(3), 3, 1.0) == pytest.approx(4 * np.pi / 3)
+        assert rc.ellipse_volume(ellipse(np.eye(3)).log_det, 3, 1.0) == pytest.approx(4 * np.pi / 3)
 
     def test_diagonal_example(self):
         # {x'Kx <= 1} with K = diag(4, 9) is the ellipse with semi-axes
         # 1/2 and 1/3, area pi/6
-        got = rc.ellipse_volume(np.diag([4.0, 9.0]), 2, 1.0)
+        got = rc.ellipse_volume(ellipse(np.diag([4.0, 9.0])).log_det, 2, 1.0)
         assert got == pytest.approx(np.pi / 6)
 
     def test_cutoff_scaling(self):
         # volume scales as c^(m/2)
-        base = rc.ellipse_volume(np.eye(3), 3, 1.0)
-        assert rc.ellipse_volume(np.eye(3), 3, 4.0) == pytest.approx(8 * base)
+        base = rc.ellipse_volume(ellipse(np.eye(3)).log_det, 3, 1.0)
+        assert rc.ellipse_volume(ellipse(np.eye(3)).log_det, 3, 4.0) == pytest.approx(8 * base)
 
     def test_orthogonal_invariance(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((4, 4))
         Q, _ = np.linalg.qr(A)
         K = np.diag([1.0, 2.0, 3.0, 4.0])
-        got = rc.ellipse_volume(Q @ K @ Q.T, 4, 2.5)
-        assert got == pytest.approx(rc.ellipse_volume(K, 4, 2.5))
+        got = rc.ellipse_volume(ellipse(Q @ K @ Q.T).log_det, 4, 2.5)
+        assert got == pytest.approx(rc.ellipse_volume(ellipse(K).log_det, 4, 2.5))
 
     def test_monte_carlo_check(self):
         rng = np.random.default_rng(1)
@@ -72,24 +116,25 @@ class TestEllipseVolume:
         pts = rng.uniform(-3, 3, size=(200000, 2))
         inside = np.einsum("si,ij,sj->s", pts, K, pts) <= c
         mc = inside.mean() * 36.0
-        assert rc.ellipse_volume(K, 2, c) == pytest.approx(mc, rel=0.03)
+        assert rc.ellipse_volume(ellipse(K).log_det, 2, c) == pytest.approx(mc, rel=0.03)
 
     def test_log_volume_survives_large_m(self):
         m = 300
-        lv = log_ellipse_volume(np.eye(m), m, stats.chi2.ppf(0.9, m))
+        lv = log_ellipse_volume(ellipse(np.eye(m)).log_det, m, stats.chi2.ppf(0.9, m))
         assert np.isfinite(lv)
 
     def test_bad_inputs(self):
         with pytest.raises(rc.DomainError):
-            rc.ellipse_volume(np.eye(2), 2, 0.0)
+            rc.ellipse_volume(ellipse(np.eye(2)).log_det, 2, 0.0)
         with pytest.raises(rc.DomainError):
-            rc.ellipse_volume(np.array([[1.0, 2.0], [2.0, 1.0]]), 2, 1.0)
+            rc.ellipse_volume(ellipse(np.array([[1.0, 2.0], [2.0, 1.0]])).log_det, 2, 1.0)
 
 
 class TestEllipseLengths:
     def test_beta_constant(self):
         # B(1/2, 19/2) for m = 18
-        l_r, _, _ = rc.ellipse_lengths(np.eye(18), 18, 1.0)
+        e = ellipse(np.eye(18))
+        l_r, _, _ = rc.ellipse_lengths(e.log_det, e.precision_diag, 1.0)
         assert np.allclose(l_r, special.beta(0.5, 9.5))
         assert special.beta(0.5, 9.5) == pytest.approx(0.5827, abs=5e-4)
 
@@ -98,11 +143,13 @@ class TestEllipseLengths:
         B = rng.standard_normal((5, 5))
         K = B @ B.T + np.eye(5)
         c = 3.0
-        _, l_m, _ = rc.ellipse_lengths(K, 5, c)
-        assert np.prod(l_m) == pytest.approx(rc.ellipse_volume(K, 5, c), rel=1e-10)
+        e = ellipse(K)
+        _, l_m, _ = rc.ellipse_lengths(e.log_det, e.precision_diag, c)
+        assert np.prod(l_m) == pytest.approx(rc.ellipse_volume(e.log_det, 5, c), rel=1e-10)
 
     def test_sphere_lengths_equal(self):
-        l_r, l_m, l_e = rc.ellipse_lengths(np.eye(3), 3, 2.0)
+        e = ellipse(np.eye(3))
+        l_r, l_m, l_e = rc.ellipse_lengths(e.log_det, e.precision_diag, 2.0)
         assert np.allclose(l_r, l_r[0])
         assert np.allclose(l_m, l_m[0])
         assert l_e == pytest.approx(l_m[0])
@@ -110,11 +157,13 @@ class TestEllipseLengths:
     def test_lengths_scale_with_axis(self):
         # doubling K_ii halves the representative length of side i
         K = np.diag([1.0, 4.0])
-        l_r, _, _ = rc.ellipse_lengths(K, 2, 1.0)
+        e = ellipse(K)
+        l_r, _, _ = rc.ellipse_lengths(e.log_det, e.precision_diag, 1.0)
         assert l_r[0] == pytest.approx(2 * l_r[1])
 
     def test_size_report(self):
-        rep = rc.ellipse_size(np.eye(2), 2, 1.0)
+        e = ellipse(np.eye(2))
+        rep = rc.ellipse_size(e.log_det, e.precision_diag, 1.0)
         assert rep.geometry == "elliptical"
         assert rep.volume == pytest.approx(np.pi)
         assert np.prod(rep.per_side_lengths) == pytest.approx(np.pi, rel=1e-10)

@@ -101,15 +101,15 @@ class TestBuildDistribution:
 
     def test_doubly_stochastic_mahal(self):
         sel, draws = toy_selection_and_draws(seed=1)
-        ctx = (draws.theta.mean(axis=0), np.cov(draws.theta.T))
-        dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP, mahal_context=ctx)
+        disp = rc.Dispersion(draws.theta.mean(axis=0), np.cov(draws.theta.T))
+        dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP, dispersion=disp)
         assert np.allclose(dist.probs.sum(axis=0), 1.0, atol=DS_TOL)
         assert np.allclose(dist.probs.sum(axis=1), 1.0, atol=DS_TOL)
 
     def test_equal_weighting_averages_tables(self):
         theta = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
         draws = PosteriorDraws(theta=theta, model="UB", seed=0)
-        sel = rc.elliptical_select(draws, theta.mean(axis=0), np.eye(3), alpha=0.01)
+        sel = rc.elliptical_select(draws, rc.Dispersion(theta.mean(axis=0), np.eye(3)), alpha=0.01)
         dist = rc.build_distribution(sel, draws)
         manual = 0.5 * (rank_table(theta[0]) + rank_table(theta[1]))
         assert np.allclose(dist.probs, manual)
@@ -119,7 +119,7 @@ class TestBuildDistribution:
         # toward the ranking of the first draw
         theta = np.array([[0.1, 0.2, 0.9], [0.9, 0.2, 0.1], [0.9, 0.2, 0.1]])
         draws = PosteriorDraws(theta=theta, model="UB", seed=0)
-        sel = rc.elliptical_select(draws, [0.1, 0.2, 0.9], np.eye(3), alpha=0.01)
+        sel = rc.elliptical_select(draws, rc.Dispersion([0.1, 0.2, 0.9], np.eye(3)), alpha=0.01)
         assert sel.K == 3
         dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
         d1 = rc.mahalanobis(theta[1], [0.1, 0.2, 0.9], np.eye(3))
@@ -131,7 +131,7 @@ class TestBuildDistribution:
 
     def test_cartesian_mahal_requires_context(self):
         sel, draws = toy_selection_and_draws(seed=2)
-        with pytest.raises(rc.DomainError, match="mahal_context"):
+        with pytest.raises(rc.DomainError, match="dispersion"):
             rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
 
     def test_unknown_weighting(self):
@@ -154,7 +154,7 @@ class TestBuildDistribution:
         # the weighted count over (rank, entity) cells against the table path
         theta = np.random.default_rng(5).standard_normal((40, 6))
         draws = PosteriorDraws(theta=theta, model="UB", seed=0)
-        sel = rc.elliptical_select(draws, np.zeros(6), np.eye(6), alpha=0.01)
+        sel = rc.elliptical_select(draws, rc.Dispersion(np.zeros(6), np.eye(6)), alpha=0.01)
         dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
         w = np.exp(-sel.ellip.distances[sel.indices] / 2)
         manual = sum(wi * rank_table(t) for wi, t in zip(w / w.sum(), theta[sel.indices]))
@@ -163,7 +163,7 @@ class TestBuildDistribution:
     def test_tied_rows_handled(self):
         theta = np.array([[1.0, 1.0, 2.0], [1.0, 2.0, 3.0], [2.0, 2.0, 2.0]])
         draws = PosteriorDraws(theta=theta, model="UB", seed=0)
-        sel = rc.elliptical_select(draws, theta.mean(axis=0), np.eye(3), alpha=0.01)
+        sel = rc.elliptical_select(draws, rc.Dispersion(theta.mean(axis=0), np.eye(3)), alpha=0.01)
         dist = rc.build_distribution(sel, draws)
         manual = sum(rank_table(t) for t in theta) / 3.0
         assert np.allclose(dist.probs, manual, atol=1e-12)
@@ -195,7 +195,7 @@ class TestBuildDistribution:
                 (rc.EQUAL, np.ones(sel.K)),
                 (rc.MAHALANOBIS_EXP, np.exp(-(dist - dist.min()) / 2)),
             ):
-                got = rc.build_distribution(sel, draws, weighting, (center, dispersion))
+                got = rc.build_distribution(sel, draws, weighting, rc.Dispersion(center, dispersion))
                 manual = sum(wi * rank_table(t) for wi, t in zip(w / w.sum(), rows))
                 assert np.allclose(got.probs, manual, rtol=0, atol=1e-12)
         assert draws.row_order[0] is order and draws.row_order[1] is tied
@@ -212,7 +212,7 @@ class TestBuildDistribution:
         monkeypatch.setattr(posterior, "BLOCK_CELLS", 16 * m)
         theta, tied_rows = draws_with_ties(64, m, [3, 20, 40], seed=22)
         draws = PosteriorDraws(theta=theta, model="UB", seed=0)
-        sel = rc.elliptical_select(draws, np.zeros(m), np.eye(m), alpha=0.2)
+        sel = rc.elliptical_select(draws, rc.Dispersion(np.zeros(m), np.eye(m)), alpha=0.2)
         assert sel.indices[-1] >= 48 and set(tied_rows) <= set(sel.indices)
         assert len(sel.indices) < 64
         got = rc.build_distribution(sel, draws, weighting).probs
@@ -230,7 +230,7 @@ class TestBuildDistribution:
         order, tied = draws.row_order
         assert np.flatnonzero(tied).tolist() == tied_rows
         assert np.array_equal(order[~tied], np.argsort(theta[~tied], axis=1, kind="stable"))
-        sel = rc.elliptical_select(draws, np.zeros(m), np.eye(m), alpha=0.2)
+        sel = rc.elliptical_select(draws, rc.Dispersion(np.zeros(m), np.eye(m)), alpha=0.2)
         assert sel.indices[-1] > 2 * 4096 and tied[sel.indices].sum() >= 2
         for weighting in (rc.EQUAL, rc.MAHALANOBIS_EXP):
             got = rc.build_distribution(sel, draws, weighting).probs
@@ -295,7 +295,7 @@ class TestBuildDistribution:
     def test_every_selected_row_tied(self):
         theta = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         draws = PosteriorDraws(theta=theta, model="UB", seed=0)
-        sel = rc.elliptical_select(draws, theta.mean(axis=0), np.eye(2), alpha=0.01)
+        sel = rc.elliptical_select(draws, rc.Dispersion(theta.mean(axis=0), np.eye(2)), alpha=0.01)
         dist = rc.build_distribution(sel, draws)
         assert np.array_equal(dist.probs, np.full((2, 2), 0.5))
 
@@ -303,7 +303,7 @@ class TestBuildDistribution:
         # weights survive distances large enough to underflow exp(-d/2)
         theta = np.array([[0.0, 1.0], [100.0, -100.0], [0.1, 1.1]])
         draws = PosteriorDraws(theta=theta, model="UB", seed=0)
-        sel = rc.elliptical_select(draws, [0.0, 1.0], 1e-4 * np.eye(2), alpha=0.01)
+        sel = rc.elliptical_select(draws, rc.Dispersion([0.0, 1.0], 1e-4 * np.eye(2)), alpha=0.01)
         dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
         assert np.all(np.isfinite(dist.probs))
         assert np.allclose(dist.probs.sum(axis=0), 1.0, atol=DS_TOL)

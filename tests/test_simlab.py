@@ -5,6 +5,8 @@ import rankcred as rc
 from rankcred import kww, rankdist
 from rankcred.simlab import RESULT_COLUMNS, run_cell
 
+from conftest import count_factorizations
+
 
 class TestSimConfig:
     def test_defaults_use_baseball_variances(self, baseball):
@@ -176,3 +178,11 @@ class TestRunStudy:
         for key, (_, dist) in zip(keys, built):
             dev = np.mean([rc.expected_abs_deviation(dist.probs[:, i], xi[i]) for i in range(6)])
             assert rows[key] == pytest.approx(dev, abs=1e-12)
+
+    def test_one_factorization_per_replication(self, monkeypatch):
+        # HB: one factor of the posterior covariance serves both selections,
+        # the mahal weights and the ellipse size; UB's diag(d) is not factored
+        calls = count_factorizations(monkeypatch, 18)
+        cfg = rc.SimConfig(n_reps=1, samples=500)
+        run_cell(cfg, np.random.default_rng(0).uniform(0.0, 1.0, 18), 1.0, 0.0, 0)
+        assert calls == ["_cho_factor_spd"]
