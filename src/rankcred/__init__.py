@@ -22,7 +22,6 @@ from .metrics import (
     tese,
 )
 from .posterior import (
-    HbConfig,
     PosteriorDraws,
     PosteriorSummary,
     gibbs_hb,
@@ -52,7 +51,6 @@ __all__ = [
     "Dispersion",
     "DomainError",
     "Entity",
-    "HbConfig",
     "KwwRankSet",
     "PosteriorDraws",
     "PosteriorSummary",

@@ -13,9 +13,9 @@ import numpy as np
 
 from . import credset, kww, metrics, rankdist
 from .domain import Dataset, DomainError, rank_of
-from .fileio import FMT, csv_field, fmt, format_matrix, parse_dataset
+from .fileio import FMT, csv_field, format_matrix, parse_dataset
 from .fileio import write_matrix_csv, write_rows_csv
-from .posterior import HbConfig, gibbs_hb, sample_ub, summarize
+from .posterior import gibbs_hb, sample_ub, summarize
 from .simlab import RESULT_COLUMNS, SimConfig, run_study
 
 
@@ -57,10 +57,7 @@ def _cmd_fit(args) -> int:
         dispersion = credset.Dispersion(ds.y, np.diag(ds.d))
         mean, a_stats = draws.theta.mean(axis=0), {}
     else:
-        cfg = HbConfig(
-            samples=args.samples, seed=args.seed, include_intercept=not args.no_intercept
-        )
-        draws = gibbs_hb(ds, cfg)
+        draws = gibbs_hb(ds, args.samples, args.seed, include_intercept=not args.no_intercept)
         summary = summarize(draws)
         dispersion = credset.Dispersion(summary.mean, summary.cov)
         mean = summary.mean
@@ -80,21 +77,20 @@ def _cmd_fit(args) -> int:
     cells = format_matrix(dist.probs)
     write_matrix_csv(out / "rank_matrix.csv", cells, ds.ids)
 
-    y = ds.y  # Dataset.y builds a new array on every access
-    observed = rank_of(y)
-    gold_ranks = ds.gold_ranks() if ds.has_gold else None
+    observed = rank_of(ds.y)
     header = ["id", "y", "observed_rank", "expected_rank", "rank_q05", "rank_q50", "rank_q95"]
     if ds.has_gold:
         header += ["gold_rank", "exp_abs_dev"]
+        gold_ranks = ds.gold_ranks()
+        exp_abs_dev = metrics.expected_abs_deviation(dist.probs, gold_ranks)
     # rank quantile q: the first rank whose cumulative mass reaches q
     cum = np.cumsum(dist.probs, axis=0)
     q05, q50, q95 = (((cum < q).sum(axis=0) + 1).tolist() for q in (0.05, 0.50, 0.95))
     rows = []
     for i, ident in enumerate(ds.ids):
-        marginal = dist.probs[:, i]
         row = [
             ident,
-            y[i],
+            ds.y[i],
             observed[i],
             rankdist.expected_rank(dist, i),
             q05[i],
@@ -102,7 +98,7 @@ def _cmd_fit(args) -> int:
             q95[i],
         ]
         if ds.has_gold:
-            row += [gold_ranks[i], metrics.expected_abs_deviation(marginal, gold_ranks[i])]
+            row += [gold_ranks[i], exp_abs_dev[i]]
         rows.append(row)
     write_rows_csv(out / "rank_summary.csv", header, rows)
 
@@ -170,14 +166,11 @@ def _cmd_kww(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     ranks = kww.rank_confidence_set(ds, args.alpha, args.method)
-    gold_ranks = ds.gold_ranks() if ds.has_gold else None
+    eps = [""] * ds.m
+    if ds.has_gold:
+        eps = metrics.kww_abs_deviation(ranks.rank_lo, ranks.rank_hi, ds.gold_ranks())
     rows = []
     for i, ident in enumerate(ds.ids):
-        eps = (
-            fmt(metrics.kww_abs_deviation(ranks.rank_lo[i], ranks.rank_hi[i], gold_ranks[i]))
-            if ds.has_gold
-            else ""
-        )
         rows.append(
             [
                 ident,
@@ -185,7 +178,7 @@ def _cmd_kww(args) -> int:
                 ranks.intervals[i, 1],
                 int(ranks.rank_lo[i]),
                 int(ranks.rank_hi[i]),
-                eps,
+                eps[i],
             ]
         )
     write_rows_csv(out / "kww_ranksets.csv", ["id", "L", "U", "rank_lo", "rank_hi", "eps_kww"], rows)
@@ -198,9 +191,7 @@ def _cmd_simulate(args) -> int:
     unknown = sorted(set(raw) - {f.name for f in fields(SimConfig)})
     if unknown:
         raise DomainError(f"unknown simulation config keys: {unknown}")
-    for key in ("a_grid", "beta1_grid", "d"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
+    raw = {key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()}
     cfg = SimConfig(**raw)
     rows = run_study(cfg)
     write_rows_csv(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.stats import rankdata
@@ -74,32 +75,39 @@ class Dataset:
     def ids(self) -> list[str]:
         return [e.id for e in self.entities]
 
-    @property
+    @cached_property
     def y(self) -> np.ndarray:
-        return np.array([e.y for e in self.entities])
+        return _read_only([e.y for e in self.entities])
 
-    @property
+    @cached_property
     def d(self) -> np.ndarray:
-        return np.array([e.d for e in self.entities])
+        return _read_only([e.d for e in self.entities])
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
         """m x p covariate matrix (no intercept column)."""
-        return np.array([e.x for e in self.entities]).reshape(self.m, self.p)
+        return _read_only([e.x for e in self.entities]).reshape(self.m, self.p)
 
     @property
     def has_gold(self) -> bool:
         return self.entities[0].gold is not None
 
-    @property
+    @cached_property
     def gold(self) -> np.ndarray:
         if not self.has_gold:
             raise DomainError("dataset has no gold-standard values")
-        return np.array([e.gold for e in self.entities])
+        return _read_only([e.gold for e in self.entities])
 
     def gold_ranks(self) -> np.ndarray:
         """Midranks of the gold-standard values."""
         return rank_of(self.gold, MIDRANK)
+
+
+def _read_only(values) -> np.ndarray:
+    """A new float array of `values` that raises on writes."""
+    array = np.array(values, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 def rank_of(values, tie_rule: str = MIDRANK) -> np.ndarray:

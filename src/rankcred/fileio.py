@@ -17,10 +17,6 @@ from .domain import Dataset, DomainError, Entity
 FMT = "%.12g"
 
 
-def fmt(v: float) -> str:
-    return FMT % float(v)
-
-
 def csv_field(text: str) -> str:
     """`text` as the csv module writes it as one field of a row (QUOTE_MINIMAL);
     the empty second field keeps "" unquoted, as it is in a row of several."""
@@ -96,9 +92,9 @@ def emit_dataset(ds: Dataset) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(cols)
     for e in ds.entities:
-        row = [e.id, fmt(e.y), fmt(e.d)] + [fmt(v) for v in e.x]
+        row = [e.id, FMT % e.y, FMT % e.d] + [FMT % v for v in e.x]
         if ds.has_gold:
-            row.append(fmt(e.gold))
+            row.append(FMT % e.gold)
         writer.writerow(row)
     return out.getvalue()
 

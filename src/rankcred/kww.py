@@ -22,14 +22,8 @@ INDEPENDENCE = "independence"
 class KwwRankSet:
     intervals: np.ndarray  # (m, 2) [L_i, U_i]
     gamma: float
-    method: str
-    lambda_counts: np.ndarray  # (m, 3) |Lambda_L|, |Lambda_R|, |Lambda_O|
     rank_lo: np.ndarray  # (m,) int
     rank_hi: np.ndarray  # (m,) int
-
-    @property
-    def m(self) -> int:
-        return len(self.rank_lo)
 
     def expected_rank(self, i: int) -> float:
         """Mean rank under the uniform confidence distribution on the range."""
@@ -96,8 +90,6 @@ def rank_confidence_set(ds: Dataset, alpha: float, method: str = INDEPENDENCE) -
     return KwwRankSet(
         intervals=ivals,
         gamma=gamma,
-        method=method,
-        lambda_counts=counts,
         rank_lo=rank_lo.astype(int),
         rank_hi=rank_hi.astype(int),
     )

@@ -16,11 +16,10 @@ class SizeReport:
     log_volume: float | None  # None when a side has zero length (volume 0.0)
     vol_mth_root: float  # the simulation tables' convention
     avg_length: float
-    geometry: str
     per_side_lengths: np.ndarray | None = None
 
 
-def orthotope_size(bounds: np.ndarray, geometry: str = "cartesian") -> SizeReport:
+def orthotope_size(bounds: np.ndarray) -> SizeReport:
     """Volume and average side length of a box given (m, 2) [L, U] bounds."""
     bounds = np.asarray(bounds, dtype=float)
     lengths = bounds[:, 1] - bounds[:, 0]
@@ -36,7 +35,6 @@ def orthotope_size(bounds: np.ndarray, geometry: str = "cartesian") -> SizeRepor
         log_volume=log_vol,
         vol_mth_root=root,
         avg_length=float(np.mean(lengths)),
-        geometry=geometry,
         per_side_lengths=lengths,
     )
 
@@ -94,27 +92,34 @@ def ellipse_size(log_det: float, precision_diag, c: float) -> SizeReport:
         log_volume=log_vol,
         vol_mth_root=exp(log_vol / len(l_m)),
         avg_length=l_e,
-        geometry="elliptical",
         per_side_lengths=l_m,
     )
 
 
-def expected_abs_deviation(marginal, xi: float) -> float:
-    """E |rank - xi| under a rank marginal on 1..m; xi may be a midrank."""
-    marginal = np.asarray(marginal, dtype=float)
-    total = marginal.sum()
-    if not np.isclose(total, 1.0, atol=1e-6):
-        raise DomainError(f"marginal sums to {total}, expected 1")
-    ranks = np.arange(1, len(marginal) + 1)
-    return float(np.abs(ranks - xi) @ marginal)
+def expected_abs_deviation(probs, xi):
+    """E |rank - xi_i| for each entity i, column i of `probs` (m, n) being its
+    rank marginal on 1..m; one marginal (m,) takes a scalar xi.  xi may hold
+    midranks."""
+    probs = np.asarray(probs, dtype=float)
+    totals = np.atleast_1d(probs.sum(axis=0))
+    # np.isclose's tolerance at atol=1e-6, and a NaN total fails too
+    bad = np.flatnonzero(~(np.abs(totals - 1.0) <= 1.1e-5))
+    if bad.size:
+        raise DomainError(f"marginal column {bad[0]} sums to {totals[bad[0]]}, expected 1")
+    ranks = np.arange(1, len(probs) + 1)
+    return (np.abs(ranks - np.asarray(xi, dtype=float)[..., None]) * probs.T).sum(axis=-1)
 
 
-def kww_abs_deviation(rank_lo: int, rank_hi: int, xi: float) -> float:
-    """Mean |j - xi| over the contiguous rank range j = rank_lo..rank_hi."""
-    if rank_lo > rank_hi:
-        raise DomainError(f"rank_lo={rank_lo} > rank_hi={rank_hi}")
-    j = np.arange(rank_lo, rank_hi + 1)
-    return float(np.mean(np.abs(j - xi)))
+def kww_abs_deviation(rank_lo, rank_hi, xi):
+    """Mean |j - xi_i| over each entity's contiguous rank range
+    j = rank_lo_i..rank_hi_i; scalars give one value."""
+    lo, hi = np.asarray(rank_lo)[..., None], np.asarray(rank_hi)[..., None]
+    if np.any(lo > hi):
+        raise DomainError(f"rank_lo > rank_hi for entity {np.flatnonzero(lo > hi)[0]}")
+    j = np.arange(lo.min(), hi.max() + 1)
+    in_range = (lo <= j) & (j <= hi)
+    dev = np.abs(j - np.asarray(xi, dtype=float)[..., None]) * in_range
+    return dev.sum(axis=-1) / in_range.sum(axis=-1)
 
 
 def tese(estimates, gold) -> float:

@@ -32,25 +32,11 @@ def row_blocks(n: int, m: int) -> list[slice]:
 
 
 @dataclass(frozen=True)
-class HbConfig:
-    """Sampler settings for the hierarchical model."""
-
-    samples: int = 50000
-    seed: int = 0
-    include_intercept: bool = True
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise DomainError(f"samples={self.samples} must be >= 1")
-
-
-@dataclass(frozen=True)
 class PosteriorDraws:
     """S draws of the mean vector, plus the matching (beta, A) draws for HB."""
 
     theta: np.ndarray  # (S, m)
     model: str  # UB or HB
-    seed: int
     beta: np.ndarray | None = None  # (S, q), HB only
     a: np.ndarray | None = None  # (S,), HB only
 
@@ -114,11 +100,11 @@ class PosteriorSummary:
 
 
 def design_matrix(ds: Dataset, include_intercept: bool = True) -> np.ndarray:
-    """Covariate matrix for the HB fit; all-ones column when p = 0."""
-    if ds.p == 0:
-        return np.ones((ds.m, 1))
+    """Covariate matrix for the HB fit: a ones column unless excluded, then x1..xp."""
     if include_intercept:
         return np.column_stack([np.ones(ds.m), ds.x])
+    if ds.p == 0:
+        raise DomainError("no intercept (--no-intercept) needs covariate columns x1..xp")
     return ds.x
 
 
@@ -130,7 +116,7 @@ def sample_ub(ds: Dataset, S: int, seed: int) -> PosteriorDraws:
     theta = rng.standard_normal((S, ds.m))
     theta *= np.sqrt(ds.d)
     theta += ds.y
-    return PosteriorDraws(theta=theta, model=UB, seed=seed)
+    return PosteriorDraws(theta=theta, model=UB)
 
 
 def _gls(a, X, y, d):
@@ -190,14 +176,16 @@ def draw_theta(y, d, xb, a, rng) -> np.ndarray:
     return mean + np.sqrt(a * d / (a + d)) * rng.standard_normal(mean.shape)
 
 
-def gibbs_hb(ds: Dataset, cfg: HbConfig) -> PosteriorDraws:
+def gibbs_hb(ds: Dataset, S: int, seed: int, include_intercept: bool = True) -> PosteriorDraws:
     """Independent posterior draws of (theta, beta, A) under the hierarchical model.
 
     The name is historical: the model was first fit by a Gibbs chain.  Each
     draw is exact and independent: A from its marginal posterior on a log
     grid, then beta given A, then theta given beta and A.
     """
-    X = design_matrix(ds, cfg.include_intercept)
+    if S < 1:
+        raise DomainError(f"S={S} must be >= 1")
+    X = design_matrix(ds, include_intercept)
     m, q = X.shape
     if m <= q + 1:
         raise DomainError(
@@ -207,11 +195,11 @@ def gibbs_hb(ds: Dataset, cfg: HbConfig) -> PosteriorDraws:
     if np.linalg.matrix_rank(X.T @ X) < q:
         raise DomainError("design matrix is rank deficient")
 
-    rng = np.random.default_rng(cfg.seed)
-    a = _draw_a(X, ds.y, ds.d, cfg.samples, rng)
+    rng = np.random.default_rng(seed)
+    a = _draw_a(X, ds.y, ds.d, S, rng)
     beta = _draw_beta(X, ds.y, ds.d, a, rng)
     theta = draw_theta(ds.y, ds.d, beta @ X.T, a, rng)
-    return PosteriorDraws(theta=theta, model=HB, seed=cfg.seed, beta=beta, a=a)
+    return PosteriorDraws(theta=theta, model=HB, beta=beta, a=a)
 
 
 def summarize(draws: PosteriorDraws) -> PosteriorSummary:

@@ -7,14 +7,15 @@ score average posterior expected absolute rank deviation and set sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import credset, kww, metrics, rankdist
 from .domain import Dataset, DomainError, Entity, rank_of
 from .fileio import baseball_dataset
-from .posterior import HbConfig, gibbs_hb, sample_ub, summarize
+from .posterior import gibbs_hb, sample_ub, summarize
 
 
 def _baseball_d() -> tuple[float, ...]:
@@ -23,7 +24,6 @@ def _baseball_d() -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SimConfig:
-    m: int = 18
     a_grid: tuple[float, ...] = (0.001, 0.005, 0.01, 0.1, 1.0)
     beta0: float = 0.2
     beta1_grid: tuple[float, ...] = (0.0, 0.4)
@@ -34,27 +34,36 @@ class SimConfig:
     samples: int = 2000  # posterior draws per replication
 
     def __post_init__(self):
+        # a JSON config reaches here unchecked: each field must hold its annotated type
+        for f in fields(self):
+            value = getattr(self, f.name)
+            items = value if f.type.startswith("tuple") else (value,)
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            if not isinstance(items, tuple) or not all(isinstance(v, kind) for v in items):
+                raise DomainError(f"{f.name}={value!r} must be {f.type}")
         if self.n_reps < 1:
             raise DomainError(f"n_reps={self.n_reps} must be >= 1")
         if any(a <= 0 for a in self.a_grid):
             raise DomainError("all model variances in a_grid must be > 0")
-        if len(self.d) != self.m or any(v <= 0 for v in self.d):
-            raise DomainError(f"d must be {self.m} positive sampling variances")
+        if any(v <= 0 for v in self.d):
+            raise DomainError("d must hold positive sampling variances")
+
+    @property
+    def m(self) -> int:
+        return len(self.d)
 
 
-def generate_instance(x, beta0, beta1, a, d, rng, include_covariate=None):
+def generate_instance(x, beta0, beta1, a, d, rng):
     """One synthetic truth and dataset: theta_i ~ N(beta0 + beta1 x_i, a),
     y_i ~ N(theta_i, d_i), gold set to the true theta.
 
     The dataset carries the covariate column only when the cell actually
-    uses one (beta1 != 0, unless overridden).
+    uses one (beta1 != 0).
     """
     if a <= 0:
         raise DomainError(f"a={a} must be > 0")
     x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
-    if include_covariate is None:
-        include_covariate = beta1 != 0
     theta = beta0 + beta1 * x + np.sqrt(a) * rng.standard_normal(len(x))
     y = theta + np.sqrt(d) * rng.standard_normal(len(x))
     entities = tuple(
@@ -62,7 +71,7 @@ def generate_instance(x, beta0, beta1, a, d, rng, include_covariate=None):
             id=f"e{i + 1}",
             y=float(y[i]),
             d=float(d[i]),
-            x=(float(x[i]),) if include_covariate else (),
+            x=(float(x[i]),) if beta1 != 0 else (),
             gold=float(theta[i]),
         )
         for i in range(len(x))
@@ -70,34 +79,8 @@ def generate_instance(x, beta0, beta1, a, d, rng, include_covariate=None):
     return theta, Dataset(entities=entities)
 
 
-def _avg_deviation(dist: rankdist.RankCredibleDistribution, xi: np.ndarray) -> float:
-    """Mean over entities of E|rank - xi_i| under the credible distribution."""
-    k = np.arange(1, dist.m + 1)[:, None]
-    return float((np.abs(k - xi) * dist.probs).sum() / dist.m)
-
-
-def _fit_one_model(draws, dispersion: credset.Dispersion, alpha, xi):
-    """Cartesian + elliptical selections scored under both weightings."""
-    out = {}
-    cart = credset.cartesian_select(draws, alpha)
-    ellip = credset.elliptical_select(draws, dispersion, alpha)
-    for geometry, sel in (("cartesian", cart), ("elliptical", ellip)):
-        for weighting in (rankdist.EQUAL, rankdist.MAHALANOBIS_EXP):
-            dist = rankdist.build_distribution(sel, draws, weighting, dispersion=dispersion)
-            out[(geometry, weighting)] = _avg_deviation(dist, xi)
-    bounds = np.column_stack([cart.cart.lower, cart.cart.upper])
-    sizes = {
-        "cartesian": metrics.orthotope_size(bounds),
-        "elliptical": metrics.ellipse_size(
-            dispersion.log_det, dispersion.precision_diag, ellip.ellip.cutoff
-        ),
-    }
-    return out, sizes
-
-
 def run_cell(cfg: SimConfig, x, a, beta1, cell_index):
     """Averages over replications for one (a, beta1) cell; returns row dicts."""
-    d = np.asarray(cfg.d, dtype=float)
     acc = {}  # (method, geometry, weighting) -> [dev_sum, root_sum, len_sum]
 
     def add(key, dev, size):
@@ -108,26 +91,34 @@ def run_cell(cfg: SimConfig, x, a, beta1, cell_index):
 
     for rep in range(cfg.n_reps):
         rng = np.random.default_rng([cfg.seed, cell_index, rep])
-        theta_true, ds = generate_instance(x, cfg.beta0, beta1, a, d, rng)
+        theta_true, ds = generate_instance(x, cfg.beta0, beta1, a, cfg.d, rng)
         xi = rank_of(theta_true)
 
         ranks = kww.rank_confidence_set(ds, cfg.alpha, kww.INDEPENDENCE)
-        # mean |j - xi_i| over each entity's range j = rank_lo..rank_hi
-        j = np.arange(1, ds.m + 1)[:, None]
-        in_range = (ranks.rank_lo <= j) & (j <= ranks.rank_hi)
-        kww_dev = float(np.mean((np.abs(j - xi) * in_range).sum(axis=0) / in_range.sum(axis=0)))
+        kww_dev = metrics.kww_abs_deviation(ranks.rank_lo, ranks.rank_hi, xi).mean()
         add(("KWW", "cartesian", "none"), kww_dev, metrics.orthotope_size(ranks.intervals))
 
         ub = sample_ub(ds, cfg.samples, rng.integers(2**63))
-        hb = gibbs_hb(ds, HbConfig(samples=cfg.samples, seed=rng.integers(2**63)))
+        hb = gibbs_hb(ds, cfg.samples, rng.integers(2**63))
         summ = summarize(hb)
         for method, draws, dispersion in (
             ("UB", ub, credset.Dispersion(ds.y, np.diag(ds.d))),
             ("HB", hb, credset.Dispersion(summ.mean, summ.cov)),
         ):
-            devs, sizes = _fit_one_model(draws, dispersion, cfg.alpha, xi)
-            for (geometry, weighting), dev in devs.items():
-                add((method, geometry, weighting), dev, sizes[geometry])
+            cart = credset.cartesian_select(draws, cfg.alpha)
+            ellip = credset.elliptical_select(draws, dispersion, cfg.alpha)
+            bounds = np.column_stack([cart.cart.lower, cart.cart.upper])
+            ellip_size = metrics.ellipse_size(
+                dispersion.log_det, dispersion.precision_diag, ellip.ellip.cutoff
+            )
+            for geometry, sel, size in (
+                ("cartesian", cart, metrics.orthotope_size(bounds)),
+                ("elliptical", ellip, ellip_size),
+            ):
+                for weighting in (rankdist.EQUAL, rankdist.MAHALANOBIS_EXP):
+                    dist = rankdist.build_distribution(sel, draws, weighting, dispersion=dispersion)
+                    dev = metrics.expected_abs_deviation(dist.probs, xi).mean()
+                    add((method, geometry, weighting), dev, size)
 
     rows = []
     for (method, geometry, weighting), (dev, root, length) in sorted(acc.items()):

@@ -16,7 +16,7 @@ def ub_draws(baseball):
 
 @pytest.fixture(scope="session")
 def hb_draws(baseball):
-    return rc.gibbs_hb(baseball, rc.HbConfig(samples=50000, seed=7))
+    return rc.gibbs_hb(baseball, 50000, seed=7)
 
 
 @pytest.fixture(scope="session")

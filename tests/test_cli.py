@@ -372,6 +372,12 @@ class TestFitCommand:
         for name in ("rank_matrix.csv", "rank_summary.csv", "size_report.json", "posterior_summary.json"):
             assert (with_flag / name).read_bytes() == (without / name).read_bytes()
 
+    def test_no_intercept_without_covariates(self, data_path, tmp_path, capsys):
+        argv = ["fit", str(data_path), "--model", "hb", "--no-intercept", "--out", str(tmp_path)]
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--no-intercept" in err and "x1..xp" in err
+
     def test_module_entry_point(self, data_path, tmp_path):
         # `python -m rankcred.cli` runs the same main() as the installed script
         src = str(Path(rc.__file__).parents[1])
@@ -421,7 +427,6 @@ class TestFitCommand:
 class TestSimulateCommand:
     def test_simulate(self, tmp_path):
         cfg = {
-            "m": 5,
             "a_grid": [0.01],
             "beta1_grid": [0.0],
             "d": [0.01] * 5,
@@ -453,6 +458,14 @@ class TestSimulateCommand:
         cfg_path.write_text(json.dumps({"n_reps": 1, "burnin": 500}))
         assert run_command(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 1
         assert "burnin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("n_reps", "2"), ("a_grid", 5), ("samples", 2.5)])
+    def test_mistyped_value(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        assert run_command(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}=")
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         # only input errors map to exit 1; a TypeError is a bug and surfaces

@@ -101,3 +101,13 @@ class TestValidation:
         assert baseball.d[0] == pytest.approx(0.4 * 0.6 / 45)
         assert baseball.has_gold
         assert baseball.gold[-1] == pytest.approx(0.200)
+
+    def test_columns_built_once_and_read_only(self):
+        ds = rc.Dataset(
+            entities=tuple(rc.Entity(id=f"e{i}", y=i, d=1.0, x=(0.5 * i,), gold=-i) for i in range(3))
+        )
+        for name in ("y", "d", "x", "gold"):
+            column = getattr(ds, name)
+            assert getattr(ds, name) is column
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 7.0

@@ -164,7 +164,6 @@ class TestEllipseLengths:
     def test_size_report(self):
         e = ellipse(np.eye(2))
         rep = rc.ellipse_size(e.log_det, e.precision_diag, 1.0)
-        assert rep.geometry == "elliptical"
         assert rep.volume == pytest.approx(np.pi)
         assert np.prod(rep.per_side_lengths) == pytest.approx(np.pi, rel=1e-10)
 
@@ -215,6 +214,39 @@ class TestDeviations:
     def test_kww_invalid_range(self):
         with pytest.raises(rc.DomainError):
             rc.kww_abs_deviation(4, 2, 1.0)
+
+
+    def test_whole_matrix_matches_per_entity_loop(self):
+        rng = np.random.default_rng(5)
+        probs = rng.dirichlet(np.ones(6), size=6).T  # column i: entity i's marginal
+        xi = rc.rank_of([0.3, 0.1, 0.3, 0.9, 0.5, 0.2])  # midranks 3.5, 3.5
+        assert 3.5 in xi
+        got = rc.expected_abs_deviation(probs, xi)
+        loop = [sum(abs(k + 1 - xi[i]) * probs[k, i] for k in range(6)) for i in range(6)]
+        assert got.shape == (6,)
+        assert np.allclose(got, loop, rtol=1e-14, atol=0)
+
+    def test_whole_matrix_names_unnormalized_column(self):
+        probs = np.full((3, 4), 1 / 3)
+        probs[0, 2] = 0.5
+        with pytest.raises(rc.DomainError, match="column 2 sums to"):
+            rc.expected_abs_deviation(probs, np.array([1.0, 2.0, 3.0, 2.0]))
+        probs[0, 2] = 1 / 3
+        probs[1, 3] = np.nan
+        with pytest.raises(rc.DomainError, match="column 3 sums to nan"):
+            rc.expected_abs_deviation(probs, np.array([1.0, 2.0, 3.0, 2.0]))
+
+    def test_kww_ranges_match_per_entity_loop(self):
+        lo = np.array([1, 2, 1, 5, 3])
+        hi = np.array([3, 2, 5, 5, 4])
+        xi = np.array([2.5, 1.0, 4.0, 5.0, 3.5])
+        got = rc.kww_abs_deviation(lo, hi, xi)
+        loop = [np.mean([abs(j - x) for j in range(a, b + 1)]) for a, b, x in zip(lo, hi, xi)]
+        assert np.array_equal(got, loop)
+
+    def test_kww_ranges_name_inverted_entity(self):
+        with pytest.raises(rc.DomainError, match="entity 1"):
+            rc.kww_abs_deviation(np.array([1, 4]), np.array([2, 3]), np.array([1.0, 2.0]))
 
 
 class TestTese:

@@ -159,22 +159,29 @@ class TestGibbsHb:
         assert design_matrix(ds).shape == (5, 2)
         assert design_matrix(ds, include_intercept=False).shape == (5, 1)
 
+    def test_no_intercept_needs_covariates(self, baseball):
+        with pytest.raises(rc.DomainError, match="--no-intercept.*x1..xp"):
+            design_matrix(baseball, include_intercept=False)
+
+    def test_rejects_bad_s(self, baseball):
+        with pytest.raises(rc.DomainError, match="S=0"):
+            rc.gibbs_hb(baseball, 0, seed=1)
+
     def test_propriety_guard(self):
         ds = make_dataset([1.0, 2.0, 3.0], np.ones(3), x=[(0.1,), (0.2,), (0.3,)])
         with pytest.raises(rc.DomainError, match="propriety guard"):
-            rc.gibbs_hb(ds, rc.HbConfig(samples=10, seed=0))
+            rc.gibbs_hb(ds, 10, seed=0)
 
     def test_rank_deficient_design(self):
         # duplicated covariate column collides with the intercept
         x = [(1.0, 1.0)] * 8
         ds = make_dataset(np.arange(8.0), np.ones(8), x=x)
         with pytest.raises(rc.DomainError):
-            rc.gibbs_hb(ds, rc.HbConfig(samples=10, seed=0))
+            rc.gibbs_hb(ds, 10, seed=0)
 
     def test_seed_determinism(self, baseball):
-        cfg = rc.HbConfig(samples=200, seed=9)
-        a = rc.gibbs_hb(baseball, cfg)
-        b = rc.gibbs_hb(baseball, cfg)
+        a = rc.gibbs_hb(baseball, 200, seed=9)
+        b = rc.gibbs_hb(baseball, 200, seed=9)
         assert np.array_equal(a.theta, b.theta)
         assert np.array_equal(a.a, b.a)
         assert np.array_equal(a.beta, b.beta)
@@ -207,7 +214,7 @@ class TestGibbsHb:
         # the oracle integrates over +-40 log units, wider than the sampler's
         # grid, so the KS distance also bounds the grid truncation
         ds = make_dataset(y, d)
-        a = np.sort(rc.gibbs_hb(ds, rc.HbConfig(samples=100000, seed=3)).a)
+        a = np.sort(rc.gibbs_hb(ds, 100000, seed=3).a)
         cdf = hb_variance_marginal_cdf(a, y, d)
         n = len(a)
         ks = max(np.max(cdf - np.arange(n) / n), np.max(np.arange(1, n + 1) / n - cdf))
@@ -221,7 +228,7 @@ class TestGibbsHb:
         d = rng.uniform(0.5, 2.0, 10)
         _, ds = rc.generate_instance(x, 0.2, 2.0, 1.0, d, rng)
         assert design_matrix(ds).shape == (10, 2)
-        exact = rc.gibbs_hb(ds, rc.HbConfig(samples=400000, seed=24)).theta
+        exact = rc.gibbs_hb(ds, 400000, seed=24).theta
         ref, _, _ = gibbs_hb_reference(ds.y, ds.d, design_matrix(ds), 100000, 2000, seed=25)
         sd = ref.std(axis=0)
         assert np.all(np.abs(exact.mean(axis=0) - ref.mean(axis=0)) < 0.05 * sd)
@@ -245,12 +252,12 @@ class TestPosteriorDraws:
         theta[4, 2] = bad
         theta[5, 0] = bad
         with pytest.raises(rc.DomainError, match="draw 4, coordinate 2 is not finite"):
-            rc.PosteriorDraws(theta=theta, model="UB", seed=0)
+            rc.PosteriorDraws(theta=theta, model="UB")
 
 
 class TestSummarize:
     def test_constant_draws(self):
-        draws = rc.PosteriorDraws(theta=np.ones((5, 3)), model="UB", seed=0)
+        draws = rc.PosteriorDraws(theta=np.ones((5, 3)), model="UB")
         s = rc.summarize(draws)
         assert np.allclose(s.cov, 0.0)
         assert np.allclose(s.mean, 1.0)
@@ -258,7 +265,7 @@ class TestSummarize:
     def test_two_draw_algebra(self):
         u = np.array([1.0, 2.0])
         v = np.array([3.0, -2.0])
-        draws = rc.PosteriorDraws(theta=np.stack([u, v]), model="UB", seed=0)
+        draws = rc.PosteriorDraws(theta=np.stack([u, v]), model="UB")
         s = rc.summarize(draws)
         assert np.allclose(s.mean, (u + v) / 2)
         assert np.allclose(s.cov, np.outer(u - v, u - v) / 4)  # 1/S normalization
@@ -271,6 +278,6 @@ class TestSummarize:
         assert np.max(np.abs(off)) < 0.0005
 
     def test_needs_two_draws(self):
-        draws = rc.PosteriorDraws(theta=np.ones((1, 2)), model="UB", seed=0)
+        draws = rc.PosteriorDraws(theta=np.ones((1, 2)), model="UB")
         with pytest.raises(rc.DomainError):
             rc.summarize(draws)

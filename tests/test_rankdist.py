@@ -7,7 +7,7 @@ from rankcred import posterior
 from rankcred.posterior import PosteriorDraws
 from rankcred.rankdist import DS_TOL, rank_table
 
-from oracles import tied_rows_reference
+from oracles import mahalanobis_solve, tied_rows_reference
 
 
 class TestRankTable:
@@ -58,7 +58,7 @@ class TestRankTable:
 def toy_selection_and_draws(S=400, m=5, seed=0):
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal((S, m)) + np.arange(m)
-    draws = PosteriorDraws(theta=theta, model="UB", seed=seed)
+    draws = PosteriorDraws(theta=theta, model="UB")
     sel = rc.cartesian_select(draws, alpha=0.1)
     return sel, draws
 
@@ -108,7 +108,7 @@ class TestBuildDistribution:
 
     def test_equal_weighting_averages_tables(self):
         theta = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
-        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        draws = PosteriorDraws(theta=theta, model="UB")
         sel = rc.elliptical_select(draws, rc.Dispersion(theta.mean(axis=0), np.eye(3)), alpha=0.01)
         dist = rc.build_distribution(sel, draws)
         manual = 0.5 * (rank_table(theta[0]) + rank_table(theta[1]))
@@ -118,7 +118,7 @@ class TestBuildDistribution:
         # second draw is farther from center, so the distribution leans
         # toward the ranking of the first draw
         theta = np.array([[0.1, 0.2, 0.9], [0.9, 0.2, 0.1], [0.9, 0.2, 0.1]])
-        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        draws = PosteriorDraws(theta=theta, model="UB")
         sel = rc.elliptical_select(draws, rc.Dispersion([0.1, 0.2, 0.9], np.eye(3)), alpha=0.01)
         assert sel.K == 3
         dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
@@ -144,7 +144,7 @@ class TestBuildDistribution:
         # distribution untouched when the same draws are selected
         sel, draws = toy_selection_and_draws(seed=4)
         warped = PosteriorDraws(
-            theta=np.exp(draws.theta) + 3 * draws.theta, model="UB", seed=0
+            theta=np.exp(draws.theta) + 3 * draws.theta, model="UB"
         )
         d1 = rc.build_distribution(sel, draws)
         d2 = rc.build_distribution(sel, warped)
@@ -153,7 +153,7 @@ class TestBuildDistribution:
     def test_tie_free_rows_match_rank_tables(self):
         # the weighted count over (rank, entity) cells against the table path
         theta = np.random.default_rng(5).standard_normal((40, 6))
-        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        draws = PosteriorDraws(theta=theta, model="UB")
         sel = rc.elliptical_select(draws, rc.Dispersion(np.zeros(6), np.eye(6)), alpha=0.01)
         dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
         w = np.exp(-sel.ellip.distances[sel.indices] / 2)
@@ -162,7 +162,7 @@ class TestBuildDistribution:
 
     def test_tied_rows_handled(self):
         theta = np.array([[1.0, 1.0, 2.0], [1.0, 2.0, 3.0], [2.0, 2.0, 2.0]])
-        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        draws = PosteriorDraws(theta=theta, model="UB")
         sel = rc.elliptical_select(draws, rc.Dispersion(theta.mean(axis=0), np.eye(3)), alpha=0.01)
         dist = rc.build_distribution(sel, draws)
         manual = sum(rank_table(t) for t in theta) / 3.0
@@ -181,7 +181,7 @@ class TestBuildDistribution:
         # integer draws: each selection reads the shared per-draw order at
         # its own indices, and tied rows go through rank_table
         theta = np.random.default_rng(seed).integers(-spread, spread + 1, (S, m)).astype(float)
-        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        draws = PosteriorDraws(theta=theta, model="UB")
         order, tied = draws.row_order
         assume(tied.any() and not tied.all())
         sels = [rc.cartesian_select(draws, a) for a in alphas]
@@ -190,7 +190,7 @@ class TestBuildDistribution:
         dispersion = np.cov(theta.T).reshape(m, m) + np.eye(m)
         for sel in sels:
             rows = theta[sel.indices]
-            dist = np.array([rc.mahalanobis(t, center, dispersion) for t in rows])
+            dist = mahalanobis_solve(rows, center, dispersion)
             for weighting, w in (
                 (rc.EQUAL, np.ones(sel.K)),
                 (rc.MAHALANOBIS_EXP, np.exp(-(dist - dist.min()) / 2)),
@@ -211,7 +211,7 @@ class TestBuildDistribution:
         m = 8
         monkeypatch.setattr(posterior, "BLOCK_CELLS", 16 * m)
         theta, tied_rows = draws_with_ties(64, m, [3, 20, 40], seed=22)
-        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        draws = PosteriorDraws(theta=theta, model="UB")
         sel = rc.elliptical_select(draws, rc.Dispersion(np.zeros(m), np.eye(m)), alpha=0.2)
         assert sel.indices[-1] >= 48 and set(tied_rows) <= set(sel.indices)
         assert len(sel.indices) < 64
@@ -226,7 +226,7 @@ class TestBuildDistribution:
         S, m = 10000, 64
         assert posterior.BLOCK_CELLS // m == 4096
         theta, tied_rows = draws_with_ties(S, m, [5, 3000, 4500, 7000], seed=21)
-        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        draws = PosteriorDraws(theta=theta, model="UB")
         order, tied = draws.row_order
         assert np.flatnonzero(tied).tolist() == tied_rows
         assert np.array_equal(order[~tied], np.argsort(theta[~tied], axis=1, kind="stable"))
@@ -262,7 +262,7 @@ class TestBuildDistribution:
             theta[10, : min(m, 8)] = extremes[:m]
             theta[14] = -rng.permutation(ulps)
             theta[15] = np.resize([-5e-324, -0.0, 5e-324, 0.0], m)
-            draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+            draws = PosteriorDraws(theta=theta, model="UB")
             order, tied = draws.row_order
             assert order.dtype == dtype
             assert tied.tolist() == tied_rows_reference(theta).tolist()
@@ -286,7 +286,7 @@ class TestBuildDistribution:
         rng = np.random.default_rng(seed)
         theta = rng.integers(-3, 4, (S, m)) * rng.choice([-1.0, 1.0], (S, m))
         theta = np.where(rng.random((S, m)) < nudge, np.nextafter(theta, np.inf), theta)
-        order, tied = PosteriorDraws(theta=theta, model="UB", seed=0).row_order
+        order, tied = PosteriorDraws(theta=theta, model="UB").row_order
         assert tied.tolist() == tied_rows_reference(theta).tolist()
         free = ~tied
         assert np.array_equal(order[free], np.argsort(theta[free], axis=1, kind="stable"))
@@ -294,7 +294,7 @@ class TestBuildDistribution:
 
     def test_every_selected_row_tied(self):
         theta = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        draws = PosteriorDraws(theta=theta, model="UB")
         sel = rc.elliptical_select(draws, rc.Dispersion(theta.mean(axis=0), np.eye(2)), alpha=0.01)
         dist = rc.build_distribution(sel, draws)
         assert np.array_equal(dist.probs, np.full((2, 2), 0.5))
@@ -302,7 +302,7 @@ class TestBuildDistribution:
     def test_extreme_distances_stay_finite(self):
         # weights survive distances large enough to underflow exp(-d/2)
         theta = np.array([[0.0, 1.0], [100.0, -100.0], [0.1, 1.1]])
-        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        draws = PosteriorDraws(theta=theta, model="UB")
         sel = rc.elliptical_select(draws, rc.Dispersion([0.0, 1.0], 1e-4 * np.eye(2)), alpha=0.01)
         dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
         assert np.all(np.isfinite(dist.probs))
@@ -333,7 +333,7 @@ class TestMarginals:
     def test_well_separated_entities_concentrate(self):
         rng = np.random.default_rng(8)
         theta = rng.normal(loc=np.array([0.0, 10.0, 20.0]), scale=0.1, size=(500, 3))
-        draws = PosteriorDraws(theta=theta, model="UB", seed=0)
+        draws = PosteriorDraws(theta=theta, model="UB")
         sel = rc.cartesian_select(draws, alpha=0.1)
         dist = rc.build_distribution(sel, draws)
         assert np.allclose(np.diag(dist.probs), 1.0)

@@ -14,13 +14,17 @@ class TestSimConfig:
         assert cfg.m == 18
         assert np.allclose(cfg.d, baseball.d)
 
+    def test_m_follows_d(self):
+        cfg = rc.SimConfig(d=(0.1, 0.2, 0.3))
+        assert cfg.m == 3
+        with pytest.raises(AttributeError):
+            cfg.m = 4
+
     def test_validation(self):
         with pytest.raises(rc.DomainError):
             rc.SimConfig(n_reps=0)
         with pytest.raises(rc.DomainError):
             rc.SimConfig(a_grid=(0.1, -0.5))
-        with pytest.raises(rc.DomainError):
-            rc.SimConfig(m=3, d=(0.1, 0.1))
 
 
 class TestGenerateInstance:
@@ -41,13 +45,6 @@ class TestGenerateInstance:
         rng = np.random.default_rng(1)
         _, ds = rc.generate_instance(np.linspace(0, 1, 5), 0.2, 0.0, 0.01, np.full(5, 0.01), rng)
         assert ds.p == 0
-
-    def test_override_covariate_inclusion(self):
-        rng = np.random.default_rng(2)
-        _, ds = rc.generate_instance(
-            np.linspace(0, 1, 5), 0.2, 0.0, 0.01, np.full(5, 0.01), rng, include_covariate=True
-        )
-        assert ds.p == 1
 
     def test_small_variance_limits(self):
         # a -> 0 pins theta to the regression line; d -> 0 pins y to theta
@@ -74,7 +71,6 @@ class TestGenerateInstance:
 
 def tiny_config():
     return rc.SimConfig(
-        m=6,
         a_grid=(0.01,),
         beta1_grid=(0.0, 0.4),
         d=tuple(np.full(6, 0.01)),
@@ -123,7 +119,6 @@ class TestRunStudy:
     def test_kww_deviation_exceeds_hb_in_low_variance_cell(self):
         # small model variance is where shrinkage pays off most
         cfg = rc.SimConfig(
-            m=10,
             a_grid=(0.001,),
             beta1_grid=(0.0,),
             d=tuple(np.full(10, 0.005)),
@@ -141,8 +136,8 @@ class TestRunStudy:
         assert hb_dev < kww_dev
 
     def test_scores_match_per_entity_metrics(self, monkeypatch):
-        # run_cell scores each rank matrix and the KWW ranges in one array
-        # expression; recompute every score entity by entity
+        # run_cell scores each rank matrix and the KWW ranges with one
+        # whole-array metrics call each; recompute every score entity by entity
         seen = []
         for module, name in ((kww, "rank_confidence_set"), (rankdist, "build_distribution")):
             fn = getattr(module, name)
@@ -154,7 +149,7 @@ class TestRunStudy:
 
             monkeypatch.setattr(module, name, spy)
         cfg = rc.SimConfig(
-            m=6, a_grid=(0.05,), beta1_grid=(0.0,), d=tuple(np.full(6, 0.01)), n_reps=1, seed=5,
+            a_grid=(0.05,), beta1_grid=(0.0,), d=tuple(np.full(6, 0.01)), n_reps=1, seed=5,
             samples=300,
         )
         rows = {
