@@ -8,7 +8,7 @@ from .credset import (
     mahalanobis,
     tune_kappa,
 )
-from .domain import HIGHEST_OF_TIES, MIDRANK, Dataset, DomainError, Entity, rank_of
+from .domain import HIGHEST_OF_TIES, MIDRANK, Dataset, DomainError, rank_of
 from .fileio import baseball_dataset, parse_csv_text, parse_dataset
 from .kww import BONFERRONI, INDEPENDENCE, KwwRankSet, gamma_from_alpha, rank_confidence_set
 from .metrics import (
@@ -50,7 +50,6 @@ __all__ = [
     "Dataset",
     "Dispersion",
     "DomainError",
-    "Entity",
     "KwwRankSet",
     "PosteriorDraws",
     "PosteriorSummary",

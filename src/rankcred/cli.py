@@ -47,6 +47,8 @@ def _reported_volume(size: metrics.SizeReport) -> float | None:
 
 
 def _cmd_fit(args) -> int:
+    if args.model == "ub" and args.no_intercept:
+        raise DomainError("--no-intercept applies to --model hb only: UB fits no regression")
     ds = parse_dataset(args.dataset)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

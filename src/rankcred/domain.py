@@ -1,9 +1,8 @@
-"""Core data model: entities, datasets, and ranking primitives."""
+"""Core data model: datasets and ranking primitives."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections import Counter
 
 import numpy as np
 from scipy.stats import rankdata
@@ -16,98 +15,73 @@ class DomainError(ValueError):
     """Invalid input data or configuration."""
 
 
-@dataclass(frozen=True)
-class Entity:
-    """One ranked unit: direct estimate y with known sampling variance d."""
-
-    id: str
-    y: float
-    d: float
-    x: tuple[float, ...] = ()
-    gold: float | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.y):
-            raise DomainError(f"entity {self.id!r}: non-finite y={self.y}")
-        if not np.isfinite(self.d) or self.d <= 0:
-            raise DomainError(f"entity {self.id!r}: sampling variance d={self.d} must be > 0")
-        if any(not np.isfinite(v) for v in self.x):
-            raise DomainError(f"entity {self.id!r}: non-finite covariate in {self.x}")
-        if self.gold is not None and not np.isfinite(self.gold):
-            raise DomainError(f"entity {self.id!r}: non-finite gold={self.gold}")
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """Ordered collection of entities with a common covariate dimension."""
+    """m entities as read-only float columns: direct estimates y, their known
+    sampling variances d, an m x p covariate matrix x (no intercept column;
+    p = 0 when x is None) and gold-standard values (None, or one per entity).
 
-    entities: tuple[Entity, ...]
+    Each column is checked once, here; an error names the first entity at
+    fault and its column.
+    """
 
-    def __post_init__(self):
-        m = len(self.entities)
+    def __init__(self, ids, y, d, x=None, gold=None):
+        self.ids = list(ids)
+        m = len(self.ids)
         if m < 2:
             raise DomainError(f"need at least 2 entities, got {m}")
-        ids = [e.id for e in self.entities]
-        if len(set(ids)) != m:
-            dup = sorted({i for i in ids if ids.count(i) > 1})
-            raise DomainError(f"duplicate entity ids: {dup}")
-        p = len(self.entities[0].x)
-        for e in self.entities:
-            if len(e.x) != p:
-                raise DomainError(
-                    f"entity {e.id!r}: covariate length {len(e.x)} != dataset p={p}"
-                )
-        n_gold = sum(e.gold is not None for e in self.entities)
-        if n_gold not in (0, m):
+        if len(set(self.ids)) != m:
+            dup = next(i for i, n in Counter(self.ids).items() if n > 1)
+            raise DomainError(f"duplicate entity id {dup!r}")
+        self.y = self._column("y", y, 1)
+        self.d = self._column("d", d, 1)
+        if (self.d <= 0).any():
+            i = np.argmax(self.d <= 0)
             raise DomainError(
-                f"gold values must be present for all entities or none ({n_gold} of {m} set)"
+                f"entity {self.ids[i]!r}: sampling variance d={self.d[i]} must be > 0"
             )
+        self.x = self._column("x", np.empty((m, 0)) if x is None else x, 2)
+        self.gold = None if gold is None else self._column("gold", gold, 1)
+
+    def _column(self, name: str, values, ndim: int) -> np.ndarray:
+        """`values` as a new read-only float array with `ndim` axes and m rows."""
+        array = np.array(values, dtype=float)
+        if array.ndim != ndim or len(array) != self.m:
+            expected = f"({self.m},)" if ndim == 1 else f"({self.m}, p)"
+            raise DomainError(f"column {name!r}: shape {array.shape}, expected {expected}")
+        bad = np.argwhere(~np.isfinite(array))
+        if len(bad):
+            i, *k = bad[0]
+            column = f"{name}{k[0] + 1}" if k else name
+            value = array[tuple(bad[0])]
+            raise DomainError(f"entity {self.ids[i]!r}: non-finite {column}={value}")
+        array.flags.writeable = False
+        return array
+
+    def __eq__(self, other):
+        """Same ids and equal columns."""
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.ids == other.ids and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in ("y", "d", "x", "gold")
+        )
 
     @property
     def m(self) -> int:
-        return len(self.entities)
+        return len(self.ids)
 
     @property
     def p(self) -> int:
-        return len(self.entities[0].x)
-
-    @property
-    def ids(self) -> list[str]:
-        return [e.id for e in self.entities]
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return _read_only([e.y for e in self.entities])
-
-    @cached_property
-    def d(self) -> np.ndarray:
-        return _read_only([e.d for e in self.entities])
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        """m x p covariate matrix (no intercept column)."""
-        return _read_only([e.x for e in self.entities]).reshape(self.m, self.p)
+        return self.x.shape[1]
 
     @property
     def has_gold(self) -> bool:
-        return self.entities[0].gold is not None
-
-    @cached_property
-    def gold(self) -> np.ndarray:
-        if not self.has_gold:
-            raise DomainError("dataset has no gold-standard values")
-        return _read_only([e.gold for e in self.entities])
+        return self.gold is not None
 
     def gold_ranks(self) -> np.ndarray:
         """Midranks of the gold-standard values."""
+        if self.gold is None:
+            raise DomainError("dataset has no gold-standard values")
         return rank_of(self.gold, MIDRANK)
-
-
-def _read_only(values) -> np.ndarray:
-    """A new float array of `values` that raises on writes."""
-    array = np.array(values, dtype=float)
-    array.flags.writeable = False
-    return array
 
 
 def rank_of(values, tie_rule: str = MIDRANK) -> np.ndarray:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .domain import Dataset, DomainError, Entity
+from .domain import Dataset, DomainError
 
 # pinned output format: 12 significant digits, '.' decimal, no locale
 FMT = "%.12g"
@@ -48,10 +48,11 @@ def parse_csv_text(text: str) -> Dataset:
     Column order is free.  Row numbers in error messages count the header
     as row 1.
     """
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
         raise DomainError("empty input: no CSV header found")
-    fields = [f.strip() for f in reader.fieldnames]
+    fields = [f.strip() for f in header]
     for required in ("id", "y", "d"):
         if required not in fields:
             raise DomainError(f"missing required column {required!r} (found {fields})")
@@ -63,39 +64,47 @@ def parse_csv_text(text: str) -> Dataset:
         raise DomainError(f"covariate columns must be consecutive x1..xp, found {x_cols}")
     has_gold_col = "gold" in fields
 
-    entities = []
-    for rownum, rec in enumerate(reader, start=2):
-        rec = {(k.strip() if k else k): (v.strip() if v else v) for k, v in rec.items()}
-        ident = rec.get("id") or ""
-        if not ident:
+    ids, y, d, x, gold = [], [], [], [], []
+    no_gold_row = None  # the first row without a gold value
+    # blank lines are skipped and not counted
+    for rownum, row in enumerate((row for row in reader if row), start=2):
+        if len(row) != len(fields):
+            raise DomainError(f"row {rownum}: {len(row)} fields, but the header has {len(fields)}")
+        rec = dict(zip(fields, (v.strip() for v in row)))
+        if not rec["id"]:
             raise DomainError(f"row {rownum}, column 'id': empty id")
-        y = _parse_float(rec["y"], rownum, "y")
-        d = _parse_float(rec["d"], rownum, "d")
-        if d <= 0:
-            raise DomainError(f"row {rownum}, column 'd': d={d} must be > 0")
-        x = tuple(_parse_float(rec[c], rownum, c) for c in x_cols)
-        gold = None
-        if has_gold_col and rec.get("gold"):
-            gold = _parse_float(rec["gold"], rownum, "gold")
-        entities.append(Entity(id=ident, y=y, d=d, x=x, gold=gold))
-    if not entities:
+        ids.append(rec["id"])
+        y.append(_parse_float(rec["y"], rownum, "y"))
+        d.append(_parse_float(rec["d"], rownum, "d"))
+        if d[-1] <= 0:
+            raise DomainError(f"row {rownum}, column 'd': d={d[-1]} must be > 0")
+        x.append([_parse_float(rec[c], rownum, c) for c in x_cols])
+        if has_gold_col and rec["gold"]:
+            gold.append(_parse_float(rec["gold"], rownum, "gold"))
+        elif no_gold_row is None:
+            no_gold_row = rownum
+    if not ids:
         raise DomainError("no data rows found")
-    return Dataset(entities=tuple(entities))
+    if gold and no_gold_row is not None:
+        raise DomainError(
+            f"row {no_gold_row}, column 'gold': no value; gold values must be present "
+            "for all entities or none"
+        )
+    return Dataset(ids, y, d, x=x, gold=gold or None)
 
 
 def emit_dataset(ds: Dataset) -> str:
     """Inverse of parse_csv_text (round-trips through the pinned format)."""
     cols = ["id", "y", "d"] + [f"x{k}" for k in range(1, ds.p + 1)]
+    table = [ds.y, ds.d, ds.x]
     if ds.has_gold:
         cols.append("gold")
+        table.append(ds.gold)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(cols)
-    for e in ds.entities:
-        row = [e.id, FMT % e.y, FMT % e.d] + [FMT % v for v in e.x]
-        if ds.has_gold:
-            row.append(FMT % e.gold)
-        writer.writerow(row)
+    for ident, values in zip(ds.ids, np.column_stack(table).tolist()):
+        writer.writerow([ident] + [FMT % v for v in values])
     return out.getvalue()
 
 

@@ -25,10 +25,6 @@ class KwwRankSet:
     rank_lo: np.ndarray  # (m,) int
     rank_hi: np.ndarray  # (m,) int
 
-    def expected_rank(self, i: int) -> float:
-        """Mean rank under the uniform confidence distribution on the range."""
-        return (self.rank_lo[i] + self.rank_hi[i]) / 2.0
-
 
 def gamma_from_alpha(alpha: float, m: int, method: str = INDEPENDENCE) -> float:
     """Per-interval level gamma achieving joint level 1-alpha.

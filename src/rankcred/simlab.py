@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import credset, kww, metrics, rankdist
-from .domain import Dataset, DomainError, Entity, rank_of
+from .domain import Dataset, DomainError, rank_of
 from .fileio import baseball_dataset
 from .posterior import gibbs_hb, sample_ub, summarize
 
@@ -66,17 +66,8 @@ def generate_instance(x, beta0, beta1, a, d, rng):
     d = np.asarray(d, dtype=float)
     theta = beta0 + beta1 * x + np.sqrt(a) * rng.standard_normal(len(x))
     y = theta + np.sqrt(d) * rng.standard_normal(len(x))
-    entities = tuple(
-        Entity(
-            id=f"e{i + 1}",
-            y=float(y[i]),
-            d=float(d[i]),
-            x=(float(x[i]),) if beta1 != 0 else (),
-            gold=float(theta[i]),
-        )
-        for i in range(len(x))
-    )
-    return theta, Dataset(entities=entities)
+    ids = [f"e{i + 1}" for i in range(len(x))]
+    return theta, Dataset(ids, y, d, x=x[:, None] if beta1 != 0 else None, gold=theta)
 
 
 def run_cell(cfg: SimConfig, x, a, beta1, cell_index):

@@ -30,20 +30,8 @@ def gold_ranks(baseball):
 
 
 def make_dataset(y, d, x=None, gold=None):
-    """Small-dataset helper; x is a per-entity sequence of covariate tuples."""
-    entities = []
-    for i in range(len(y)):
-        xi = tuple(np.atleast_1d(x[i])) if x is not None else ()
-        entities.append(
-            rc.Entity(
-                id=f"e{i + 1}",
-                y=float(y[i]),
-                d=float(d[i]),
-                x=tuple(float(v) for v in xi),
-                gold=float(gold[i]) if gold is not None else None,
-            )
-        )
-    return rc.Dataset(entities=tuple(entities))
+    """Small-dataset helper with ids e1..em; x is an m x p covariate table."""
+    return rc.Dataset([f"e{i + 1}" for i in range(len(y))], y, d, x=x, gold=gold)
 
 
 def count_factorizations(monkeypatch, m) -> list:

@@ -150,8 +150,8 @@ def test_criterion_6_expected_ranks(baseball, ub_draws, hb_draws, hb_summary):
     assert rankdist.expected_rank(hb_cart, CLEMENTE) == pytest.approx(12.10, abs=0.3)
 
     ks = rc.rank_confidence_set(baseball, alpha=0.1, method=rc.INDEPENDENCE)
-    for i in range(18):
-        assert ks.expected_rank(i) == 9.5
+    # the mean rank under the uniform confidence distribution on each range
+    assert np.all((ks.rank_lo + ks.rank_hi) / 2 == 9.5)
 
     for dist in (ub_cart, hb_cart):
         avg = np.mean([rankdist.expected_rank(dist, i) for i in range(18)])

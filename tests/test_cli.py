@@ -82,11 +82,9 @@ class TestFileio:
     def test_parse_emit_round_trip(self, rows, p, has_gold):
         # emit writes 12 significant digits: one pass moves every value by
         # less than a unit in its 12th digit, and a second pass changes nothing
+        ids, y, d, x1, x2, gold = zip(*rows)
         ds = rc.Dataset(
-            entities=tuple(
-                rc.Entity(id=i, y=y, d=d, x=(x1, x2)[:p], gold=g if has_gold else None)
-                for i, y, d, x1, x2, g in rows
-            )
+            ids, y, d, x=np.column_stack([x1, x2])[:, :p], gold=gold if has_gold else None
         )
         once = rc.parse_csv_text(emit_dataset(ds))
         assert once.ids == ds.ids
@@ -163,6 +161,11 @@ class TestFileio:
     def test_nonpositive_d(self):
         with pytest.raises(rc.DomainError, match="must be > 0"):
             rc.parse_csv_text("id,y,d\na,0.1,0.0\nb,0.2,0.01\n")
+
+    @pytest.mark.parametrize("row, n", [("b,2", 2), ("b,2,1,9", 4)])
+    def test_ragged_row_named(self, row, n):
+        with pytest.raises(rc.DomainError, match=f"^row 3: {n} fields, but the header has 3$"):
+            rc.parse_csv_text(f"id,y,d\na,1,1\n{row}\nc,3,1\n")
 
     def test_bundled_baseball(self, baseball):
         assert baseball.m == 18
@@ -339,7 +342,7 @@ class TestFitCommand:
     def test_non_ascii_ids_round_trip(self, tmp_path):
         ids = ["Zoë", "東京", "a,b", 'q"t', "plain"]
         ys = [0.4, 0.35, 0.3, 0.25, 0.2]
-        ds = rc.Dataset(entities=tuple(rc.Entity(id=i, y=y, d=0.004) for i, y in zip(ids, ys)))
+        ds = rc.Dataset(ids, ys, [0.004] * len(ids))
         p = tmp_path / "data.csv"
         p.write_text(emit_dataset(ds), encoding="utf-8")
         out = tmp_path / "out"
@@ -378,6 +381,13 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "--no-intercept" in err and "x1..xp" in err
 
+    def test_no_intercept_with_ub(self, data_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["fit", str(data_path), "--model", "ub", "--no-intercept", "--out", str(out)]
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err.startswith("error: --no-intercept applies to --model hb")
+        assert not out.exists()
+
     def test_module_entry_point(self, data_path, tmp_path):
         # `python -m rankcred.cli` runs the same main() as the installed script
         src = str(Path(rc.__file__).parents[1])
@@ -411,11 +421,9 @@ class TestFitCommand:
     @pytest.mark.parametrize("with_gold", [False, True])
     def test_plot_data_matches_csv_module(self, tmp_path, with_gold):
         ids = ["plain", "comma,id", 'quote"id', "Zoë", " lead", "new\nline", "cr\rid", "50%", "p%sq"]
-        entities = [
-            rc.Entity(id=ident, y=float(i), d=0.5, gold=float(i % 4) if with_gold else None)
-            for i, ident in enumerate(ids)
-        ]
-        ds = rc.Dataset(entities=tuple(entities))
+        m = len(ids)
+        gold = [i % 4 for i in range(m)] if with_gold else None
+        ds = rc.Dataset(ids, range(m), [0.5] * m, gold=gold)
         draws = rc.sample_ub(ds, 2000, seed=1)
         sel = rc.elliptical_select(draws, rc.Dispersion(ds.y, np.diag(ds.d)), 0.1)
         dist = rc.build_distribution(sel, draws, rc.MAHALANOBIS_EXP)
@@ -496,3 +504,11 @@ class TestExitCodes:
         p = tmp_path / "bad.csv"
         p.write_text("id,y,d\na,0.1,-1\n")
         assert run_command(["kww", str(p)]) == 1
+
+    @pytest.mark.parametrize("command", ["fit", "kww"])
+    def test_ragged_row(self, tmp_path, capsys, command):
+        p = tmp_path / "ragged.csv"
+        p.write_text("id,y,d\na,1\nb,2,1\nc,3,1\n")
+        assert run_command([command, str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: row 2: 2 fields, but the header has 3\n"

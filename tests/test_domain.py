@@ -64,35 +64,42 @@ class TestValidation:
             make_dataset([1.0], [1.0])
 
     def test_rejects_nonpositive_variance(self):
-        with pytest.raises(rc.DomainError, match="must be > 0"):
+        with pytest.raises(rc.DomainError, match="entity 'e2': sampling variance d=0.0 must be > 0"):
             make_dataset([1.0, 2.0], [1.0, 0.0])
 
     def test_rejects_duplicate_ids(self):
-        e = rc.Entity(id="a", y=1.0, d=1.0)
-        with pytest.raises(rc.DomainError, match="duplicate"):
-            rc.Dataset(entities=(e, e))
+        with pytest.raises(rc.DomainError, match="duplicate entity id 'b'"):
+            rc.Dataset(["a", "b", "c", "b"], [1.0, 2.0, 3.0, 4.0], [1.0] * 4)
 
     def test_gold_all_or_none(self):
-        with pytest.raises(rc.DomainError, match="all entities or none"):
-            rc.Dataset(
-                entities=(
-                    rc.Entity(id="a", y=1.0, d=1.0, gold=0.5),
-                    rc.Entity(id="b", y=2.0, d=1.0),
-                )
-            )
+        # a Dataset's gold is a full column or None, so only parsing can meet a partial one
+        with pytest.raises(rc.DomainError, match="row 3, column 'gold'.*all entities or none"):
+            rc.parse_csv_text("id,y,d,gold\na,1,1,0.5\nb,2,1,\nc,3,1,\n")
+        no_gold = rc.parse_csv_text("id,y,d,gold\na,1,1,\nb,2,1,\n")
+        assert not no_gold.has_gold
+        with pytest.raises(rc.DomainError, match="no gold-standard values"):
+            no_gold.gold_ranks()
 
     def test_covariate_length_mismatch(self):
-        with pytest.raises(rc.DomainError, match="covariate length"):
-            rc.Dataset(
-                entities=(
-                    rc.Entity(id="a", y=1.0, d=1.0, x=(1.0,)),
-                    rc.Entity(id="b", y=2.0, d=1.0, x=(1.0, 2.0)),
-                )
-            )
+        # x is an m x p table (one covariate too), gold one value per entity
+        for x, gold, column in (
+            ([1.0, 2.0], None, "x"),
+            ([[1.0], [2.0], [3.0]], None, "x"),
+            (None, [0.5], "gold"),
+        ):
+            with pytest.raises(rc.DomainError, match=f"column '{column}': shape"):
+                rc.Dataset(["a", "b"], [1.0, 2.0], [1.0, 1.0], x=x, gold=gold)
 
     def test_rejects_non_finite_y(self):
-        with pytest.raises(rc.DomainError, match="non-finite"):
-            rc.Entity(id="a", y=float("inf"), d=1.0)
+        with pytest.raises(rc.DomainError, match="entity 'a': non-finite y=inf"):
+            rc.Dataset(["a", "b"], [float("inf"), 1.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("column", ["d", "x2", "gold"])
+    def test_non_finite_names_entity_and_column(self, column):
+        d, x, gold = np.ones(3), np.zeros((3, 2)), np.zeros(3)
+        {"d": d, "x2": x[:, 1], "gold": gold}[column][1] = np.nan
+        with pytest.raises(rc.DomainError, match=f"entity 'b': non-finite {column}=nan"):
+            rc.Dataset(["a", "b", "c"], [1.0, 2.0, 3.0], d, x=x, gold=gold)
 
     def test_array_accessors(self, baseball):
         assert baseball.m == 18
@@ -103,11 +110,14 @@ class TestValidation:
         assert baseball.gold[-1] == pytest.approx(0.200)
 
     def test_columns_built_once_and_read_only(self):
-        ds = rc.Dataset(
-            entities=tuple(rc.Entity(id=f"e{i}", y=i, d=1.0, x=(0.5 * i,), gold=-i) for i in range(3))
-        )
+        x = np.array([[0.0], [0.5], [1.0]])
+        ds = rc.Dataset(["e0", "e1", "e2"], [0, 1, 2], [1.0] * 3, x=x, gold=[0, -1, -2])
         for name in ("y", "d", "x", "gold"):
             column = getattr(ds, name)
+            assert column.dtype == float
             assert getattr(ds, name) is column
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 7.0
+        # the dataset holds copies: the caller's arrays stay writeable and apart
+        x[0, 0] = 7.0
+        assert ds.x[0, 0] == 0.0

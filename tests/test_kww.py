@@ -133,7 +133,6 @@ class TestRankConfidenceSet:
         ks = rc.rank_confidence_set(ds, alpha=0.1)
         assert ks.rank_lo.tolist() == [1, 2, 3]
         assert ks.rank_hi.tolist() == [1, 2, 3]
-        assert ks.expected_rank(1) == 2.0
 
     def test_identical_entities_full_range(self):
         ds = make_dataset([0.5, 0.5, 0.5, 0.5], [1.0, 1.0, 1.0, 1.0])

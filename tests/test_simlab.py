@@ -41,6 +41,16 @@ class TestGenerateInstance:
         assert ds.p == 1
         assert np.allclose(ds.x[:, 0], x)
 
+    def test_columns_are_its_arrays(self):
+        x, d = np.linspace(0, 1, 7), np.linspace(0.5, 2, 7)
+        theta, ds = rc.generate_instance(x, 0.2, 0.4, 1.0, d, np.random.default_rng(5))
+        # the same stream again: theta's normals, then y's
+        noise = np.random.default_rng(5).standard_normal((2, 7))
+        y = theta + np.sqrt(d) * noise[1]
+        assert ds == rc.Dataset([f"e{i}" for i in range(1, 8)], y, d, x=x[:, None], gold=theta)
+        for column, array in ((ds.y, y), (ds.d, d), (ds.x, x[:, None]), (ds.gold, theta)):
+            assert column.tobytes() == array.tobytes()
+
     def test_no_covariate_when_slope_zero(self):
         rng = np.random.default_rng(1)
         _, ds = rc.generate_instance(np.linspace(0, 1, 5), 0.2, 0.0, 0.01, np.full(5, 0.01), rng)
