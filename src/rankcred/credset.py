@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, solve_triangular
 
 from .domain import DomainError
-from .posterior import PosteriorDraws
+from .posterior import PosteriorDraws, index_keys
 
 CARTESIAN = "cartesian"
 ELLIPTICAL = "elliptical"
@@ -86,13 +86,23 @@ def tune_kappa(draws: PosteriorDraws, alpha: float) -> CartesianBounds:
     values = np.ascontiguousarray(draws.theta.T)  # (m, S), row c = coordinate c
     cols = np.empty((m, S))  # row c sorted ascending
     depth, col_depth = np.full(S, S), np.empty(S, dtype=int)
+    place_depth = np.minimum(np.arange(1, S + 1), np.arange(S, 0, -1))  # tie-free depths
     for c, col in enumerate(values):
-        order = np.argsort(col)
-        cols[c] = v = col[order]
-        # tie run r of the sorted column spans places starts[r]..starts[r+1]-1; each of
-        # its draws has #(col <= v) = starts[r+1] and #(col >= v) = S - starts[r]
-        starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1], True])
-        col_depth[order] = np.repeat(np.minimum(starts[1:], S - starts[:-1]), np.diff(starts))
+        # one sort of keys with the draw index in their low bits
+        keys, index_mask = index_keys(col)
+        keys.sort()
+        order = (keys & index_mask).view(np.int64)  # an index array numpy need not cast
+        v = col[order]
+        if (v[1:] > v[:-1]).all():  # no ties, and no near-tie the keys misordered
+            cols[c] = v
+            col_depth[order] = place_depth
+        else:
+            order = np.argsort(col)
+            cols[c] = v = col[order]
+            # tie run r of the sorted column spans places starts[r]..starts[r+1]-1; each of
+            # its draws has #(col <= v) = starts[r+1] and #(col >= v) = S - starts[r]
+            starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1], True])
+            col_depth[order] = np.repeat(np.minimum(starts[1:], S - starts[:-1]), np.diff(starts))
         np.minimum(depth, col_depth, out=depth)
 
     k = min(int(np.partition(depth, S - target)[S - target]) - 1, (S - 1) // 2)

@@ -45,14 +45,17 @@ def parse_csv_text(text: str) -> Dataset:
     """Parse a dataset from CSV text.
 
     Required columns: id, y, d.  Optional: x1..xp (consecutive), gold.
-    Column order is free.  Row numbers in error messages count the header
-    as row 1.
+    Column order is free, and no column name repeats.  Row numbers in
+    error messages count the header as row 1 and blank lines as rows.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
         raise DomainError("empty input: no CSV header found")
     fields = [f.strip() for f in header]
+    repeated = [f for f in fields if f and fields.count(f) > 1]
+    if repeated:
+        raise DomainError(f"header names column {repeated[0]!r} more than once")
     for required in ("id", "y", "d"):
         if required not in fields:
             raise DomainError(f"missing required column {required!r} (found {fields})")
@@ -66,8 +69,9 @@ def parse_csv_text(text: str) -> Dataset:
 
     ids, y, d, x, gold = [], [], [], [], []
     no_gold_row = None  # the first row without a gold value
-    # blank lines are skipped and not counted
-    for rownum, row in enumerate((row for row in reader if row), start=2):
+    for rownum, row in enumerate(reader, start=2):
+        if not row:  # a blank line
+            continue
         if len(row) != len(fields):
             raise DomainError(f"row {rownum}: {len(row)} fields, but the header has {len(fields)}")
         rec = dict(zip(fields, (v.strip() for v in row)))

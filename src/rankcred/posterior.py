@@ -31,6 +31,22 @@ def row_blocks(n: int, m: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
+def index_keys(values: np.ndarray) -> tuple[np.ndarray, np.uint64]:
+    """Order-preserving uint64 keys of `values` with the index along the last
+    axis (of length n) in their low (n-1).bit_length() bits, and the mask of
+    those bits.  Sorting the keys sorts the values, except that values which
+    agree above those bits (exact ties and near-ties) sort by index."""
+    n = values.shape[-1]
+    # uint64 operands only: numpy 1.x turns uint64 mixed with int64 into float64
+    index_mask = (np.uint64(1) << np.uint64((n - 1).bit_length())) - np.uint64(1)
+    keys = (values + 0.0).view(np.uint64)  # -0.0 and 0.0: one key
+    # negative: flip every bit; otherwise set the sign bit
+    keys ^= (keys.view(np.int64) >> 63).view(np.uint64) | np.uint64(1 << 63)
+    keys &= ~index_mask
+    keys |= np.arange(n, dtype=np.uint64)
+    return keys, index_mask
+
+
 @dataclass(frozen=True)
 class PosteriorDraws:
     """S draws of the mean vector, plus the matching (beta, A) draws for HB."""
@@ -62,25 +78,18 @@ class PosteriorDraws:
         """Each draw's argsort (order[s, k] is the entity at rank k+1, in the
         smallest unsigned dtype that holds m - 1) and exact-tie flag, read-only.
 
-        Per block of draws, one sort of order-preserving uint64 keys whose low
-        (m-1).bit_length() bits hold the entity index gives the order.  Draws
-        where two neighbouring keys agree above those bits (every exact tie and
-        any near-tie) are sorted again by value, which flags the exact ties."""
+        Per block of draws, one sort of the `index_keys` of each draw, whose
+        low bits hold the entity index, gives the order.  Draws where two
+        neighbouring keys agree above those bits (every exact tie and any
+        near-tie) are sorted again by value, which flags the exact ties."""
         m = self.m
         order = np.empty(self.theta.shape, dtype=np.min_scalar_type(m - 1))
         tied = np.zeros(self.S, dtype=bool)
-        # uint64 operands only: numpy 1.x turns uint64 mixed with int64 into float64
-        bits = np.uint64((m - 1).bit_length())
-        index_mask = (np.uint64(1) << bits) - np.uint64(1)
         for rows in row_blocks(self.S, m):
-            keys = (self.theta[rows] + 0.0).view(np.uint64)  # -0.0 and 0.0: one key
-            # negative: flip every bit; otherwise set the sign bit
-            keys ^= (keys.view(np.int64) >> 63).view(np.uint64) | np.uint64(1 << 63)
-            keys &= ~index_mask
-            keys |= np.arange(m, dtype=np.uint64)
+            keys, index_mask = index_keys(self.theta[rows])
             keys.sort(axis=1)
             order[rows] = keys & index_mask
-            keys >>= bits
+            keys |= index_mask  # what is left to compare: the bits above the index
             near = rows.start + np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
             theta = self.theta[near]
             order[near] = np.argsort(theta, axis=1)
@@ -158,7 +167,18 @@ def _draw_a(X, y, d, S, rng) -> np.ndarray:
 
 
 def _draw_beta(X, y, d, a, rng) -> np.ndarray:
-    """beta | A, y ~ Normal(GLS fit, (X'V^-1 X)^-1) for each A in `a` (S,)."""
+    """beta | A, y ~ Normal(GLS fit, (X'V^-1 X)^-1) for each A in `a` (S,).
+
+    With one design column x the information is the scalar sum_i w_i x_i^2,
+    so the step is elementwise: no solve, inverse or Cholesky of S 1 x 1
+    matrices.  einsum without `optimize` sums its products in its own loop,
+    with no BLAS call."""
+    if X.shape[1] == 1:
+        x = X[:, 0]
+        w = 1.0 / (a[:, None] + d)
+        info = np.einsum("sm,m->s", w, x * x)
+        beta_hat = (np.einsum("sm,m->s", w, x * y) / info)[:, None]
+        return beta_hat + np.sqrt(1.0 / info)[:, None] * rng.standard_normal(beta_hat.shape)
     _, info, beta_hat = _gls(a, X, y, d)
     chol = np.linalg.cholesky(np.linalg.inv(info))
     return beta_hat + (chol @ rng.standard_normal(beta_hat.shape)[..., None])[..., 0]
@@ -198,7 +218,9 @@ def gibbs_hb(ds: Dataset, S: int, seed: int, include_intercept: bool = True) -> 
     rng = np.random.default_rng(seed)
     a = _draw_a(X, ds.y, ds.d, S, rng)
     beta = _draw_beta(X, ds.y, ds.d, a, rng)
-    theta = draw_theta(ds.y, ds.d, beta @ X.T, a, rng)
+    # with one column, the K = 1 product beta @ X.T is this elementwise one
+    xb = beta * X[:, 0] if q == 1 else beta @ X.T
+    theta = draw_theta(ds.y, ds.d, xb, a, rng)
     return PosteriorDraws(theta=theta, model=HB, beta=beta, a=a)
 
 

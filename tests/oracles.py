@@ -316,6 +316,19 @@ def cond_beta(xtx_inv_chol, xtx_inv_xt, theta, a, rng):
     return mean + np.sqrt(a) * (xtx_inv_chol @ rng.standard_normal(q))
 
 
+def draw_beta_reference(X, y, d, a, rng):
+    """beta | A, y ~ Normal(GLS fit, (X'V^-1 X)^-1) for each A in `a` (S,), by
+    batched linear algebra over the S q x q information matrices X'V^-1 X,
+    V = diag(A + d): one solve for the GLS fits, then the Cholesky factor of
+    each inverse scales a standard normal vector."""
+    w = 1.0 / (a[:, None] + d)
+    wx = w[:, :, None] * X
+    info = X.T @ wx
+    beta_hat = np.linalg.solve(info, (y @ wx)[..., None])[..., 0]
+    chol = np.linalg.cholesky(np.linalg.inv(info))
+    return beta_hat + (chol @ rng.standard_normal(beta_hat.shape)[..., None])[..., 0]
+
+
 def cond_a_rejection(theta, xb, dbar, rng, max_tries=100_000_000):
     """Rejection draw of the model variance A.
 

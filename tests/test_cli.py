@@ -154,6 +154,23 @@ class TestFileio:
         with pytest.raises(rc.DomainError, match="row 3, column 'y'"):
             rc.parse_csv_text("id,y,d\na,0.1,0.01\nb,oops,0.01\n")
 
+    @pytest.mark.parametrize("text, row", [
+        ("id,y,d\n\na,1,1\nb,x,1\n", 4),
+        ("id,y,d\na,1,1\n\n\nb,x,1\n", 5),
+    ])
+    def test_blank_lines_count_as_rows(self, text, row):
+        with pytest.raises(rc.DomainError, match=f"^row {row}, column 'y': 'x' is not a number$"):
+            rc.parse_csv_text(text)
+
+    def test_blank_lines_hold_no_entity(self):
+        ds = rc.parse_csv_text("id,y,d\n\na,1,1\n\nb,2,1\n\n")
+        assert ds.ids == ["a", "b"]
+
+    @pytest.mark.parametrize("header, name", [("id,y,d,y", "y"), ("id,y,d, id ", "id"), ("x1,id,y,d,x1", "x1")])
+    def test_repeated_column_rejected(self, header, name):
+        with pytest.raises(rc.DomainError, match=f"^header names column '{name}' more than once$"):
+            rc.parse_csv_text(f"{header}\na,1,1,5\nb,2,1,6\n")
+
     def test_nonconsecutive_covariates(self):
         with pytest.raises(rc.DomainError, match="consecutive"):
             rc.parse_csv_text("id,y,d,x2\na,0.1,0.01,1.0\nb,0.2,0.01,2.0\n")
@@ -512,3 +529,12 @@ class TestExitCodes:
         assert run_command([command, str(p), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err == "error: row 2: 2 fields, but the header has 3\n"
+
+    @pytest.mark.parametrize("command", ["fit", "kww"])
+    def test_repeated_column(self, tmp_path, capsys, command):
+        p = tmp_path / "repeated.csv"
+        p.write_text("id,y,d,y\na,1,1,5\nb,2,1,6\nc,3,1,7\n")
+        assert run_command([command, str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: header names column 'y' more than once\n"
+        assert not (tmp_path / "out").exists()

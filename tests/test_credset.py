@@ -120,6 +120,58 @@ class TestBoxPeeling:
         assert list(sel.indices) == [1]
 
 
+class TestColumnSort:
+    """`tune_kappa` sorts each column by packed keys, the draw index in their
+    low bits, and sorts by value any column whose gathered values do not
+    strictly increase.  Each case is checked against `box_peel_reference`."""
+
+    @staticmethod
+    def near_tie_pairs(S, rng):
+        # pairs x, nextafter(x, inf), the larger at the lower index: keys
+        # that drop the low bits of both order the pair by index, wrongly
+        x = np.repeat(rng.standard_normal((S + 1) // 2), 2)[:S]
+        x[0::2] = np.nextafter(x[0::2], np.inf)
+        return x
+
+    @pytest.mark.parametrize("S", [1024, 1025])  # 10 and 11 index bits
+    def test_near_ties_the_keys_cannot_separate(self, S):
+        rng = np.random.default_rng(S)
+        theta = rng.standard_normal((S, 3))
+        theta[:, 1] = self.near_tie_pairs(S, rng)
+        assert np.all(theta[0::2, 1][: S // 2] > theta[1::2, 1])
+        sel = peeled_box(theta, 0.1)
+        assert sel.K == round(S * 0.9)
+
+    @pytest.mark.parametrize("S", [1024, 1025])
+    def test_tie_free_columns_sort_once(self, S, monkeypatch):
+        # the keys order tie-free columns by themselves: no value argsort
+        calls, argsort = [], np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        sel = peeled_box(np.random.default_rng(S + 1).standard_normal((S, 3)), 0.1)
+        assert sel.K == round(S * 0.9)
+        assert calls == []
+
+    def test_all_tied_column_next_to_tie_free_ones(self):
+        theta = np.random.default_rng(3).standard_normal((500, 3))
+        theta[:, 1] = 0.25
+        sel = peeled_box(theta, 0.1)
+        assert np.all(sel.cart.lower[1] == sel.cart.upper[1] == 0.25)
+
+    def test_signed_zeros(self):
+        # the lower side lands in a run of zeros, half of them -0.0: one
+        # tie run, whose bound may carry either sign, so bounds compare by value
+        rng = np.random.default_rng(4)
+        theta = np.abs(rng.standard_normal((400, 2)))
+        theta[:60, 0] = np.where(rng.random(60) < 0.5, -0.0, 0.0)
+        assert np.signbit(theta[:60, 0]).any() and not np.signbit(theta[:60, 0]).all()
+        sel = rc.cartesian_select(PosteriorDraws(theta=theta, model="UB"), 0.1)
+        kappa, lower, upper, indices = box_peel_reference(theta, 0.1)
+        assert sel.cart.lower[0] == 0.0
+        assert sel.cart.kappa == kappa
+        assert np.array_equal(sel.cart.lower, lower) and np.array_equal(sel.cart.upper, upper)
+        assert np.array_equal(sel.indices, indices)
+
+
 class TestMatchesQuantileReference:
     """Against the np.quantile bisection (`cartesian_select_reference`),
     every side lies on the order statistic at or just after the reference's

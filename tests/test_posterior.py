@@ -4,13 +4,14 @@ from scipy import stats
 from scipy.special import ndtr
 
 import rankcred as rc
-from rankcred.posterior import design_matrix, draw_theta
+from rankcred.posterior import _draw_a, _draw_beta, design_matrix, draw_theta
 
 from conftest import make_dataset
 from oracles import (
     cond_a_rejection,
     cond_beta,
     cond_theta,
+    draw_beta_reference,
     gibbs_hb_reference,
     hb_variance_marginal_cdf,
     variance_target_cdf,
@@ -242,6 +243,63 @@ class TestGibbsHb:
         shrink = np.mean(baseball.d / (baseball.d + hb_draws.a[:, None]), axis=0)
         assert 0.55 < shrink.min() < 0.70
         assert 0.70 < shrink.max() < 0.80
+
+
+def design(name):
+    """(dataset, include_intercept) of a named HB design: the fixture's
+    intercept (q = 1), one covariate without an intercept (q = 1, through x),
+    or with one (q = 2)."""
+    if name == "intercept":
+        return rc.baseball_dataset(), True
+    rng = np.random.default_rng(31)
+    x = rng.uniform(0.5, 2.0, 12)
+    _, ds = rc.generate_instance(x, 0.2, 0.4, 1.0, rng.uniform(0.5, 2.0, 12), rng)
+    return ds, name == "covariate"
+
+
+class TestDrawBeta:
+    """The beta step against `draw_beta_reference`, batched linear algebra
+    over S q x q matrices, both fed from one seed."""
+
+    def steps(self, name):
+        S = 20000
+        ds, include_intercept = design(name)
+        X = design_matrix(ds, include_intercept)
+        a = rc.gibbs_hb(ds, S, seed=4, include_intercept=include_intercept).a
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = _draw_beta(X, ds.y, ds.d, a, rng)
+        want = draw_beta_reference(X, ds.y, ds.d, a, ref_rng)
+        assert got.shape == want.shape == (S, X.shape[1])
+        # one standard_normal call of the same shape: both streams end in one state
+        assert rng.random() == ref_rng.random()
+        return got, want
+
+    @pytest.mark.parametrize("name", ["intercept", "no-intercept x1"])
+    def test_one_column_matches_reference(self, name):
+        got, want = self.steps(name)
+        # a draw near 0 is the GLS fit cancelling its noise term, where two
+        # sums of the same terms differ relatively by more; hence the atol
+        # at 1e-13 of the largest draw
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    def test_two_columns_equal_reference(self):
+        got, want = self.steps("covariate")
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ["intercept", "no-intercept x1", "covariate"])
+    def test_gibbs_hb_is_its_three_steps(self, name):
+        # theta from the fits beta @ X.T: with one column gibbs_hb multiplies
+        # elementwise, which must give the same bits
+        ds, include_intercept = design(name)
+        X = design_matrix(ds, include_intercept)
+        draws = rc.gibbs_hb(ds, 3000, seed=6, include_intercept=include_intercept)
+        rng = np.random.default_rng(6)
+        a = _draw_a(X, ds.y, ds.d, 3000, rng)
+        beta = (_draw_beta if X.shape[1] == 1 else draw_beta_reference)(X, ds.y, ds.d, a, rng)
+        theta = draw_theta(ds.y, ds.d, beta @ X.T, a, rng)
+        assert draws.a.tobytes() == a.tobytes()
+        assert draws.beta.tobytes() == beta.tobytes()
+        assert draws.theta.tobytes() == theta.tobytes()
 
 
 class TestPosteriorDraws:
