@@ -50,6 +50,8 @@ def _cmd_fit(args) -> int:
     if args.model == "ub" and args.no_intercept:
         raise DomainError("--no-intercept applies to --model hb only: UB fits no regression")
     ds = parse_dataset(args.dataset)
+    if args.model == "hb" and args.set == "elliptical" and args.samples <= ds.m:
+        raise DomainError(f"HB elliptical fits need --samples > m: S={args.samples}, m={ds.m}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, solve_triangular
 
-from .domain import DomainError
+from .domain import DomainError, rank_span
 from .posterior import PosteriorDraws, index_keys
 
 CARTESIAN = "cartesian"
@@ -29,6 +29,7 @@ class CartesianBounds:
     lower: np.ndarray  # (m,) a_i
     upper: np.ndarray  # (m,) b_i
     kappa: float
+    indices: np.ndarray  # the draws inside the box, ascending
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,10 @@ def tune_kappa(draws: PosteriorDraws, alpha: float) -> CartesianBounds:
             cols[c] = v
             col_depth[order] = place_depth
         else:
-            order = np.argsort(col)
-            cols[c] = v = col[order]
-            # tie run r of the sorted column spans places starts[r]..starts[r+1]-1; each of
-            # its draws has #(col <= v) = starts[r+1] and #(col >= v) = S - starts[r]
-            starts = np.flatnonzero(np.r_[True, v[1:] != v[:-1], True])
-            col_depth[order] = np.repeat(np.minimum(starts[1:], S - starts[:-1]), np.diff(starts))
+            # a draw of ranks lo..hi (its tie run) has #(col <= v) = hi, #(col >= v) = S + 1 - lo
+            cols[c] = np.sort(col, kind="stable")
+            lo, hi = rank_span(col)
+            np.minimum(hi, S + 1 - lo, out=col_depth)
         np.minimum(depth, col_depth, out=depth)
 
     k = min(int(np.partition(depth, S - target)[S - target]) - 1, (S - 1) // 2)
@@ -126,18 +125,15 @@ def tune_kappa(draws: PosteriorDraws, alpha: float) -> CartesianBounds:
 
     rows = np.arange(m)
     kappa = float(np.mean(cut[:, 0] + S - 1 - cut[:, 1])) / (S - 1)
-    return CartesianBounds(lower=cols[rows, cut[:, 0]], upper=cols[rows, cut[:, 1]], kappa=kappa)
+    lower, upper = cols[rows, cut[:, 0]], cols[rows, cut[:, 1]]
+    return CartesianBounds(lower, upper, kappa, indices=np.flatnonzero(inside))
 
 
 def cartesian_select(draws: PosteriorDraws, alpha: float) -> CredibleSelection:
     """Select the draws inside the box of `tune_kappa`: round(S(1-alpha)) of
     them when no coordinate has tied draws, otherwise at least that many."""
     bounds = tune_kappa(draws, alpha)
-    theta = draws.theta
-    inside = np.all((theta >= bounds.lower) & (theta <= bounds.upper), axis=1)
-    return CredibleSelection(
-        indices=np.flatnonzero(inside), alpha=alpha, geometry=CARTESIAN, cart=bounds
-    )
+    return CredibleSelection(indices=bounds.indices, alpha=alpha, geometry=CARTESIAN, cart=bounds)
 
 
 def _cho_factor_spd(dispersion: np.ndarray):

@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
-from scipy.stats import rankdata
 
 MIDRANK = "midrank"
 HIGHEST_OF_TIES = "highest"
@@ -84,6 +83,19 @@ class Dataset:
         return rank_of(self.gold, MIDRANK)
 
 
+def rank_span(values) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest and highest ascending rank in 1..m of each value: the places its
+    tie run fills in a stable sort.  Ties are exact equality (-0.0 ties 0.0)."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    v = values[order]
+    # tie run r fills the places runs[r]..runs[r+1]-1 of the sorted values
+    runs = np.r_[0, np.flatnonzero(v[1:] != v[:-1]) + 1, len(v)]
+    lo, hi = np.empty((2, len(v)), dtype=int)
+    lo[order], hi[order] = np.repeat([runs[:-1] + 1, runs[1:]], np.diff(runs), axis=1)
+    return lo, hi
+
+
 def rank_of(values, tie_rule: str = MIDRANK) -> np.ndarray:
     """Ascending ranks of `values` in 1..m.
 
@@ -93,8 +105,7 @@ def rank_of(values, tie_rule: str = MIDRANK) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(values)):
         raise DomainError("values to rank must be finite")
-    if tie_rule == MIDRANK:
-        return rankdata(values, method="average")
-    if tie_rule == HIGHEST_OF_TIES:
-        return rankdata(values, method="max").astype(float)
-    raise DomainError(f"unknown tie rule {tie_rule!r}")
+    if tie_rule not in (MIDRANK, HIGHEST_OF_TIES):
+        raise DomainError(f"unknown tie rule {tie_rule!r}")
+    lo, hi = rank_span(values)
+    return (lo + hi) / 2 if tie_rule == MIDRANK else hi.astype(float)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .credset import CredibleSelection, Dispersion
-from .domain import DomainError
+from .domain import DomainError, rank_span
 from .posterior import PosteriorDraws, row_blocks
 
 EQUAL = "equal"
@@ -43,20 +43,9 @@ def rank_table(theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if not np.all(np.isfinite(theta)):
         raise DomainError("rank table needs finite values")
-    m = len(theta)
-    table = np.zeros((m, m))
-    order = np.argsort(theta, kind="stable")
-    sorted_vals = theta[order]
-    start = 0
-    while start < m:
-        stop = start + 1
-        while stop < m and sorted_vals[stop] == sorted_vals[start]:
-            stop += 1
-        g = stop - start
-        cols = order[start:stop]
-        table[np.ix_(range(start, stop), cols)] = 1.0 / g
-        start = stop
-    return table
+    lo, hi = rank_span(theta)
+    k = np.arange(1, len(theta) + 1)[:, None]
+    return ((lo <= k) & (k <= hi)) / (hi - lo + 1)
 
 
 def build_distribution(

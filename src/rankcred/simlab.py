@@ -47,6 +47,8 @@ class SimConfig:
             raise DomainError("all model variances in a_grid must be > 0")
         if any(v <= 0 for v in self.d):
             raise DomainError("d must hold positive sampling variances")
+        if self.samples <= self.m:  # each replication fits an HB ellipse
+            raise DomainError(f"samples={self.samples} must be > m={self.m}")
 
     @property
     def m(self) -> int:

@@ -36,6 +36,25 @@ def mahalanobis_solve(thetas, center, dispersion):
     return np.einsum("si,is->s", diff, np.linalg.solve(dispersion, diff.T))
 
 
+def rank_table_reference(theta):
+    """Rank table of one draw by walking the tie groups of a stable sort: a
+    group of size g at sorted places j..j+g-1 puts 1/g in its g^2 cells."""
+    theta = np.asarray(theta, dtype=float)
+    m = len(theta)
+    table = np.zeros((m, m))
+    order = np.argsort(theta, kind="stable")
+    sorted_vals = theta[order]
+    start = 0
+    while start < m:
+        stop = start + 1
+        while stop < m and sorted_vals[stop] == sorted_vals[start]:
+            stop += 1
+        g = stop - start
+        table[np.ix_(range(start, stop), order[start:stop])] = 1.0 / g
+        start = stop
+    return table
+
+
 def tied_rows_reference(theta):
     """Whether each row holds two entries equal under ==, by a loop over pairs."""
     return np.array(

@@ -291,19 +291,27 @@ class TestFitCommand:
         means = [post["mean"][k] for k in ("a", "b", "c", "d", "e")]
         assert np.std(means) < np.std([0.40, 0.35, 0.30, 0.25, 0.20])
 
-    @pytest.mark.parametrize("samples", ["10", "12"])
-    def test_hb_elliptical_with_fewer_draws_than_entities(self, tmp_path, samples):
-        # S <= m = 18: the covariance of the draws is singular, and the size
-        # reads the jittered factor that the selection used
+    @pytest.mark.parametrize("samples", ["10", "12", "18"])
+    def test_hb_elliptical_with_fewer_draws_than_entities(self, tmp_path, capsys, samples):
+        # S <= m = 18: the covariance of the draws is singular, so the ellipse
+        # would be sized by the jitter of its factor, not by the draws
         out = tmp_path / "out"
         data = Path(rc.__file__).parent / "data" / "baseball.csv"
         argv = ["fit", str(data), "--model", "hb", "--set", "elliptical", "--samples", samples]
-        assert run_command([*argv, "--out", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == [
-            "posterior_summary.json", "rank_matrix.csv", "rank_summary.csv", "size_report.json",
-        ]
-        size = json.loads((out / "size_report.json").read_text())
-        assert math.isfinite(size["log_volume"])
+        assert run_command([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: HB elliptical fits need --samples > m: S={samples}, m=18\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "model, geometry, samples",
+        [("hb", "cartesian", "12"), ("ub", "elliptical", "12"), ("hb", "elliptical", "19")],
+    )
+    def test_few_draws_accepted(self, tmp_path, model, geometry, samples):
+        # only an HB ellipse reads the draws' covariance; S = m + 1 makes it regular
+        data = Path(rc.__file__).parent / "data" / "baseball.csv"
+        argv = ["fit", str(data), "--model", model, "--set", geometry, "--samples", samples]
+        assert run_command([*argv, "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize(
         "model, geometry, weights, expected",
@@ -484,7 +492,9 @@ class TestSimulateCommand:
         assert run_command(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 1
         assert "burnin" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("n_reps", "2"), ("a_grid", 5), ("samples", 2.5)])
+    @pytest.mark.parametrize(
+        "key, value", [("n_reps", "2"), ("a_grid", 5), ("samples", 2.5), ("samples", 18)]
+    )
     def test_mistyped_value(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "sim.json"
         cfg_path.write_text(json.dumps({key: value}))

@@ -112,6 +112,18 @@ class TestBoxPeeling:
         if sel is not None:
             assert sel.K == round(S * (1 - alpha))
 
+    @given(
+        S=st.integers(1, 300),
+        m=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.01, 0.5, exclude_min=True, exclude_max=True),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_signed_zero_draws(self, S, m, seed, alpha):
+        # -0.0 ties 0.0; each side's sign is that of the stable sort's place
+        rng = np.random.default_rng(seed)
+        peeled_box(rng.choice([-1.0, -0.0, 0.0, 1.0], size=(S, m)), alpha)
+
     @pytest.mark.parametrize("alpha", [0.3, 0.375, 0.45])
     def test_two_draws_select_one(self, alpha):
         draws = PosteriorDraws(theta=np.array([[-1.0], [1.0]]), model="UB")
@@ -158,18 +170,15 @@ class TestColumnSort:
         assert np.all(sel.cart.lower[1] == sel.cart.upper[1] == 0.25)
 
     def test_signed_zeros(self):
-        # the lower side lands in a run of zeros, half of them -0.0: one
-        # tie run, whose bound may carry either sign, so bounds compare by value
+        # the lower side lands in a run of zeros, half of them -0.0: one tie
+        # run, sorted stably as the reference sorts it, so the bound's sign
+        # is the reference's too
         rng = np.random.default_rng(4)
         theta = np.abs(rng.standard_normal((400, 2)))
         theta[:60, 0] = np.where(rng.random(60) < 0.5, -0.0, 0.0)
         assert np.signbit(theta[:60, 0]).any() and not np.signbit(theta[:60, 0]).all()
-        sel = rc.cartesian_select(PosteriorDraws(theta=theta, model="UB"), 0.1)
-        kappa, lower, upper, indices = box_peel_reference(theta, 0.1)
+        sel = peeled_box(theta, 0.1)
         assert sel.cart.lower[0] == 0.0
-        assert sel.cart.kappa == kappa
-        assert np.array_equal(sel.cart.lower, lower) and np.array_equal(sel.cart.upper, upper)
-        assert np.array_equal(sel.indices, indices)
 
 
 class TestMatchesQuantileReference:

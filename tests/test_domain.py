@@ -1,13 +1,25 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 import rankcred as rc
-from rankcred.domain import HIGHEST_OF_TIES, MIDRANK
+from rankcred.domain import HIGHEST_OF_TIES, MIDRANK, rank_span
 
 from conftest import make_dataset
 from oracles import pairwise_rank
+
+
+# small integers and a mix of signed zeros, so that runs of exact ties are common
+tied_values = st.lists(
+    st.one_of(st.integers(-4, 4).map(float), st.sampled_from([0.0, -0.0])), max_size=30
+)
 
 
 class TestRankOf:
@@ -51,6 +63,40 @@ class TestRankOf:
     def test_midrank_sum_conserved(self, values):
         m = len(values)
         assert rc.rank_of(values).sum() == pytest.approx(m * (m + 1) / 2, abs=1e-9)
+
+    @given(tied_values)
+    @settings(max_examples=300)
+    def test_bitwise_equal_to_scipy_rankdata(self, values):
+        for tie_rule, method in ((MIDRANK, "average"), (HIGHEST_OF_TIES, "max")):
+            expected = rankdata(values, method=method).astype(float)
+            got = rc.rank_of(values, tie_rule)
+            assert got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes()
+
+
+class TestRankSpan:
+    @given(tied_values)
+    @settings(max_examples=200)
+    @example([0.0, -1.0, -0.0, 0.0, 2.0])  # lo = [2, 1, 2, 2, 5], hi = [4, 1, 4, 4, 5]
+    def test_matches_counts(self, values):
+        # a value's tie run spans ranks #(v < x) + 1 .. #(v <= x)
+        v = np.array(values)
+        lo, hi = rank_span(v)
+        assert lo.tolist() == [int(np.sum(v < x)) + 1 for x in v]
+        assert hi.tolist() == [int(np.sum(v <= x)) for x in v]
+
+    def test_fresh_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(rc.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import rankcred, sys; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestValidation:

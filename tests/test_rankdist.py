@@ -7,7 +7,7 @@ from rankcred import posterior
 from rankcred.posterior import PosteriorDraws
 from rankcred.rankdist import DS_TOL, rank_table
 
-from oracles import mahalanobis_solve, tied_rows_reference
+from oracles import mahalanobis_solve, rank_table_reference, tied_rows_reference
 
 
 class TestRankTable:
@@ -46,6 +46,22 @@ class TestRankTable:
         table = rank_table(np.array(vals, dtype=float))
         assert np.allclose(table.sum(axis=0), 1.0, atol=1e-12)
         assert np.allclose(table.sum(axis=1), 1.0, atol=1e-12)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-3, 3).map(float),
+                st.sampled_from([0.0, -0.0]),
+                st.floats(-3, 3).map(lambda v: round(v, 1)),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_equal_to_loop_reference(self, vals):
+        table = rank_table(vals)
+        assert table.tobytes() == rank_table_reference(vals).tobytes()
 
     def test_consistent_with_midrank(self):
         # column means of ranks 1..m weighted by the table reproduce midranks

@@ -25,6 +25,12 @@ class TestSimConfig:
             rc.SimConfig(n_reps=0)
         with pytest.raises(rc.DomainError):
             rc.SimConfig(a_grid=(0.1, -0.5))
+        # every replication fits an HB ellipse, which needs more draws than entities
+        with pytest.raises(rc.DomainError, match="samples=18 must be > m=18"):
+            rc.SimConfig(samples=18)
+        with pytest.raises(rc.DomainError, match="samples=3 must be > m=3"):
+            rc.SimConfig(samples=3, d=(0.1, 0.2, 0.3))
+        assert rc.SimConfig(samples=4, d=(0.1, 0.2, 0.3)).samples == 4
 
 
 class TestGenerateInstance:
