@@ -5,7 +5,6 @@ from .credset import (
     Dispersion,
     cartesian_select,
     elliptical_select,
-    mahalanobis,
     tune_kappa,
 )
 from .domain import HIGHEST_OF_TIES, MIDRANK, Dataset, DomainError, rank_of
@@ -69,7 +68,6 @@ __all__ = [
     "generate_instance",
     "gibbs_hb",
     "kww_abs_deviation",
-    "mahalanobis",
     "orthotope_size",
     "parse_csv_text",
     "parse_dataset",

@@ -192,6 +192,8 @@ def _cmd_kww(args) -> int:
 def _cmd_simulate(args) -> int:
     with open(args.config, encoding="utf-8") as f:
         raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise DomainError(f"simulation config must be a JSON object, got {json.dumps(raw)[:40]}")
     unknown = sorted(set(raw) - {f.name for f in fields(SimConfig)})
     if unknown:
         raise DomainError(f"unknown simulation config keys: {unknown}")

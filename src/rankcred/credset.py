@@ -190,11 +190,6 @@ class Dispersion:
         return np.einsum("ij,ij->j", inv, inv)
 
 
-def mahalanobis(theta, center, dispersion) -> float:
-    """Squared Mahalanobis distance (theta-center)' dispersion^-1 (theta-center)."""
-    return float(Dispersion(center, dispersion).distances(np.asarray(theta, float)[None, :])[0])
-
-
 def elliptical_select(
     draws: PosteriorDraws, dispersion: Dispersion, alpha: float
 ) -> CredibleSelection:

@@ -128,39 +128,100 @@ def sample_ub(ds: Dataset, S: int, seed: int) -> PosteriorDraws:
     return PosteriorDraws(theta=theta, model=UB)
 
 
-def _gls(a, X, y, d):
-    """Generalized least squares of y on X for each model variance in `a`.
+def _cholesky_columns(G):
+    """Lower Cholesky factor of a stack of n symmetric q x q matrices, built
+    one column at a time for all n at once.  G[i][j] (j <= i) is entry (i, j)
+    of every matrix as an (n,) array, and so is K[i][j] of the factor.
+    A pivot <= 0 or NaN means a matrix is not positive definite."""
+    q = len(G)
+    K = [[None] * (i + 1) for i in range(q)]
+    for j in range(q):
+        pivot = G[j][j] - sum(K[j][k] ** 2 for k in range(j))
+        if not np.all(pivot > 0):
+            raise DomainError(
+                "design matrix is numerically rank deficient: "
+                "X'V^-1 X is not positive definite at some model variance"
+            )
+        K[j][j] = np.sqrt(pivot)
+        for i in range(j + 1, q):
+            K[i][j] = (G[i][j] - sum(K[i][k] * K[j][k] for k in range(j))) / K[j][j]
+    return K
 
-    Returns the weights w = 1/(A + d) (n, m), the information matrices
-    X'V^-1 X (n, q, q) and the GLS coefficients (n, q), V = diag(A + d).
+
+def _gls(a, X, y, d):
+    """Generalized least squares of y on X for each model variance in `a` (n,),
+    V = diag(A + d), through one Cholesky factor per variance.
+
+    With J the reversal of the q design columns, J X'V^-1 X J = K K' (K lower
+    triangular) and t = K^-1 J X'V^-1 y.  Then log|X'V^-1 X| = 2 sum log diag K,
+    the GLS fit is J K^-T t, and J K^-T J is the lower Cholesky factor of
+    (X'V^-1 X)^-1: the reversal makes it the lower factor np.linalg.cholesky
+    would give of the inverse.  The sums over the m entities are einsum sums
+    of whole rows, with no BLAS call, and every other loop runs over q only.
+
+    Returns the weights w = 1/(A + d) as an (m, n) array, one row per entity,
+    the factor K as in `_cholesky_columns` and t as q (n,) arrays.
     """
-    w = 1.0 / (a[:, None] + d)
-    wx = w[:, :, None] * X
-    info = X.T @ wx
-    beta_hat = np.linalg.solve(info, (y @ wx)[..., None])[..., 0]
-    return w, info, beta_hat
+    w = np.add.outer(d, a)
+    np.divide(1.0, w, out=w)
+    Xr = X[:, ::-1]
+    q = X.shape[1]
+    G = [[np.einsum("mn,m->n", w, Xr[:, i] * Xr[:, j]) for j in range(i + 1)] for i in range(q)]
+    K = _cholesky_columns(G)
+    t = []
+    for i in range(q):
+        b = np.einsum("mn,m->n", w, Xr[:, i] * y)
+        t.append((b - sum(K[i][k] * t[k] for k in range(i))) / K[i][i])
+    return w, K, t
+
+
+def _solve_reversed(K, c) -> list:
+    """J K^-T c for the factor K of `_gls` and c as q (n,) arrays, by back
+    substitution; returns q (n,) arrays, one per design column."""
+    q = len(K)
+    v = [None] * q
+    for i in reversed(range(q)):
+        v[i] = (c[i] - sum(K[k][i] * v[k] for k in range(i + 1, q))) / K[i][i]
+    return v[::-1]
+
+
+def _a_log_density(u, X, y, d) -> np.ndarray:
+    """Log of the marginal posterior density of u = log A, up to a constant,
+    at each node of `u`.
+
+    With beta integrated out under its flat prior (Fay and Herriot 1979),
+    p(A | y) ~ (dbar+A)^(-1/2) |V|^(-1/2) |X'V^-1 X|^(-1/2) exp(-y'Py/2),
+    and the Jacobian of u = log A adds u.
+    """
+    a = np.exp(u)
+    w, K, t = _gls(a, X, y, d)
+    # one (m, n) buffer holds the GLS fits, the residuals, their weighted
+    # squares and log w in turn: a new array of that size costs more than
+    # the arithmetic on it
+    r = np.einsum("mq,qn->mn", X, np.array(_solve_reversed(K, t)))
+    np.subtract(y[:, None], r, out=r)
+    np.square(r, out=r)
+    r *= w
+    quad = r.sum(axis=0)  # y'Py
+    log_w = np.log(w, out=r).sum(axis=0)
+    return (
+        -0.5 * np.log(d.mean() + a)
+        + 0.5 * log_w
+        - sum(np.log(K[j][j]) for j in range(len(K)))  # half of log|X'V^-1 X|
+        - 0.5 * quad
+        + u
+    )
 
 
 def _draw_a(X, y, d, S, rng) -> np.ndarray:
     """S draws of A from its marginal posterior by inverse CDF on a log grid.
 
-    With beta integrated out under its flat prior (Fay and Herriot 1979),
-    p(A | y) ~ (dbar+A)^(-1/2) |V|^(-1/2) |X'V^-1 X|^(-1/2) exp(-y'Py/2).
-    The density is evaluated in u = log A on A_GRID_POINTS nodes spanning
-    A_GRID_SPAN log units beyond the range of d on each side, and inverted
-    by linear interpolation of its trapezoid CDF.
+    The density (`_a_log_density`) is evaluated in u = log A on
+    A_GRID_POINTS nodes spanning A_GRID_SPAN log units beyond the range of d
+    on each side, and inverted by linear interpolation of its trapezoid CDF.
     """
     u = np.linspace(np.log(d.min()) - A_GRID_SPAN, np.log(d.max()) + A_GRID_SPAN, A_GRID_POINTS)
-    a = np.exp(u)
-    w, info, beta_hat = _gls(a, X, y, d)
-    resid = y - beta_hat @ X.T
-    log_dens = (
-        -0.5 * np.log(d.mean() + a)
-        + 0.5 * np.log(w).sum(axis=1)
-        - 0.5 * np.linalg.slogdet(info)[1]
-        - 0.5 * (w * resid**2).sum(axis=1)
-        + u  # Jacobian of u = log A
-    )
+    log_dens = _a_log_density(u, X, y, d)
     dens = np.exp(log_dens - log_dens.max())
     cdf = np.concatenate([[0.0], np.cumsum(dens[1:] + dens[:-1])])
     return np.exp(np.interp(rng.random(S) * cdf[-1], cdf, u))
@@ -169,19 +230,14 @@ def _draw_a(X, y, d, S, rng) -> np.ndarray:
 def _draw_beta(X, y, d, a, rng) -> np.ndarray:
     """beta | A, y ~ Normal(GLS fit, (X'V^-1 X)^-1) for each A in `a` (S,).
 
-    With one design column x the information is the scalar sum_i w_i x_i^2,
-    so the step is elementwise: no solve, inverse or Cholesky of S 1 x 1
-    matrices.  einsum without `optimize` sums its products in its own loop,
-    with no BLAS call."""
-    if X.shape[1] == 1:
-        x = X[:, 0]
-        w = 1.0 / (a[:, None] + d)
-        info = np.einsum("sm,m->s", w, x * x)
-        beta_hat = (np.einsum("sm,m->s", w, x * y) / info)[:, None]
-        return beta_hat + np.sqrt(1.0 / info)[:, None] * rng.standard_normal(beta_hat.shape)
-    _, info, beta_hat = _gls(a, X, y, d)
-    chol = np.linalg.cholesky(np.linalg.inv(info))
-    return beta_hat + (chol @ rng.standard_normal(beta_hat.shape)[..., None])[..., 0]
+    With the factor K and t of `_gls`, beta = J K^-T (t + J z) for one
+    standard normal z (S, q): the GLS fit J K^-T t plus the lower Cholesky
+    factor J K^-T J of (X'V^-1 X)^-1 times z, for every q.  Each draw is the
+    one a batched inverse and Cholesky of the S information matrices gives
+    from the same z, up to rounding."""
+    _, K, t = _gls(a, X, y, d)
+    z = rng.standard_normal((len(a), X.shape[1]))[:, ::-1]
+    return np.column_stack(_solve_reversed(K, [t[i] + z[:, i] for i in range(len(t))]))
 
 
 def draw_theta(y, d, xb, a, rng) -> np.ndarray:

@@ -34,13 +34,19 @@ class SimConfig:
     samples: int = 2000  # posterior draws per replication
 
     def __post_init__(self):
-        # a JSON config reaches here unchecked: each field must hold its annotated type
+        # a JSON config reaches here unchecked: each field must hold its annotated
+        # type (a JSON true or false is no number, though bool is an Integral),
+        # and each tuple at least one value
         for f in fields(self):
             value = getattr(self, f.name)
             items = value if f.type.startswith("tuple") else (value,)
             kind = numbers.Integral if f.type == "int" else numbers.Real
-            if not isinstance(items, tuple) or not all(isinstance(v, kind) for v in items):
+            if not isinstance(items, tuple) or not all(
+                isinstance(v, kind) and not isinstance(v, bool) for v in items
+            ):
                 raise DomainError(f"{f.name}={value!r} must be {f.type}")
+            if not items:
+                raise DomainError(f"{f.name}={value!r} must hold at least one value")
         if self.n_reps < 1:
             raise DomainError(f"n_reps={self.n_reps} must be >= 1")
         if any(a <= 0 for a in self.a_grid):

@@ -37,7 +37,7 @@ def make_dataset(y, d, x=None, gold=None):
 def count_factorizations(monkeypatch, m) -> list:
     """Record the name of every call of `credset._cho_factor_spd`,
     `np.linalg.inv` or `np.linalg.cholesky` on an m x m argument (the HB
-    sampler's batched q x q calls, made for q >= 2, have other shapes)."""
+    sampler calls neither: it factors its q x q information matrices itself)."""
     from rankcred import credset
 
     calls = []

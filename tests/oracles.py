@@ -335,15 +335,40 @@ def cond_beta(xtx_inv_chol, xtx_inv_xt, theta, a, rng):
     return mean + np.sqrt(a) * (xtx_inv_chol @ rng.standard_normal(q))
 
 
-def draw_beta_reference(X, y, d, a, rng):
-    """beta | A, y ~ Normal(GLS fit, (X'V^-1 X)^-1) for each A in `a` (S,), by
-    batched linear algebra over the S q x q information matrices X'V^-1 X,
-    V = diag(A + d): one solve for the GLS fits, then the Cholesky factor of
-    each inverse scales a standard normal vector."""
+def gls_reference(a, X, y, d):
+    """Generalized least squares of y on X for each model variance in `a` (n,)
+    by batched linear algebra over the n q x q information matrices
+    X'V^-1 X, V = diag(A + d): the weights w = 1/(A + d) (n, m), the
+    information matrices (n, q, q) and one solve for the GLS fits (n, q)."""
     w = 1.0 / (a[:, None] + d)
     wx = w[:, :, None] * X
     info = X.T @ wx
     beta_hat = np.linalg.solve(info, (y @ wx)[..., None])[..., 0]
+    return w, info, beta_hat
+
+
+def a_log_density_reference(u, X, y, d):
+    """Log of the HB marginal density of u = log A (beta integrated out under
+    its flat prior) at each node of `u`, up to a constant, from
+    `gls_reference` and a batched slogdet of the information matrices."""
+    a = np.exp(u)
+    w, info, beta_hat = gls_reference(a, X, y, d)
+    resid = y - beta_hat @ X.T
+    return (
+        -0.5 * np.log(d.mean() + a)
+        + 0.5 * np.log(w).sum(axis=1)
+        - 0.5 * np.linalg.slogdet(info)[1]
+        - 0.5 * (w * resid**2).sum(axis=1)
+        + u
+    )
+
+
+def draw_beta_reference(X, y, d, a, rng):
+    """beta | A, y ~ Normal(GLS fit, (X'V^-1 X)^-1) for each A in `a` (S,), by
+    batched linear algebra: the GLS fits of `gls_reference`, then the
+    Cholesky factor of each inverse information scales a standard normal
+    vector."""
+    _, info, beta_hat = gls_reference(a, X, y, d)
     chol = np.linalg.cholesky(np.linalg.inv(info))
     return beta_hat + (chol @ rng.standard_normal(beta_hat.shape)[..., None])[..., 0]
 

@@ -493,7 +493,18 @@ class TestSimulateCommand:
         assert "burnin" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value", [("n_reps", "2"), ("a_grid", 5), ("samples", 2.5), ("samples", 18)]
+        "key, value",
+        [
+            ("n_reps", "2"),
+            ("a_grid", 5),
+            ("samples", 2.5),
+            ("samples", 18),
+            ("n_reps", True),
+            ("alpha", False),
+            ("a_grid", [0.1, True]),
+            ("a_grid", []),
+            ("beta1_grid", []),
+        ],
     )
     def test_mistyped_value(self, tmp_path, capsys, key, value):
         cfg_path = tmp_path / "sim.json"
@@ -501,6 +512,15 @@ class TestSimulateCommand:
         assert run_command(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}=")
+
+    @pytest.mark.parametrize("config", ["5", "null", '"abc"', '["n_reps"]'])
+    def test_config_not_an_object(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(config)
+        assert run_command(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: simulation config must be a JSON object, got {config}\n"
+        assert not (tmp_path / "r.csv").exists()
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         # only input errors map to exit 1; a TypeError is a bug and surfaces
@@ -548,3 +568,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "error: header names column 'y' more than once\n"
         assert not (tmp_path / "out").exists()
+
+
+SIM = ["simulate", "--config", "sim.json", "--out", "out"]
+
+
+@pytest.mark.parametrize(
+    "files, argv, message",
+    [
+        (
+            {},
+            ["fit", str(Path(rc.__file__).parent / "data" / "baseball.csv"), "--model", "hb",
+             "--set", "elliptical", "--samples", "18", "--out", "out"],
+            "HB elliptical fits need --samples > m",
+        ),
+        ({"ragged.csv": "id,y,d\na,1\nb,2,1\nc,3,1\n"}, ["fit", "ragged.csv", "--out", "out"], "row 2"),
+        ({"sim.json": '{"n_reps": "2"}'}, SIM, "n_reps="),
+        ({"sim.json": '{"n_reps": true}'}, SIM, "n_reps="),
+        ({"sim.json": '{"a_grid": []}'}, SIM, "a_grid="),
+        ({"sim.json": "5"}, SIM, "simulation config must be a JSON object"),
+        ({"sim.json": "null"}, SIM, "simulation config must be a JSON object"),
+        ({"sim.json": '"abc"'}, SIM, "simulation config must be a JSON object"),
+        ({"sim.json": '["n_reps"]'}, SIM, "simulation config must be a JSON object"),
+    ],
+    ids=[
+        "hb-elliptical-few-draws", "ragged-row", "mistyped-value", "bool-count", "empty-grid",
+        "config-int", "config-null", "config-string", "config-array",
+    ],
+)
+def test_input_error_in_subprocess(tmp_path, files, argv, message):
+    # `python -m rankcred.cli` from a fresh directory: an input error exits 1
+    # with one error line, no traceback and no output
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(rc.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankcred.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {message}")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()

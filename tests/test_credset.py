@@ -237,12 +237,12 @@ class TestCartesianSelect:
 
 class TestMahalanobis:
     def test_zero_at_center(self):
-        assert rc.mahalanobis([1.0, 2.0], [1.0, 2.0], np.eye(2)) == 0.0
+        assert Dispersion([1.0, 2.0], np.eye(2)).distances(np.array([[1.0, 2.0]]))[0] == 0.0
 
     def test_diagonal_case(self):
         d = np.array([0.5, 2.0, 4.0])
         theta = np.array([1.0, 1.0, 1.0])
-        got = rc.mahalanobis(theta, np.zeros(3), np.diag(d))
+        got = Dispersion(np.zeros(3), np.diag(d)).distances(theta[None, :])[0]
         assert got == pytest.approx(float(np.sum(theta**2 / d)))
 
     def test_matches_explicit_inverse_oracle(self):
@@ -251,18 +251,18 @@ class TestMahalanobis:
         disp = B @ B.T + 0.5 * np.eye(3)
         theta = rng.standard_normal(3)
         center = rng.standard_normal(3)
-        assert rc.mahalanobis(theta, center, disp) == pytest.approx(
+        assert Dispersion(center, disp).distances(theta[None, :])[0] == pytest.approx(
             mahalanobis_explicit(theta, center, disp), abs=1e-10
         )
 
     def test_non_spd_raises(self):
         with pytest.raises(rc.DomainError, match="positive definite"):
-            rc.mahalanobis([1.0, 0.0], [0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]))
+            Dispersion([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]])).distances(np.array([[1.0, 0.0]]))
 
     def test_jitter_rescues_semidefinite(self):
         # rank-1 dispersion is singular; the one-shot jitter makes it usable
         disp = np.outer([1.0, 1.0], [1.0, 1.0])
-        val = rc.mahalanobis([1e-8, 1e-8], [0.0, 0.0], disp)
+        val = Dispersion([0.0, 0.0], disp).distances(np.array([[1e-8, 1e-8]]))[0]
         assert np.isfinite(val)
 
     def test_many_matches_solve_oracle_m200(self):

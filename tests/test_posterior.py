@@ -4,10 +4,20 @@ from scipy import stats
 from scipy.special import ndtr
 
 import rankcred as rc
-from rankcred.posterior import _draw_a, _draw_beta, design_matrix, draw_theta
+from rankcred.posterior import (
+    A_GRID_POINTS,
+    A_GRID_SPAN,
+    _a_log_density,
+    _cholesky_columns,
+    _draw_a,
+    _draw_beta,
+    design_matrix,
+    draw_theta,
+)
 
 from conftest import make_dataset
 from oracles import (
+    a_log_density_reference,
     cond_a_rejection,
     cond_beta,
     cond_theta,
@@ -248,13 +258,70 @@ class TestGibbsHb:
 def design(name):
     """(dataset, include_intercept) of a named HB design: the fixture's
     intercept (q = 1), one covariate without an intercept (q = 1, through x),
-    or with one (q = 2)."""
+    with one (q = 2), or the intercept, x and x^2 (q = 3)."""
     if name == "intercept":
         return rc.baseball_dataset(), True
     rng = np.random.default_rng(31)
     x = rng.uniform(0.5, 2.0, 12)
     _, ds = rc.generate_instance(x, 0.2, 0.4, 1.0, rng.uniform(0.5, 2.0, 12), rng)
-    return ds, name == "covariate"
+    if name == "quadratic":
+        ds = rc.Dataset(ds.ids, ds.y, ds.d, x=np.column_stack([x, x * x]))
+    return ds, name != "no-intercept x1"
+
+
+DESIGNS = ["intercept", "no-intercept x1", "covariate", "quadratic"]
+
+
+class TestGls:
+    """The one-factor kernel of `_gls` against the batched q x q formulas of
+    `tests/oracles.py`."""
+
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_grid_log_density_matches_reference(self, name):
+        # a log density, not a density: compared in absolute terms, at 1e-12
+        # of its largest magnitude on the grid
+        ds, include_intercept = design(name)
+        X = design_matrix(ds, include_intercept)
+        span = (np.log(ds.d.min()) - A_GRID_SPAN, np.log(ds.d.max()) + A_GRID_SPAN)
+        u = np.linspace(*span, A_GRID_POINTS)
+        got = _a_log_density(u, X, ds.y, ds.d)
+        want = a_log_density_reference(u, X, ds.y, ds.d)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("name", DESIGNS)
+    def test_no_linalg_calls(self, name, monkeypatch):
+        # q = 1, 1, 2 and 3: the sampler factors X'V^-1 X itself, and
+        # matrix_rank's check of X'X is its only np.linalg call
+        ds, include_intercept = design(name)
+        q = design_matrix(ds, include_intercept).shape[1]
+        calls = []
+        for fn in ("solve", "inv", "cholesky", "slogdet"):
+
+            def spy(*args, _fn=getattr(np.linalg, fn), _name=fn, **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, fn, spy)
+        draws = rc.gibbs_hb(ds, 500, seed=2, include_intercept=include_intercept)
+        assert draws.beta.shape == (500, q)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, np.nan])
+    def test_pivot_not_positive_raises(self, bad):
+        # entries (0, 0), (1, 0) and (1, 1) of a stack of two 2 x 2 matrices:
+        # [[1, 0.5], [0.5, 1]] and [[1, 2], [2, 1]], whose second pivot is
+        # 1 - 2^2 < 0
+        G = [[np.array([1.0, 1.0])], [np.array([0.5, 2.0]), np.array([1.0, 1.0])]]
+        with pytest.raises(rc.DomainError, match="numerically rank deficient"):
+            _cholesky_columns(G)
+        G[1][0][1] = 0.5
+        K = _cholesky_columns(G)
+        assert np.allclose(K[0][0], 1.0) and np.allclose(K[1][0], 0.5)
+        assert np.allclose(K[1][1], np.sqrt(0.75))
+        # a first pivot that is not > 0
+        G[0][0][1] = bad
+        with pytest.raises(rc.DomainError, match="numerically rank deficient"):
+            _cholesky_columns(G)
 
 
 class TestDrawBeta:
@@ -274,19 +341,23 @@ class TestDrawBeta:
         assert rng.random() == ref_rng.random()
         return got, want
 
-    @pytest.mark.parametrize("name", ["intercept", "no-intercept x1"])
-    def test_one_column_matches_reference(self, name):
+    @pytest.mark.parametrize("name", ["intercept", "no-intercept x1", "covariate"])
+    def test_matches_reference(self, name):
         got, want = self.steps(name)
         # a draw near 0 is the GLS fit cancelling its noise term, where two
         # sums of the same terms differ relatively by more; hence the atol
         # at 1e-13 of the largest draw
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
-    def test_two_columns_equal_reference(self):
-        got, want = self.steps("covariate")
-        assert got.tobytes() == want.tobytes()
+    def test_quadratic_matches_reference(self):
+        # (1, x, x^2) on x in [0.5, 2] is ill-conditioned enough that both
+        # routes lose a few more digits: they differed by 8e-14 of the
+        # largest draw, and each by under 6e-14 from a 40-digit evaluation
+        # on 300 draws, so the tolerance is 5e-13
+        got, want = self.steps("quadratic")
+        np.testing.assert_allclose(got, want, rtol=5e-13, atol=5e-13 * np.abs(want).max())
 
-    @pytest.mark.parametrize("name", ["intercept", "no-intercept x1", "covariate"])
+    @pytest.mark.parametrize("name", DESIGNS)
     def test_gibbs_hb_is_its_three_steps(self, name):
         # theta from the fits beta @ X.T: with one column gibbs_hb multiplies
         # elementwise, which must give the same bits
@@ -295,7 +366,7 @@ class TestDrawBeta:
         draws = rc.gibbs_hb(ds, 3000, seed=6, include_intercept=include_intercept)
         rng = np.random.default_rng(6)
         a = _draw_a(X, ds.y, ds.d, 3000, rng)
-        beta = (_draw_beta if X.shape[1] == 1 else draw_beta_reference)(X, ds.y, ds.d, a, rng)
+        beta = _draw_beta(X, ds.y, ds.d, a, rng)
         theta = draw_theta(ds.y, ds.d, beta @ X.T, a, rng)
         assert draws.a.tobytes() == a.tobytes()
         assert draws.beta.tobytes() == beta.tobytes()

@@ -138,7 +138,7 @@ class TestBuildDistribution:
         sel = rc.elliptical_select(draws, rc.Dispersion([0.1, 0.2, 0.9], np.eye(3)), alpha=0.01)
         assert sel.K == 3
         dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
-        d1 = rc.mahalanobis(theta[1], [0.1, 0.2, 0.9], np.eye(3))
+        d1 = mahalanobis_solve(theta[1:2], [0.1, 0.2, 0.9], np.eye(3))[0]
         w_far = np.exp(-d1 / 2.0) / (1.0 + 2.0 * np.exp(-d1 / 2.0))
         expected = (1 - 2 * w_far) * rank_table(theta[0]) + 2 * w_far * rank_table(theta[1])
         assert np.allclose(dist.probs, expected, atol=1e-12)

@@ -31,6 +31,16 @@ class TestSimConfig:
         with pytest.raises(rc.DomainError, match="samples=3 must be > m=3"):
             rc.SimConfig(samples=3, d=(0.1, 0.2, 0.3))
         assert rc.SimConfig(samples=4, d=(0.1, 0.2, 0.3)).samples == 4
+        # a JSON boolean is no number, and a grid needs a value
+        with pytest.raises(rc.DomainError, match="n_reps=True must be int"):
+            rc.SimConfig(n_reps=True)
+        with pytest.raises(rc.DomainError, match="alpha=False must be float"):
+            rc.SimConfig(alpha=False)
+        with pytest.raises(rc.DomainError, match=r"d=\(0.1, True\) must be"):
+            rc.SimConfig(d=(0.1, True))
+        for name in ("a_grid", "beta1_grid", "d"):
+            with pytest.raises(rc.DomainError, match=rf"{name}=\(\) must hold at least one value"):
+                rc.SimConfig(**{name: ()})
 
 
 class TestGenerateInstance:
