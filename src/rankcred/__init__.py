@@ -14,7 +14,6 @@ from .metrics import (
     SizeReport,
     ellipse_lengths,
     ellipse_size,
-    ellipse_volume,
     expected_abs_deviation,
     kww_abs_deviation,
     orthotope_size,
@@ -60,7 +59,6 @@ __all__ = [
     "cartesian_select",
     "ellipse_lengths",
     "ellipse_size",
-    "ellipse_volume",
     "elliptical_select",
     "expected_abs_deviation",
     "expected_rank",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -38,22 +37,12 @@ def _write_json(path, payload):
         f.write("\n")
 
 
-def _reported_volume(size: metrics.SizeReport) -> float | None:
-    """The volume where a double holds it: 0.0 for a zero side, else a finite
-    normal value; None where it over- or underflows (log_volume holds it)."""
-    if size.log_volume is None or sys.float_info.min <= size.volume < math.inf:
-        return size.volume
-    return None
-
-
 def _cmd_fit(args) -> int:
     if args.model == "ub" and args.no_intercept:
         raise DomainError("--no-intercept applies to --model hb only: UB fits no regression")
     ds = parse_dataset(args.dataset)
     if args.model == "hb" and args.set == "elliptical" and args.samples <= ds.m:
         raise DomainError(f"HB elliptical fits need --samples > m: S={args.samples}, m={ds.m}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.model == "ub":
         # UB writes only the posterior mean; its dispersion is diag(d)
@@ -69,16 +58,16 @@ def _cmd_fit(args) -> int:
 
     if args.set == "cartesian":
         sel = credset.cartesian_select(draws, args.alpha)
-        bounds = np.column_stack([sel.cart.lower, sel.cart.upper])
-        size = metrics.orthotope_size(bounds)
-        geometry_meta = {"kappa": sel.cart.kappa, "bounds": bounds}
+        geometry_meta = {"kappa": sel.cart.kappa, "bounds": sel.cart.bounds}
     else:
         sel = credset.elliptical_select(draws, dispersion, args.alpha)
-        size = metrics.ellipse_size(dispersion.log_det, dispersion.precision_diag, sel.ellip.cutoff)
         geometry_meta = {"cutoff": sel.ellip.cutoff}
+    size = sel.size
     dist = rankdist.build_distribution(sel, draws, args.weights, dispersion=dispersion)
 
     cells = format_matrix(dist.probs)
+    out = Path(args.out)  # made at the first artifact: a failed fit leaves no directory
+    out.mkdir(parents=True, exist_ok=True)
     write_matrix_csv(out / "rank_matrix.csv", cells, ds.ids)
 
     observed = rank_of(ds.y)
@@ -109,11 +98,11 @@ def _cmd_fit(args) -> int:
     _write_json(
         out / "size_report.json",
         {
-            "geometry": args.set,
+            "geometry": sel.geometry,
             "alpha": args.alpha,
             "selected": sel.K,
             "samples": draws.S,
-            "volume": _reported_volume(size),
+            "volume": size.volume,
             "log_volume": size.log_volume,
             "vol_mth_root": size.vol_mth_root,
             "avg_length": size.avg_length,
@@ -167,8 +156,6 @@ def _write_plot_data(path, ds: Dataset, dist, cells, alpha):
 
 def _cmd_kww(args) -> int:
     ds = parse_dataset(args.dataset)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     ranks = kww.rank_confidence_set(ds, args.alpha, args.method)
     eps = [""] * ds.m
     if ds.has_gold:
@@ -185,6 +172,8 @@ def _cmd_kww(args) -> int:
                 eps[i],
             ]
         )
+    out = Path(args.out)  # made at the first artifact, as in fit
+    out.mkdir(parents=True, exist_ok=True)
     write_rows_csv(out / "kww_ranksets.csv", ["id", "L", "U", "rank_lo", "rank_hi", "eps_kww"], rows)
     return 0
 
@@ -199,6 +188,8 @@ def _cmd_simulate(args) -> int:
         raise DomainError(f"unknown simulation config keys: {unknown}")
     raw = {key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()}
     cfg = SimConfig(**raw)
+    if not Path(args.out).parent.is_dir():  # found before the study, not after it
+        raise DomainError(f"--out {args.out!r}: no such directory")
     rows = run_study(cfg)
     write_rows_csv(
         args.out,

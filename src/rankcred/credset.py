@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import cho_factor, solve_triangular
 
+from . import metrics
 from .domain import DomainError, rank_span
 from .posterior import PosteriorDraws, index_keys
 
@@ -31,6 +32,10 @@ class CartesianBounds:
     kappa: float
     indices: np.ndarray  # the draws inside the box, ascending
 
+    @property
+    def bounds(self) -> np.ndarray:  # (m, 2): [lower, upper] on each side
+        return np.column_stack([self.lower, self.upper])
+
 
 @dataclass(frozen=True)
 class EllipticalGeometry:
@@ -43,13 +48,23 @@ class EllipticalGeometry:
 class CredibleSelection:
     indices: np.ndarray  # selected draw indices, subset of 0..S-1
     alpha: float
-    geometry: str
-    cart: CartesianBounds | None = None
-    ellip: EllipticalGeometry | None = None
+    cart: CartesianBounds | None = None  # the box that selected them,
+    ellip: EllipticalGeometry | None = None  # or else the ellipse
 
     @property
     def K(self) -> int:
         return len(self.indices)
+
+    @property
+    def geometry(self) -> str:
+        return CARTESIAN if self.cart is not None else ELLIPTICAL
+
+    @cached_property
+    def size(self) -> metrics.SizeReport:
+        if self.cart is not None:
+            return metrics.orthotope_size(self.cart.bounds)
+        disp = self.ellip.dispersion
+        return metrics.ellipse_size(disp.log_det, disp.precision_diag, self.ellip.cutoff)
 
 
 def _check_alpha(draws: PosteriorDraws, alpha: float):
@@ -133,7 +148,7 @@ def cartesian_select(draws: PosteriorDraws, alpha: float) -> CredibleSelection:
     """Select the draws inside the box of `tune_kappa`: round(S(1-alpha)) of
     them when no coordinate has tied draws, otherwise at least that many."""
     bounds = tune_kappa(draws, alpha)
-    return CredibleSelection(indices=bounds.indices, alpha=alpha, geometry=CARTESIAN, cart=bounds)
+    return CredibleSelection(indices=bounds.indices, alpha=alpha, cart=bounds)
 
 
 def _cho_factor_spd(dispersion: np.ndarray):
@@ -202,6 +217,5 @@ def elliptical_select(
     return CredibleSelection(
         indices=indices,
         alpha=alpha,
-        geometry=ELLIPTICAL,
         ellip=EllipticalGeometry(dispersion=dispersion, cutoff=cutoff, distances=distances),
     )

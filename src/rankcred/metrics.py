@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import exp, inf, lgamma, log, pi
 
@@ -12,11 +13,23 @@ from .domain import DomainError
 
 @dataclass(frozen=True)
 class SizeReport:
-    volume: float  # exp(log_volume): 0.0 where it underflows, inf where it overflows
     log_volume: float | None  # None when a side has zero length (volume 0.0)
     vol_mth_root: float  # the simulation tables' convention
     avg_length: float
     per_side_lengths: np.ndarray | None = None
+
+    @property
+    def volume(self) -> float | None:
+        """exp(log_volume) where a normal double holds it, 0.0 for a zero-length
+        side, else None: past |log volume| ~ 709 (m in the hundreds for ranking
+        data) only log_volume holds the size."""
+        if self.log_volume is None:
+            return 0.0
+        try:
+            volume = exp(self.log_volume)
+        except OverflowError:
+            return None
+        return volume if sys.float_info.min <= volume < inf else None
 
 
 def orthotope_size(bounds: np.ndarray) -> SizeReport:
@@ -26,12 +39,11 @@ def orthotope_size(bounds: np.ndarray) -> SizeReport:
     if np.any(lengths < 0):
         raise DomainError("orthotope bounds need U >= L on every side")
     if np.any(lengths == 0):
-        log_vol, volume, root = None, 0.0, 0.0
+        log_vol, root = None, 0.0
     else:
         log_vol = float(np.sum(np.log(lengths)))
-        volume, root = _exp(log_vol), exp(log_vol / len(lengths))
+        root = exp(log_vol / len(lengths))
     return SizeReport(
-        volume=volume,
         log_volume=log_vol,
         vol_mth_root=root,
         avg_length=float(np.mean(lengths)),
@@ -39,28 +51,12 @@ def orthotope_size(bounds: np.ndarray) -> SizeReport:
     )
 
 
-def _exp(log_value: float) -> float:
-    """exp(log_value), or inf where that exceeds the largest double."""
-    try:
-        return exp(log_value)
-    except OverflowError:
-        return inf
-
-
 def log_ellipse_volume(log_det: float, m: int, c: float) -> float:
+    """Log Lebesgue volume of {x : x' D^-1 x <= c}, with log_det = log det(D):
+    the log of pi^(m/2) / Gamma((m+2)/2) * c^(m/2) * det(D)^(1/2)."""
     if c <= 0:
         raise DomainError(f"cutoff c={c} must be > 0")
     return (m / 2) * log(pi) - lgamma((m + 2) / 2) + (m / 2) * log(c) + 0.5 * log_det
-
-
-def ellipse_volume(log_det: float, m: int, c: float) -> float:
-    """Lebesgue volume of {x : x' D^-1 x <= c}, with log_det = log det(D).
-
-    pi^(m/2) / Gamma((m+2)/2) * c^(m/2) * det(D)^(1/2).  The volume leaves the
-    range of a double once |log volume| passes about 709 (m in the hundreds
-    for ranking data), giving inf or 0.0; `log_ellipse_volume` stays finite.
-    """
-    return _exp(log_ellipse_volume(log_det, m, c))
 
 
 def ellipse_lengths(log_det: float, precision_diag, c: float):
@@ -72,11 +68,11 @@ def ellipse_lengths(log_det: float, precision_diag, c: float):
     """
     diag = np.asarray(precision_diag, dtype=float)
     m = len(diag)
+    log_vol = log_ellipse_volume(log_det, m, c)  # checks c > 0 before log(c)
     log_beta = lgamma(0.5) + lgamma((m + 1) / 2) - lgamma(m / 2 + 1)
     if np.any(diag <= 0):
         raise DomainError("the precision diagonal must be positive")
     log_lr = log_beta + 0.5 * (log(c) - np.log(diag))
-    log_vol = log_ellipse_volume(log_det, m, c)
     log_cal = (log_vol - float(np.sum(log_lr))) / m
     l_r = np.exp(log_lr)
     l_m = np.exp(log_cal + log_lr)
@@ -88,7 +84,6 @@ def ellipse_size(log_det: float, precision_diag, c: float) -> SizeReport:
     _, l_m, l_e = ellipse_lengths(log_det, precision_diag, c)
     log_vol = log_ellipse_volume(log_det, len(l_m), c)
     return SizeReport(
-        volume=_exp(log_vol),
         log_volume=log_vol,
         vol_mth_root=exp(log_vol / len(l_m)),
         avg_length=l_e,

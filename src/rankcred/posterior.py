@@ -117,11 +117,18 @@ def design_matrix(ds: Dataset, include_intercept: bool = True) -> np.ndarray:
     return ds.x
 
 
-def sample_ub(ds: Dataset, S: int, seed: int) -> PosteriorDraws:
-    """Draw S vectors theta with theta_i ~ Normal(y_i, d_i), independent."""
+def _generator(S: int, seed: int) -> np.random.Generator:
+    """A sampler's generator, once S and the seed are checked."""
     if S < 1:
         raise DomainError(f"S={S} must be >= 1")
-    rng = np.random.default_rng(seed)
+    if seed < 0:
+        raise DomainError(f"seed={seed} must be >= 0")
+    return np.random.default_rng(seed)
+
+
+def sample_ub(ds: Dataset, S: int, seed: int) -> PosteriorDraws:
+    """Draw S vectors theta with theta_i ~ Normal(y_i, d_i), independent."""
+    rng = _generator(S, seed)
     theta = rng.standard_normal((S, ds.m))
     theta *= np.sqrt(ds.d)
     theta += ds.y
@@ -259,8 +266,7 @@ def gibbs_hb(ds: Dataset, S: int, seed: int, include_intercept: bool = True) -> 
     draw is exact and independent: A from its marginal posterior on a log
     grid, then beta given A, then theta given beta and A.
     """
-    if S < 1:
-        raise DomainError(f"S={S} must be >= 1")
+    rng = _generator(S, seed)
     X = design_matrix(ds, include_intercept)
     m, q = X.shape
     if m <= q + 1:
@@ -271,7 +277,6 @@ def gibbs_hb(ds: Dataset, S: int, seed: int, include_intercept: bool = True) -> 
     if np.linalg.matrix_rank(X.T @ X) < q:
         raise DomainError("design matrix is rank deficient")
 
-    rng = np.random.default_rng(seed)
     a = _draw_a(X, ds.y, ds.d, S, rng)
     beta = _draw_beta(X, ds.y, ds.d, a, rng)
     # with one column, the K = 1 product beta @ X.T is this elementwise one

@@ -49,6 +49,8 @@ class SimConfig:
                 raise DomainError(f"{f.name}={value!r} must hold at least one value")
         if self.n_reps < 1:
             raise DomainError(f"n_reps={self.n_reps} must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed={self.seed} must be >= 0")
         if any(a <= 0 for a in self.a_grid):
             raise DomainError("all model variances in a_grid must be > 0")
         if any(v <= 0 for v in self.d):
@@ -104,20 +106,14 @@ def run_cell(cfg: SimConfig, x, a, beta1, cell_index):
             ("UB", ub, credset.Dispersion(ds.y, np.diag(ds.d))),
             ("HB", hb, credset.Dispersion(summ.mean, summ.cov)),
         ):
-            cart = credset.cartesian_select(draws, cfg.alpha)
-            ellip = credset.elliptical_select(draws, dispersion, cfg.alpha)
-            bounds = np.column_stack([cart.cart.lower, cart.cart.upper])
-            ellip_size = metrics.ellipse_size(
-                dispersion.log_det, dispersion.precision_diag, ellip.ellip.cutoff
-            )
-            for geometry, sel, size in (
-                ("cartesian", cart, metrics.orthotope_size(bounds)),
-                ("elliptical", ellip, ellip_size),
+            for sel in (
+                credset.cartesian_select(draws, cfg.alpha),
+                credset.elliptical_select(draws, dispersion, cfg.alpha),
             ):
                 for weighting in (rankdist.EQUAL, rankdist.MAHALANOBIS_EXP):
                     dist = rankdist.build_distribution(sel, draws, weighting, dispersion=dispersion)
                     dev = metrics.expected_abs_deviation(dist.probs, xi).mean()
-                    add((method, geometry, weighting), dev, size)
+                    add((method, sel.geometry, weighting), dev, sel.size)
 
     rows = []
     for (method, geometry, weighting), (dev, root, length) in sorted(acc.items()):

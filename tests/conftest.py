@@ -34,6 +34,14 @@ def make_dataset(y, d, x=None, gold=None):
     return rc.Dataset([f"e{i + 1}" for i in range(len(y))], y, d, x=x, gold=gold)
 
 
+def wide_dataset(m, seed):
+    """m entities with one covariate, drawn as the fit-ub-wide benchmark draws
+    its data (there with seed [run seed, m])."""
+    rng = np.random.default_rng(seed)
+    x, d = rng.uniform(0.0, 1.0, m), rng.uniform(0.5, 2.0, m)
+    return rc.generate_instance(x, 0.2, 0.4, 1.0, d, rng)[1]
+
+
 def count_factorizations(monkeypatch, m) -> list:
     """Record the name of every call of `credset._cho_factor_spd`,
     `np.linalg.inv` or `np.linalg.cholesky` on an m x m argument (the HB

@@ -23,6 +23,18 @@ def pairwise_rank(values):
     return np.array([np.sum(values <= v) for v in values], dtype=float)
 
 
+def ub_expected_rank(y, d):
+    """Exact E[rank_i] (ascending) under independent theta_i ~ N(y_i, d_i):
+    1 + sum over j != i of P(theta_j < theta_i) = Phi((y_i - y_j) / sqrt(d_i + d_j))."""
+    y, d = np.asarray(y, dtype=float), np.asarray(d, dtype=float)
+    return np.array(
+        [
+            1 + norm.cdf((y[i] - np.delete(y, i)) / np.sqrt(d[i] + np.delete(d, i))).sum()
+            for i in range(len(y))
+        ]
+    )
+
+
 def mahalanobis_explicit(theta, center, dispersion):
     """Quadratic form via the explicit matrix inverse."""
     diff = np.asarray(theta, float) - np.asarray(center, float)

@@ -17,7 +17,7 @@ from rankcred import cli
 from rankcred.fileio import emit_dataset, format_matrix, write_matrix_csv, write_rows_csv
 from rankcred.rankdist import DS_TOL
 
-from conftest import count_factorizations, make_dataset
+from conftest import count_factorizations, make_dataset, wide_dataset
 from oracles import plot_data_reference
 
 DATA_CSV = """id,y,d,gold
@@ -27,6 +27,20 @@ c,0.30,0.004,0.31
 d,0.25,0.005,0.28
 e,0.20,0.004,0.24
 """
+
+
+FIXTURE = str(Path(rc.__file__).parent / "data" / "baseball.csv")
+
+
+def run_module(cwd, *argv):
+    """`python -m rankcred.cli *argv` in a fresh process from `cwd`, this
+    source tree first on PYTHONPATH."""
+    src = str(Path(rc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "rankcred.cli", *argv],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+    )
 
 
 @pytest.fixture
@@ -415,14 +429,8 @@ class TestFitCommand:
 
     def test_module_entry_point(self, data_path, tmp_path):
         # `python -m rankcred.cli` runs the same main() as the installed script
-        src = str(Path(rc.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
         out = tmp_path / "out"
-        argv = ["fit", str(data_path), "--samples", "2000", "--out", str(out)]
-        proc = subprocess.run(
-            [sys.executable, "-m", "rankcred.cli", *argv], env=env, capture_output=True, text=True
-        )
+        proc = run_module(tmp_path, "fit", str(data_path), "--samples", "2000", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert sorted(p.name for p in out.iterdir()) == [
@@ -578,8 +586,7 @@ SIM = ["simulate", "--config", "sim.json", "--out", "out"]
     [
         (
             {},
-            ["fit", str(Path(rc.__file__).parent / "data" / "baseball.csv"), "--model", "hb",
-             "--set", "elliptical", "--samples", "18", "--out", "out"],
+            ["fit", FIXTURE, "--model", "hb", "--set", "elliptical", "--samples", "18", "--out", "out"],
             "HB elliptical fits need --samples > m",
         ),
         ({"ragged.csv": "id,y,d\na,1\nb,2,1\nc,3,1\n"}, ["fit", "ragged.csv", "--out", "out"], "row 2"),
@@ -590,10 +597,26 @@ SIM = ["simulate", "--config", "sim.json", "--out", "out"]
         ({"sim.json": "null"}, SIM, "simulation config must be a JSON object"),
         ({"sim.json": '"abc"'}, SIM, "simulation config must be a JSON object"),
         ({"sim.json": '["n_reps"]'}, SIM, "simulation config must be a JSON object"),
+        ({}, ["fit", FIXTURE, "--seed", "-1", "--out", "out"], "seed=-1 must be >= 0"),
+        ({"sim.json": '{"seed": -1}'}, SIM, "seed=-1 must be >= 0"),
+        ({"two.csv": "id,y,d\na,1,1\nb,2,1\n"}, ["fit", "two.csv", "--out", "out"], "propriety guard"),
+        (
+            {},
+            ["fit", FIXTURE, "--alpha", "0.9999", "--samples", "100", "--out", "out"],
+            "S(1-alpha) = 0.01 < 1",
+        ),
+        ({}, ["kww", FIXTURE, "--alpha", "2", "--out", "out"], "alpha=2.0 must be in (0, 1)"),
+        (
+            {"sim.json": '{"n_reps": 1}'},
+            ["simulate", "--config", "sim.json", "--out", "missing/out"],
+            "--out 'missing/out': no such directory",
+        ),
     ],
     ids=[
         "hb-elliptical-few-draws", "ragged-row", "mistyped-value", "bool-count", "empty-grid",
-        "config-int", "config-null", "config-string", "config-array",
+        "config-int", "config-null", "config-string", "config-array", "fit-negative-seed",
+        "simulate-negative-seed", "hb-propriety", "no-draw-selected", "kww-alpha",
+        "simulate-missing-directory",
     ],
 )
 def test_input_error_in_subprocess(tmp_path, files, argv, message):
@@ -601,12 +624,54 @@ def test_input_error_in_subprocess(tmp_path, files, argv, message):
     # with one error line, no traceback and no output
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    env = {**os.environ, "PYTHONPATH": str(Path(rc.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "rankcred.cli", *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True,
-    )
+    proc = run_module(tmp_path, *argv)
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {message}")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
-    assert not (tmp_path / "out").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+UB_MAHAL = ["--model", "ub", "--set", "elliptical", "--weights", "mahal", "--plot-data"]
+
+
+@pytest.mark.parametrize(
+    "m, argv, n_files",
+    [
+        (18, ["--samples", "2000"], 4),
+        (18, [*UB_MAHAL, "--samples", "2000", "--seed", "7"], 5),
+        # 300 entities: the rank order needs 9 index bits and a uint16 dtype
+        (300, [*UB_MAHAL, "--samples", "5000", "--seed", "3"], 5),
+        (400, ["--model", "ub", "--set", "cartesian", "--samples", "3000", "--seed", "3"], 4),
+        # HB on one covariate: q = 1 through x alone, then q = 2 with the intercept
+        (300, ["--model", "hb", "--samples", "2000", "--seed", "5", "--no-intercept"], 4),
+        (300, ["--model", "hb", "--samples", "2000", "--seed", "5"], 4),
+    ],
+    ids=["fixture-hb", "fixture-ub-plot", "wide300-ub-plot", "wide400-ub-box", "wide300-hb-q1",
+         "wide300-hb-q2"],
+)
+def test_same_seed_rerun_in_subprocess(tmp_path, m, argv, n_files):
+    # two fresh processes with one seed write the same bytes
+    data = FIXTURE
+    if m != 18:
+        data = "wide.csv"
+        (tmp_path / data).write_text(emit_dataset(wide_dataset(m, m)))
+    for out in ("o1", "o2"):
+        proc = run_module(tmp_path, "fit", data, *argv, "--out", out)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    names = sorted(p.name for p in (tmp_path / "o1").iterdir())
+    assert len(names) == n_files
+    assert names == sorted(p.name for p in (tmp_path / "o2").iterdir())
+    for name in names:
+        assert (tmp_path / "o1" / name).read_bytes() == (tmp_path / "o2" / name).read_bytes()
+    if m == 400:
+        # the box's volume overflows a double: null, with log_volume finite
+        size = json.loads((tmp_path / "o1" / "size_report.json").read_text())
+        assert size["volume"] is None and math.isfinite(size["log_volume"])
+
+
+def test_simulate_in_subprocess(tmp_path):
+    # two cells (a = 0.1, beta1 in {0, 0.4}) of 9 rows each, plus the header
+    (tmp_path / "sim.json").write_text('{"a_grid": [0.1], "n_reps": 1, "samples": 500}')
+    proc = run_module(tmp_path, "simulate", "--config", "sim.json", "--out", "sim.csv")
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert (tmp_path / "sim.csv").read_text().count("\n") == 19

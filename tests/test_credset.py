@@ -7,7 +7,7 @@ from scipy import stats
 from scipy.linalg import cho_factor
 
 import rankcred as rc
-from rankcred import credset
+from rankcred import credset, metrics
 from rankcred.credset import _JITTER, Dispersion
 from rankcred.posterior import PosteriorDraws
 
@@ -414,3 +414,43 @@ class TestEllipticalSelect:
         for s in range(20):
             diff = thetas[s] - center
             assert batch[s] == pytest.approx(diff @ np.linalg.solve(disp, diff), rel=1e-10)
+
+
+class TestSelectionSize:
+    @pytest.mark.parametrize(
+        "geometry, sizer", [("cartesian", "orthotope_size"), ("elliptical", "ellipse_size")]
+    )
+    def test_size_calls_metrics_once(self, monkeypatch, geometry, sizer):
+        # a selection sizes itself through the metrics module, once: a wrapper
+        # bound on `metrics` sees every size computed
+        calls = []
+        for name in ("orthotope_size", "ellipse_size"):
+
+            def spy(*args, _fn=getattr(metrics, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(metrics, name, spy)
+        draws = normal_draws(400, 3)
+        if geometry == "cartesian":
+            sel = credset.cartesian_select(draws, 0.1)
+        else:
+            sel = credset.elliptical_select(draws, Dispersion(np.zeros(3), np.eye(3)), 0.1)
+        assert sel.geometry == geometry and calls == []
+        assert sel.size is sel.size
+        assert calls == [sizer]
+
+    def test_box_size_reads_its_sides(self):
+        sel = credset.cartesian_select(normal_draws(400, 3, seed=1), 0.1)
+        assert sel.ellip is None
+        assert np.array_equal(sel.cart.bounds, np.column_stack([sel.cart.lower, sel.cart.upper]))
+        assert np.array_equal(sel.size.per_side_lengths, sel.cart.upper - sel.cart.lower)
+        assert sel.size.log_volume == float(np.sum(np.log(sel.cart.upper - sel.cart.lower)))
+
+    def test_ellipse_size_reads_its_dispersion_and_cutoff(self):
+        disp = Dispersion(np.zeros(3), np.diag([1.0, 2.0, 4.0]))
+        sel = credset.elliptical_select(normal_draws(400, 3, seed=2), disp, 0.1)
+        assert sel.cart is None
+        ref = metrics.ellipse_size(math.log(8.0), [1.0, 0.5, 0.25], sel.ellip.cutoff)
+        assert sel.size.log_volume == pytest.approx(ref.log_volume, rel=1e-14)
+        assert np.allclose(sel.size.per_side_lengths, ref.per_side_lengths, rtol=1e-14, atol=0)

@@ -7,7 +7,8 @@ from rankcred import posterior
 from rankcred.posterior import PosteriorDraws
 from rankcred.rankdist import DS_TOL, rank_table
 
-from oracles import mahalanobis_solve, rank_table_reference, tied_rows_reference
+from conftest import wide_dataset
+from oracles import mahalanobis_solve, rank_table_reference, tied_rows_reference, ub_expected_rank
 
 
 class TestRankTable:
@@ -354,3 +355,25 @@ class TestMarginals:
         dist = rc.build_distribution(sel, draws)
         assert np.allclose(np.diag(dist.probs), 1.0)
         assert rc.expected_rank(dist, 2) == pytest.approx(3.0)
+
+
+class TestExactUbOracle:
+    @pytest.mark.parametrize(
+        "m, S, seed",
+        [(18, 50_000, 0), (18, 50_000, 1), (18, 50_000, 2), (200, 20_000, 0), (200, 20_000, 1)],
+    )
+    def test_expected_ranks_match_closed_form(self, baseball, m, S, seed):
+        # UB draws, every draw selected (round(S(1 - 0.4/S)) = S) and equal
+        # weights: column i's mean rank estimates E[rank_i] with standard error
+        # sqrt(Var(rank_i)/S), Var read off the same column.  A bound of 5 SE
+        # on every entity fails a correct count with chance about 1e-4 at m = 200
+        ds = baseball if m == 18 else wide_dataset(m, [seed, m])
+        draws = rc.sample_ub(ds, S, seed)
+        sel = rc.cartesian_select(draws, alpha=0.4 / S)
+        assert sel.K == S
+        probs = rc.build_distribution(sel, draws, rc.EQUAL).probs
+        k = np.arange(1, m + 1)[:, None]
+        mean = (k * probs).sum(axis=0)
+        se = np.sqrt(((k - mean) ** 2 * probs).sum(axis=0) / S)
+        z = (mean - ub_expected_rank(ds.y, ds.d)) / se
+        assert np.abs(z).max() <= 5, np.abs(z).max()
