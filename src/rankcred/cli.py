@@ -65,6 +65,8 @@ def _cmd_fit(args) -> int:
     size = sel.size
     dist = rankdist.build_distribution(sel, draws, args.weights, dispersion=dispersion)
 
+    # the overlay's KWW ranks come before the first artifact: a bad alpha leaves none
+    ranks = kww.rank_confidence_set(ds, args.alpha, kww.INDEPENDENCE) if args.plot_data else None
     cells = format_matrix(dist.probs)
     out = Path(args.out)  # made at the first artifact: a failed fit leaves no directory
     out.mkdir(parents=True, exist_ok=True)
@@ -123,15 +125,14 @@ def _cmd_fit(args) -> int:
     _write_json(out / "posterior_summary.json", post)
 
     if args.plot_data:
-        _write_plot_data(out / "plot_data.csv", ds, dist, cells, args.alpha)
+        _write_plot_data(out / "plot_data.csv", ds, dist, cells, ranks)
     return 0
 
 
-def _write_plot_data(path, ds: Dataset, dist, cells, alpha):
+def _write_plot_data(path, ds: Dataset, dist, cells, ranks: kww.KwwRankSet):
     """Tidy overlay data: KWW ranges, nonzero credible cells, observed and
     gold ranks.  No image rendering; feed this to any plotter.  `cells` is
     `dist.probs` as `fileio.format_matrix` formats it."""
-    ranks = kww.rank_confidence_set(ds, alpha, kww.INDEPENDENCE)
     observed = rank_of(ds.y, tie_rule="highest")
     # write_rows_csv's bytes, built as text: each id quoted once, and each
     # credible cell's value and rank taken from strings formatted once

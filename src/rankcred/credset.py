@@ -16,8 +16,8 @@ import numpy as np
 from scipy.linalg import cho_factor, solve_triangular
 
 from . import metrics
-from .domain import DomainError, rank_span
-from .posterior import PosteriorDraws, index_keys
+from .domain import DomainError, rank_span, sort_rows
+from .posterior import PosteriorDraws
 
 CARTESIAN = "cartesian"
 ELLIPTICAL = "elliptical"
@@ -100,21 +100,16 @@ def tune_kappa(draws: PosteriorDraws, alpha: float) -> CartesianBounds:
     S, m = draws.S, draws.m
     target = round(S * (1 - alpha))
     values = np.ascontiguousarray(draws.theta.T)  # (m, S), row c = coordinate c
+    order, tied = sort_rows(values, np.intp)
     cols = np.empty((m, S))  # row c sorted ascending
     depth, col_depth = np.full(S, S), np.empty(S, dtype=int)
     place_depth = np.minimum(np.arange(1, S + 1), np.arange(S, 0, -1))  # tie-free depths
     for c, col in enumerate(values):
-        # one sort of keys with the draw index in their low bits
-        keys, index_mask = index_keys(col)
-        keys.sort()
-        order = (keys & index_mask).view(np.int64)  # an index array numpy need not cast
-        v = col[order]
-        if (v[1:] > v[:-1]).all():  # no ties, and no near-tie the keys misordered
-            cols[c] = v
-            col_depth[order] = place_depth
+        cols[c] = col[order[c]]
+        if not tied[c]:
+            col_depth[order[c]] = place_depth
         else:
             # a draw of ranks lo..hi (its tie run) has #(col <= v) = hi, #(col >= v) = S + 1 - lo
-            cols[c] = np.sort(col, kind="stable")
             lo, hi = rank_span(col)
             np.minimum(hi, S + 1 - lo, out=col_depth)
         np.minimum(depth, col_depth, out=depth)

@@ -9,6 +9,10 @@ import numpy as np
 MIDRANK = "midrank"
 HIGHEST_OF_TIES = "highest"
 
+# cells (rows x columns) per block of rows that a row sort or the rank count
+# handles at once: bounds its temporaries at a few MB whatever the shape
+BLOCK_CELLS = 2**18
+
 
 class DomainError(ValueError):
     """Invalid input data or configuration."""
@@ -81,6 +85,42 @@ class Dataset:
         if self.gold is None:
             raise DomainError("dataset has no gold-standard values")
         return rank_of(self.gold, MIDRANK)
+
+
+def row_blocks(n: int, m: int) -> list[slice]:
+    """Consecutive slices of at most max(1, BLOCK_CELLS // m) rows covering 0..n-1."""
+    step = max(1, BLOCK_CELLS // m)
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def sort_rows(values: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's stable argsort, in `dtype`, and exact-tie flag (-0.0 ties 0.0).
+
+    Per block of rows, one sort of uint64 keys that preserve the order of the
+    values and hold the column index in their low (n-1).bit_length() bits
+    gives the order: exact ties sort by index.  Rows where two neighbouring
+    keys agree above those bits (every exact tie and any near-tie the keys
+    may misorder) are sorted again by value, which flags the exact ties."""
+    n = values.shape[1]
+    index_mask = np.uint64((1 << (n - 1).bit_length()) - 1)
+    order = np.empty(values.shape, dtype=dtype)
+    tied = np.zeros(len(values), dtype=bool)
+    for rows in row_blocks(len(values), n):
+        keys = (values[rows] + 0.0).view(np.uint64)  # -0.0 and 0.0: one key
+        # negative: flip every bit; otherwise set the sign bit
+        keys ^= (keys.view(np.int64) >> 63).view(np.uint64) | np.uint64(1 << 63)
+        keys &= ~index_mask
+        keys |= np.arange(n, dtype=np.uint64)
+        keys.sort(axis=1)
+        order[rows] = keys & index_mask
+        keys |= index_mask  # what is left to compare: the bits above the index
+        near = rows.start + np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
+        if len(near):  # no value argsort on tie-free blocks
+            v = values[near]
+            order[near] = near_order = np.argsort(v, axis=1, kind="stable")
+            v = np.take_along_axis(v, near_order, axis=1)
+            tied[near] = (v[:, 1:] == v[:, :-1]).any(axis=1)
+    return order, tied
 
 
 def rank_span(values) -> tuple[np.ndarray, np.ndarray]:

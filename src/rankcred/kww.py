@@ -39,11 +39,12 @@ def gamma_from_alpha(alpha: float, m: int, method: str = INDEPENDENCE) -> float:
         raise DomainError(f"alpha={alpha} must be in (0, 1)")
     if m < 1:
         raise DomainError(f"m={m} must be >= 1")
-    if method == BONFERRONI:
-        return alpha / m
-    if method == INDEPENDENCE:
-        return 1 - (1 - alpha) ** (1 / m)
-    raise DomainError(f"unknown method {method!r}")
+    if method not in (BONFERRONI, INDEPENDENCE):
+        raise DomainError(f"unknown method {method!r}")
+    gamma = alpha / m if method == BONFERRONI else 1 - (1 - alpha) ** (1 / m)
+    if 1 - gamma / 2 == 1:  # gamma rounds away: z_{1-gamma/2} would be infinite
+        raise DomainError(f"alpha={alpha} is too small for m={m}: infinite intervals")
+    return gamma
 
 
 def intervals(ds: Dataset, gamma: float) -> np.ndarray:

@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import Dataset, DomainError
+from .domain import Dataset, DomainError, sort_rows
 
 UB = "UB"
 HB = "HB"
@@ -19,32 +19,6 @@ HB = "HB"
 # [log min d, log max d] on each side
 A_GRID_POINTS = 4001
 A_GRID_SPAN = 16.0
-
-# cells (draws x entities) per block of draws that the rank count handles at
-# once: bounds its temporaries at a few MB whatever S and m are
-BLOCK_CELLS = 2**18
-
-
-def row_blocks(n: int, m: int) -> list[slice]:
-    """Consecutive slices of at most max(1, BLOCK_CELLS // m) rows covering 0..n-1."""
-    step = max(1, BLOCK_CELLS // m)
-    return [slice(start, start + step) for start in range(0, n, step)]
-
-
-def index_keys(values: np.ndarray) -> tuple[np.ndarray, np.uint64]:
-    """Order-preserving uint64 keys of `values` with the index along the last
-    axis (of length n) in their low (n-1).bit_length() bits, and the mask of
-    those bits.  Sorting the keys sorts the values, except that values which
-    agree above those bits (exact ties and near-ties) sort by index."""
-    n = values.shape[-1]
-    # uint64 operands only: numpy 1.x turns uint64 mixed with int64 into float64
-    index_mask = (np.uint64(1) << np.uint64((n - 1).bit_length())) - np.uint64(1)
-    keys = (values + 0.0).view(np.uint64)  # -0.0 and 0.0: one key
-    # negative: flip every bit; otherwise set the sign bit
-    keys ^= (keys.view(np.int64) >> 63).view(np.uint64) | np.uint64(1 << 63)
-    keys &= ~index_mask
-    keys |= np.arange(n, dtype=np.uint64)
-    return keys, index_mask
 
 
 @dataclass(frozen=True)
@@ -75,26 +49,10 @@ class PosteriorDraws:
 
     @cached_property
     def row_order(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each draw's argsort (order[s, k] is the entity at rank k+1, in the
-        smallest unsigned dtype that holds m - 1) and exact-tie flag, read-only.
-
-        Per block of draws, one sort of the `index_keys` of each draw, whose
-        low bits hold the entity index, gives the order.  Draws where two
-        neighbouring keys agree above those bits (every exact tie and any
-        near-tie) are sorted again by value, which flags the exact ties."""
-        m = self.m
-        order = np.empty(self.theta.shape, dtype=np.min_scalar_type(m - 1))
-        tied = np.zeros(self.S, dtype=bool)
-        for rows in row_blocks(self.S, m):
-            keys, index_mask = index_keys(self.theta[rows])
-            keys.sort(axis=1)
-            order[rows] = keys & index_mask
-            keys |= index_mask  # what is left to compare: the bits above the index
-            near = rows.start + np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
-            theta = self.theta[near]
-            order[near] = np.argsort(theta, axis=1)
-            values = np.sort(theta, axis=1)
-            tied[near] = (values[:, 1:] == values[:, :-1]).any(axis=1)
+        """Each draw's stable argsort (order[s, k] is the entity at rank k+1,
+        in the smallest unsigned dtype that holds m - 1) and exact-tie flag,
+        read-only: `sort_rows` of theta."""
+        order, tied = sort_rows(self.theta, np.min_scalar_type(self.m - 1))
         order.flags.writeable = False
         tied.flags.writeable = False
         return order, tied

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .credset import CredibleSelection, Dispersion
-from .domain import DomainError, rank_span
-from .posterior import PosteriorDraws, row_blocks
+from .domain import DomainError, rank_span, row_blocks
+from .posterior import PosteriorDraws
 
 EQUAL = "equal"
 MAHALANOBIS_EXP = "mahal"

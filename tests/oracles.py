@@ -35,6 +35,30 @@ def ub_expected_rank(y, d):
     )
 
 
+def ub_rank_marginal(y, d, n_grid=4001):
+    """Exact P(rank_i = k) under independent theta_i ~ N(y_i, d_i), as an
+    (m, m) array with row k-1 for rank k and column i for entity i.
+
+    Given theta_i = t, the count of j != i with theta_j < t is Poisson-binomial
+    with chances Phi((t - y_j)/sqrt(d_j)); its law comes from the one-entity-
+    at-a-time recursion, and the trapezoid rule integrates it against the
+    density of theta_i on n_grid nodes within 12 standard deviations."""
+    y, d = np.asarray(y, dtype=float), np.asarray(d, dtype=float)
+    m = len(y)
+    z = np.linspace(-12.0, 12.0, n_grid)
+    probs = np.empty((m, m))
+    for i in range(m):
+        t = y[i] + np.sqrt(d[i]) * z
+        law = np.zeros((n_grid, m))  # law[:, k]: P(k of the others lie below t)
+        law[:, 0] = 1.0
+        for j in np.delete(np.arange(m), i):
+            p = norm.cdf((t - y[j]) / np.sqrt(d[j]))[:, None]
+            law[:, 1:] = law[:, 1:] * (1 - p) + law[:, :-1] * p
+            law[:, :1] *= 1 - p
+        probs[:, i] = np.trapezoid(norm.pdf(z)[:, None] * law, z, axis=0)
+    return probs
+
+
 def mahalanobis_explicit(theta, center, dispersion):
     """Quadratic form via the explicit matrix inverse."""
     diff = np.asarray(theta, float) - np.asarray(center, float)

@@ -461,7 +461,8 @@ class TestFitCommand:
         sel = rc.elliptical_select(draws, rc.Dispersion(ds.y, np.diag(ds.d)), 0.1)
         dist = rc.build_distribution(sel, draws, rc.MAHALANOBIS_EXP)
         assert (dist.probs == 0).any() and ((dist.probs > 0) & (dist.probs < 1)).any()
-        cli._write_plot_data(tmp_path / "plot.csv", ds, dist, format_matrix(dist.probs), 0.1)
+        ranks = rc.rank_confidence_set(ds, 0.1, rc.INDEPENDENCE)
+        cli._write_plot_data(tmp_path / "plot.csv", ds, dist, format_matrix(dist.probs), ranks)
         assert (tmp_path / "plot.csv").read_bytes() == plot_data_reference(ds, dist, 0.1)
 
 
@@ -607,6 +608,13 @@ SIM = ["simulate", "--config", "sim.json", "--out", "out"]
         ),
         ({}, ["kww", FIXTURE, "--alpha", "2", "--out", "out"], "alpha=2.0 must be in (0, 1)"),
         (
+            {},
+            ["fit", FIXTURE, "--model", "ub", "--samples", "2000", "--alpha", "1e-17", "--plot-data",
+             "--out", "out"],
+            "alpha=1e-17 is too small for m=18",
+        ),
+        ({}, ["kww", FIXTURE, "--alpha", "1e-17", "--out", "out"], "alpha=1e-17 is too small for m=18"),
+        (
             {"sim.json": '{"n_reps": 1}'},
             ["simulate", "--config", "sim.json", "--out", "missing/out"],
             "--out 'missing/out': no such directory",
@@ -616,7 +624,7 @@ SIM = ["simulate", "--config", "sim.json", "--out", "out"]
         "hb-elliptical-few-draws", "ragged-row", "mistyped-value", "bool-count", "empty-grid",
         "config-int", "config-null", "config-string", "config-array", "fit-negative-seed",
         "simulate-negative-seed", "hb-propriety", "no-draw-selected", "kww-alpha",
-        "simulate-missing-directory",
+        "fit-plot-data-tiny-alpha", "kww-tiny-alpha", "simulate-missing-directory",
     ],
 )
 def test_input_error_in_subprocess(tmp_path, files, argv, message):

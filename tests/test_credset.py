@@ -133,9 +133,10 @@ class TestBoxPeeling:
 
 
 class TestColumnSort:
-    """`tune_kappa` sorts each column by packed keys, the draw index in their
-    low bits, and sorts by value any column whose gathered values do not
-    strictly increase.  Each case is checked against `box_peel_reference`."""
+    """`tune_kappa` sorts its columns with `domain.sort_rows`: packed keys,
+    the draw index in their low bits, sorted one block of columns at a time,
+    and a stable sort by value of any column whose keys agree above those
+    bits.  Each case is checked against `box_peel_reference`."""
 
     @staticmethod
     def near_tie_pairs(S, rng):

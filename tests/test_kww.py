@@ -38,6 +38,14 @@ class TestGamma:
         with pytest.raises(rc.DomainError):
             rc.gamma_from_alpha(0.1, 5, "sidak")
 
+    @pytest.mark.parametrize("method", [rc.INDEPENDENCE, rc.BONFERRONI])
+    def test_alpha_too_small_for_m(self, method):
+        # 1 - 1e-17 rounds to 1, and so does 1 - gamma/2 for gamma = 1e-17/5:
+        # either would give infinite intervals
+        with pytest.raises(rc.DomainError, match=r"alpha=1e-17 is too small for m=5"):
+            rc.gamma_from_alpha(1e-17, 5, method)
+        assert 1 - rc.gamma_from_alpha(1e-14, 5, method) / 2 < 1
+
 
 class TestIntervals:
     def test_ninety_percent_z(self):

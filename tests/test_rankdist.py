@@ -3,12 +3,18 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import rankcred as rc
-from rankcred import posterior
+from rankcred import domain
 from rankcred.posterior import PosteriorDraws
 from rankcred.rankdist import DS_TOL, rank_table
 
 from conftest import wide_dataset
-from oracles import mahalanobis_solve, rank_table_reference, tied_rows_reference, ub_expected_rank
+from oracles import (
+    mahalanobis_solve,
+    rank_table_reference,
+    tied_rows_reference,
+    ub_expected_rank,
+    ub_rank_marginal,
+)
 
 
 class TestRankTable:
@@ -226,7 +232,7 @@ class TestBuildDistribution:
         # blocks of 16 rows, so 64 draws fill four; the first three hold
         # exact ties, the last none
         m = 8
-        monkeypatch.setattr(posterior, "BLOCK_CELLS", 16 * m)
+        monkeypatch.setattr(domain, "BLOCK_CELLS", 16 * m)
         theta, tied_rows = draws_with_ties(64, m, [3, 20, 40], seed=22)
         draws = PosteriorDraws(theta=theta, model="UB")
         sel = rc.elliptical_select(draws, rc.Dispersion(np.zeros(m), np.eye(m)), alpha=0.2)
@@ -241,7 +247,7 @@ class TestBuildDistribution:
     def test_default_blocks_match_one_count(self):
         # 10000 draws of m = 64 fill three blocks of 4096 rows
         S, m = 10000, 64
-        assert posterior.BLOCK_CELLS // m == 4096
+        assert domain.BLOCK_CELLS // m == 4096
         theta, tied_rows = draws_with_ties(S, m, [5, 3000, 4500, 7000], seed=21)
         draws = PosteriorDraws(theta=theta, model="UB")
         order, tied = draws.row_order
@@ -262,7 +268,7 @@ class TestBuildDistribution:
         # lone -0.0, +-5e-324 and -0.0 among +-1e308), so their keys agree
         # above the entity bits and they are sorted again by value
         for m, dtype in [(2, np.uint8), (6, np.uint8), (255, np.uint8), (256, np.uint8), (257, np.uint16)]:
-            monkeypatch.setattr(posterior, "BLOCK_CELLS", 4 * m)
+            monkeypatch.setattr(domain, "BLOCK_CELLS", 4 * m)
             rng = np.random.default_rng(23)
             theta = rng.standard_normal((16, m))
             theta[2, [m - 1, 0]] = [-0.0, 0.0]
@@ -284,9 +290,7 @@ class TestBuildDistribution:
             assert order.dtype == dtype
             assert tied.tolist() == tied_rows_reference(theta).tolist()
             assert np.flatnonzero(tied).tolist() == [2, 5, 9, 12] + ([15] if m >= 4 else [])
-            free = ~tied
-            assert np.array_equal(order[free], np.argsort(theta[free], axis=1, kind="stable"))
-            assert np.array_equal(np.sort(order, axis=1), np.tile(np.arange(m), (16, 1)))
+            assert np.array_equal(order, np.argsort(theta, axis=1, kind="stable"))
             ranked = np.take_along_axis(theta, order, axis=1)
             assert (ranked[:, 1:] >= ranked[:, :-1]).all()
 
@@ -305,8 +309,7 @@ class TestBuildDistribution:
         theta = np.where(rng.random((S, m)) < nudge, np.nextafter(theta, np.inf), theta)
         order, tied = PosteriorDraws(theta=theta, model="UB").row_order
         assert tied.tolist() == tied_rows_reference(theta).tolist()
-        free = ~tied
-        assert np.array_equal(order[free], np.argsort(theta[free], axis=1, kind="stable"))
+        assert np.array_equal(order, np.argsort(theta, axis=1, kind="stable"))
         assert (np.diff(np.take_along_axis(theta, order, axis=1), axis=1) >= 0).all()
 
     def test_every_selected_row_tied(self):
@@ -377,3 +380,18 @@ class TestExactUbOracle:
         se = np.sqrt(((k - mean) ** 2 * probs).sum(axis=0) / S)
         z = (mean - ub_expected_rank(ds.y, ds.d)) / se
         assert np.abs(z).max() <= 5, np.abs(z).max()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rank_marginals_match_quadrature(self, baseball, seed):
+        # every draw selected with equal weight: cell (k, i) counts the draws
+        # that put entity i at rank k+1, a binomial share with standard error
+        # sqrt(p(1-p)/S) about the quadrature's p; the largest |z| over the
+        # 324 cells is 2.9, 2.7 and 3.2 for seeds 0, 1 and 2
+        S = 50_000
+        draws = rc.sample_ub(baseball, S, seed)
+        sel = rc.cartesian_select(draws, alpha=0.4 / S)
+        assert sel.K == S
+        probs = rc.build_distribution(sel, draws, rc.EQUAL).probs
+        exact = ub_rank_marginal(baseball.y, baseball.d)
+        se = np.sqrt(exact * (1 - exact) / S)
+        assert np.all(np.abs(probs - exact) <= 5 * se), np.abs((probs - exact) / se).max()
