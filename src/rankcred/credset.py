@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, solve_triangular
 
 from . import metrics
 from .domain import DomainError, rank_span, sort_rows
@@ -146,13 +145,14 @@ def cartesian_select(draws: PosteriorDraws, alpha: float) -> CredibleSelection:
     return CredibleSelection(indices=bounds.indices, alpha=alpha, cart=bounds)
 
 
-def _cho_factor_spd(dispersion: np.ndarray):
+def _cho_factor_spd(dispersion: np.ndarray) -> np.ndarray:
+    """The lower Cholesky factor L of L L' = dispersion, jittered if singular."""
     try:
-        return cho_factor(dispersion, lower=True)
+        return np.linalg.cholesky(dispersion)
     except np.linalg.LinAlgError:
         jitter = _JITTER * float(np.mean(np.diag(dispersion)))
         try:
-            return cho_factor(dispersion + jitter * np.eye(len(dispersion)), lower=True)
+            return np.linalg.cholesky(dispersion + jitter * np.eye(len(dispersion)))
         except np.linalg.LinAlgError:
             raise DomainError("dispersion matrix is not positive definite (even after jitter)")
 
@@ -161,27 +161,46 @@ def _cho_factor_spd(dispersion: np.ndarray):
 class Dispersion:
     """A center and dispersion matrix for Mahalanobis distances.  A positive,
     exactly diagonal matrix keeps its variances (`_chol` is None); any other
-    is factored once, on first use, as L L' (Cholesky, jittered if singular)."""
+    is factored once, on first use, as L L' (Cholesky, jittered if singular),
+    and L^-1 is formed once from that factor."""
 
     center: np.ndarray  # (m,)
     matrix: np.ndarray  # (m, m) SPD
+
+    def __post_init__(self):
+        # the factor takes NaN and inf without complaint, so check them here
+        center = np.asarray(self.center, dtype=float)
+        matrix = np.asarray(self.matrix, dtype=float)
+        if center.ndim != 1 or matrix.shape != (len(center), len(center)):
+            shapes = f"{center.shape} and {matrix.shape}"
+            raise DomainError(f"dispersion: shapes {shapes} are not (m,) and (m, m)")
+        for name, array in (("center", center), ("matrix", matrix)):
+            bad = np.argwhere(~np.isfinite(array))
+            if len(bad):
+                entry, value = ", ".join(map(str, bad[0])), array[tuple(bad[0])]
+                raise DomainError(f"dispersion {name}[{entry}] is not finite: {value}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "matrix", matrix)
 
     @cached_property
     def _chol(self) -> np.ndarray | None:
         var = np.diagonal(self.matrix)
         if np.all(var > 0) and np.array_equal(self.matrix, np.diag(var)):
             return None
-        return _cho_factor_spd(self.matrix)[0]
+        return _cho_factor_spd(self.matrix)
+
+    @cached_property
+    def _chol_inv(self) -> np.ndarray:
+        return np.linalg.inv(self._chol)
 
     def distances(self, thetas: np.ndarray) -> np.ndarray:
         """Squared distances ||L^-1 (theta - center)||^2 of the rows of `thetas`;
-        L = diag(sqrt(var)) scales each coordinate by 1/sqrt(var), as the solve would."""
+        L = diag(sqrt(var)) scales each coordinate by 1/sqrt(var)."""
         diff = thetas - self.center
         if self._chol is None:
             diff *= 1.0 / np.sqrt(np.diagonal(self.matrix))
             return np.einsum("si,si->s", diff, diff)
-        # diff is a temporary of this call, so the solve may overwrite it
-        z = solve_triangular(self._chol, diff.T, lower=True, overwrite_b=True)
+        z = self._chol_inv @ diff.T
         return np.einsum("is,is->s", z, z)
 
     @property
@@ -196,8 +215,7 @@ class Dispersion:
         """Diagonal of the inverse matrix: the column sums of squares of L^-1."""
         if self._chol is None:
             return 1.0 / np.diagonal(self.matrix)
-        inv = solve_triangular(self._chol, np.eye(len(self._chol)), lower=True)
-        return np.einsum("ij,ij->j", inv, inv)
+        return np.einsum("ij,ij->j", self._chol_inv, self._chol_inv)
 
 
 def elliptical_select(

@@ -8,9 +8,9 @@ contiguous rank range [|Lambda_L|+1, |Lambda_L|+|Lambda_O|+1] per entity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .domain import Dataset, DomainError
 
@@ -51,7 +51,9 @@ def intervals(ds: Dataset, gamma: float) -> np.ndarray:
     """Per-entity interval y_i -/+ z_{1-gamma/2} sqrt(d_i), as an (m, 2) array."""
     if not 0 < gamma < 1:
         raise DomainError(f"gamma={gamma} must be in (0, 1)")
-    z = ndtri(1 - gamma / 2)
+    if 1 - gamma / 2 == 1:
+        raise DomainError(f"gamma={gamma} is too small: 1 - gamma/2 rounds to 1, infinite intervals")
+    z = NormalDist().inv_cdf(1 - gamma / 2)
     half = z * np.sqrt(ds.d)
     return np.column_stack([ds.y - half, ds.y + half])
 

@@ -8,6 +8,7 @@ score average posterior expected absolute rank deviation and set sizes.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -47,6 +48,9 @@ class SimConfig:
                 raise DomainError(f"{f.name}={value!r} must be {f.type}")
             if not items:
                 raise DomainError(f"{f.name}={value!r} must hold at least one value")
+            # JSON admits NaN, Infinity and integers past the float range
+            if f.type != "int" and not all(abs(v) <= sys.float_info.max for v in items):
+                raise DomainError(f"{f.name}={value!r} must be finite")
         if self.n_reps < 1:
             raise DomainError(f"n_reps={self.n_reps} must be >= 1")
         if self.seed < 0:

@@ -42,10 +42,16 @@ def wide_dataset(m, seed):
     return rc.generate_instance(x, 0.2, 0.4, 1.0, d, rng)[1]
 
 
+# the spy's spelling of one factorization: Cholesky, then the factor's inverse
+HB_FACTORIZATION = ["_cho_factor_spd", "cholesky", "inv"]
+
+
 def count_factorizations(monkeypatch, m) -> list:
     """Record the name of every call of `credset._cho_factor_spd`,
-    `np.linalg.inv` or `np.linalg.cholesky` on an m x m argument (the HB
-    sampler calls neither: it factors its q x q information matrices itself)."""
+    `np.linalg.inv` or `np.linalg.cholesky` on an m x m argument.  One
+    factorization of a dispersion records `HB_FACTORIZATION`; the HB sampler
+    calls none of them on m x m arguments (it factors its q x q information
+    matrices itself)."""
     from rankcred import credset
 
     calls = []

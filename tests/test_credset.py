@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
-from scipy.linalg import cho_factor
 
 import rankcred as rc
 from rankcred import credset, metrics
@@ -285,7 +284,7 @@ class TestMahalanobis:
         center = thetas.mean(axis=0)
         disp = np.cov(thetas.T, bias=True)
         with pytest.raises(np.linalg.LinAlgError):
-            cho_factor(disp, lower=True)
+            np.linalg.cholesky(disp)
         jittered = disp + _JITTER * np.mean(np.diag(disp)) * np.eye(200)
         got = Dispersion(center, disp).distances(thetas)
         assert np.allclose(got, mahalanobis_solve(thetas, center, jittered), rtol=1e-10, atol=0)
@@ -355,6 +354,24 @@ class TestDispersion:
         d = Dispersion(thetas.mean(axis=0), disp)
         assert d.log_det == pytest.approx(np.linalg.slogdet(jittered)[1], rel=1e-8)
         assert np.allclose(d.precision_diag, np.diag(np.linalg.inv(jittered)), rtol=1e-5, atol=0)
+
+    def test_nan_matrix_entry_raises(self):
+        disp = np.eye(3)
+        disp[0, 2] = np.nan
+        with pytest.raises(rc.DomainError, match=r"dispersion matrix\[0, 2\] is not finite: nan"):
+            Dispersion(np.zeros(3), disp)
+
+    def test_inf_center_raises(self):
+        with pytest.raises(rc.DomainError, match=r"dispersion center\[1\] is not finite: -inf"):
+            Dispersion([0.0, -np.inf, 0.0], np.eye(3))
+
+    @pytest.mark.parametrize(
+        "center, matrix",
+        [(np.zeros(3), np.ones((3, 2))), (np.zeros(2), np.eye(3)), (np.zeros((3, 3)), np.eye(3))],
+    )
+    def test_wrong_shape_raises(self, center, matrix):
+        with pytest.raises(rc.DomainError, match=r"are not \(m,\) and \(m, m\)"):
+            Dispersion(center, matrix)
 
     def test_diagonal_is_not_factored(self, monkeypatch):
         calls = spy_factorizations(monkeypatch)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
+from scipy.special import ndtri
 
 import rankcred as rc
 from rankcred.kww import intervals, lambda_sets
@@ -64,6 +65,18 @@ class TestIntervals:
         ds = make_dataset([0.0, 1.0], [1.0, 1.0])
         with pytest.raises(rc.DomainError):
             intervals(ds, gamma=1.5)
+
+    def test_gamma_too_small(self):
+        # 1 - 1e-17/2 rounds to 1: the quantile would be infinite
+        ds = make_dataset([0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(rc.DomainError, match=r"gamma=1e-17 is too small"):
+            intervals(ds, gamma=1e-17)
+
+    def test_z_matches_ndtri(self):
+        ds = make_dataset([0.0, 0.0], [1.0, 1.0])
+        gammas = np.append(np.geomspace(1e-15, 0.5, 400), [0.1, 0.05])
+        z = np.array([intervals(ds, g)[0, 1] for g in gammas])
+        assert np.allclose(z, ndtri(1 - gammas / 2), rtol=2e-15, atol=0)
 
 
 class TestLambdaSets:

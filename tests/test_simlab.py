@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import rankcred as rc
 from rankcred import kww, rankdist
 from rankcred.simlab import RESULT_COLUMNS, run_cell
 
-from conftest import count_factorizations
+from conftest import HB_FACTORIZATION, count_factorizations
 
 
 class TestSimConfig:
@@ -41,6 +43,16 @@ class TestSimConfig:
         for name in ("a_grid", "beta1_grid", "d"):
             with pytest.raises(rc.DomainError, match=rf"{name}=\(\) must hold at least one value"):
                 rc.SimConfig(**{name: ()})
+        # JSON admits NaN and Infinity: each is named at its field
+        with pytest.raises(rc.DomainError, match=r"a_grid=\(nan,\) must be finite"):
+            rc.SimConfig(a_grid=(math.nan,))
+        with pytest.raises(rc.DomainError, match=r"beta0=inf must be finite"):
+            rc.SimConfig(beta0=math.inf)
+        with pytest.raises(rc.DomainError, match=r"d=\(0.1, -inf\) must be finite"):
+            rc.SimConfig(d=(0.1, -math.inf))
+        with pytest.raises(rc.DomainError, match=r"beta0=10{400} must be finite"):
+            rc.SimConfig(beta0=10**400)
+        assert rc.SimConfig(seed=10**400).seed == 10**400  # an int field holds any int
 
 
 class TestGenerateInstance:
@@ -206,4 +218,4 @@ class TestRunStudy:
         calls = count_factorizations(monkeypatch, 18)
         cfg = rc.SimConfig(n_reps=1, samples=500)
         run_cell(cfg, np.random.default_rng(0).uniform(0.0, 1.0, 18), 1.0, 0.0, 0)
-        assert calls == ["_cho_factor_spd"]
+        assert calls == HB_FACTORIZATION
