@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import metrics
-from .domain import DomainError, rank_span, sort_rows
+from .domain import DomainError, rank_span, row_blocks, sort_rows
 from .posterior import PosteriorDraws
 
 CARTESIAN = "cartesian"
@@ -75,7 +75,8 @@ def _check_alpha(draws: PosteriorDraws, alpha: float):
 
 def tune_kappa(draws: PosteriorDraws, alpha: float) -> CartesianBounds:
     """The Cartesian box holding round(S(1-alpha)) draws, its sides read off
-    the order statistics col_c[0] <= ... <= col_c[S-1] of each coordinate.
+    the order statistics col_c[0] <= ... <= col_c[S-1] of each coordinate,
+    each read through the coordinate's sort order: no sorted copy is made.
 
     Depth.  Draw s has depth min over c of min(#(col_c <= theta_sc),
     #(col_c >= theta_sc)), counted with ties, and lies in the symmetric box
@@ -99,12 +100,10 @@ def tune_kappa(draws: PosteriorDraws, alpha: float) -> CartesianBounds:
     S, m = draws.S, draws.m
     target = round(S * (1 - alpha))
     values = np.ascontiguousarray(draws.theta.T)  # (m, S), row c = coordinate c
-    order, tied = sort_rows(values, np.intp)
-    cols = np.empty((m, S))  # row c sorted ascending
+    order, tied = sort_rows(values, np.min_scalar_type(S - 1))  # smallest dtype holding S - 1
     depth, col_depth = np.full(S, S), np.empty(S, dtype=int)
     place_depth = np.minimum(np.arange(1, S + 1), np.arange(S, 0, -1))  # tie-free depths
     for c, col in enumerate(values):
-        cols[c] = col[order[c]]
         if not tied[c]:
             col_depth[order[c]] = place_depth
         else:
@@ -124,7 +123,8 @@ def tune_kappa(draws: PosteriorDraws, alpha: float) -> CartesianBounds:
         if cut[c, 0] == cut[c, 1]:
             break
         i = cut[c, side] + (1 if side == 0 else -1)
-        out = inside & (values[c] < cols[c, i] if side == 0 else values[c] > cols[c, i])
+        side_value = values[c, order[c, i]]
+        out = inside & (values[c] < side_value if side == 0 else values[c] > side_value)
         n = np.count_nonzero(out)
         if K - n < target:
             break
@@ -134,7 +134,7 @@ def tune_kappa(draws: PosteriorDraws, alpha: float) -> CartesianBounds:
 
     rows = np.arange(m)
     kappa = float(np.mean(cut[:, 0] + S - 1 - cut[:, 1])) / (S - 1)
-    lower, upper = cols[rows, cut[:, 0]], cols[rows, cut[:, 1]]
+    lower, upper = values[rows, order[rows, cut[:, 0]]], values[rows, order[rows, cut[:, 1]]]
     return CartesianBounds(lower, upper, kappa, indices=np.flatnonzero(inside))
 
 
@@ -195,13 +195,20 @@ class Dispersion:
 
     def distances(self, thetas: np.ndarray) -> np.ndarray:
         """Squared distances ||L^-1 (theta - center)||^2 of the rows of `thetas`;
-        L = diag(sqrt(var)) scales each coordinate by 1/sqrt(var)."""
-        diff = thetas - self.center
-        if self._chol is None:
-            diff *= 1.0 / np.sqrt(np.diagonal(self.matrix))
-            return np.einsum("si,si->s", diff, diff)
-        z = self._chol_inv @ diff.T
-        return np.einsum("is,is->s", z, z)
+        L = diag(sqrt(var)) scales each coordinate by 1/sqrt(var).  Computed
+        per block of rows, so the temporaries are a block's, not a copy of
+        `thetas`."""
+        out = np.empty(len(thetas))
+        scale = 1.0 / np.sqrt(np.diagonal(self.matrix)) if self._chol is None else None
+        for rows in row_blocks(*thetas.shape):
+            diff = thetas[rows] - self.center
+            if scale is not None:
+                diff *= scale
+                np.einsum("si,si->s", diff, diff, out=out[rows])
+            else:
+                z = self._chol_inv @ diff.T
+                np.einsum("is,is->s", z, z, out=out[rows])
+        return out
 
     @property
     def log_det(self) -> float:

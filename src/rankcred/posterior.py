@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import Dataset, DomainError, sort_rows
+from .domain import Dataset, DomainError, row_blocks, sort_rows
 
 UB = "UB"
 HB = "HB"
@@ -19,6 +19,13 @@ HB = "HB"
 # [log min d, log max d] on each side
 A_GRID_POINTS = 4001
 A_GRID_SPAN = 16.0
+
+
+def _check_variances(a: np.ndarray):
+    """Reject model-variance draws that are not > 0 (NaN included), naming the first."""
+    if not np.all(a > 0):
+        s = np.flatnonzero(~(a > 0))[0]
+        raise DomainError(f"model-variance draw {s} must be > 0, got {a[s]}")
 
 
 @dataclass(frozen=True)
@@ -33,11 +40,12 @@ class PosteriorDraws:
     def __post_init__(self):
         if self.theta.ndim != 2 or self.theta.shape[0] < 1:
             raise DomainError("theta draws must be a non-empty S x m matrix")
-        if not np.isfinite(self.theta).all():
+        # min and max propagate NaN and reach any inf: no S x m mask
+        if not (np.isfinite(self.theta.min()) and np.isfinite(self.theta.max())):
             s, c = np.argwhere(~np.isfinite(self.theta))[0]
             raise DomainError(f"theta draw {s}, coordinate {c} is not finite: {self.theta[s, c]}")
-        if self.a is not None and np.any(self.a <= 0):
-            raise DomainError("model-variance draws must all be > 0")
+        if self.a is not None:
+            _check_variances(self.a)
 
     @property
     def S(self) -> int:
@@ -189,7 +197,13 @@ def _draw_a(X, y, d, S, rng) -> np.ndarray:
     log_dens = _a_log_density(u, X, y, d)
     dens = np.exp(log_dens - log_dens.max())
     cdf = np.concatenate([[0.0], np.cumsum(dens[1:] + dens[:-1])])
-    return np.exp(np.interp(rng.random(S) * cdf[-1], cdf, u))
+    # np.interp starts each search at the previous query's node, so queries
+    # in ascending order cost less; each result is the same
+    targets = rng.random(S) * cdf[-1]
+    order = np.argsort(targets)
+    log_a = np.empty(S)
+    log_a[order] = np.interp(targets[order], cdf, u)
+    return np.exp(log_a)
 
 
 def _draw_beta(X, y, d, a, rng) -> np.ndarray:
@@ -209,12 +223,19 @@ def draw_theta(y, d, xb, a, rng) -> np.ndarray:
     """theta | beta, A, y for each row of the regression fits `xb` (S, m) and
     each model variance in `a` (S,): shrink y toward the fit,
     theta_i ~ Normal((A y_i + d_i xb_i)/(A + d_i), A d_i/(A + d_i)).
+
+    Block by block of rows, the normals fill theta in place, in the order one
+    (S, m) call draws them, and are scaled and shifted there: the draws are
+    bitwise those of mean + sd * z computed whole.
     """
-    if np.any(a <= 0):
-        raise DomainError("model variances must all be > 0")
-    a = a[:, None]
-    mean = (a * y + d * xb) / (a + d)
-    return mean + np.sqrt(a * d / (a + d)) * rng.standard_normal(mean.shape)
+    _check_variances(a)
+    theta = np.empty(xb.shape)
+    for rows in row_blocks(*xb.shape):
+        block, ab = theta[rows], a[rows, None]
+        rng.standard_normal(out=block)
+        block *= np.sqrt(ab * d / (ab + d))
+        block += (ab * y + d * xb[rows]) / (ab + d)
+    return theta
 
 
 def gibbs_hb(ds: Dataset, S: int, seed: int, include_intercept: bool = True) -> PosteriorDraws:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,18 @@ def wide_dataset(m, seed):
     rng = np.random.default_rng(seed)
     x, d = rng.uniform(0.0, 1.0, m), rng.uniform(0.5, 2.0, m)
     return rc.generate_instance(x, 0.2, 0.4, 1.0, d, rng)[1]
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it held at once, as tracemalloc (which
+    numpy reports its buffers to) counts them.  The peak counts the result,
+    not the arguments, which were allocated before tracing began."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # the spy's spelling of one factorization: Cholesky, then the factor's inverse

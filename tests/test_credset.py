@@ -6,10 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import rankcred as rc
-from rankcred import credset, metrics
+from rankcred import credset, domain, metrics
 from rankcred.credset import _JITTER, Dispersion
 from rankcred.posterior import PosteriorDraws
 
+from conftest import traced_peak
 from oracles import (
     box_peel_reference,
     cartesian_select_reference,
@@ -62,6 +63,19 @@ class TestTuneKappa:
         for alpha in (0.0, 1.0, -0.5):
             with pytest.raises(rc.DomainError):
                 rc.tune_kappa(draws, alpha)
+
+    def test_peak_memory_keeps_no_sorted_copy(self):
+        # it keeps the draws as (m, S) columns and their sort order (two
+        # bytes a cell below S = 65537); the sort, the depths and the peel
+        # add a few blocks of rows and a few (S,) arrays.  A sorted copy of
+        # the columns, or an intp order, would add an array the size of theta
+        S, m = 20000, 200
+        draws = normal_draws(S, m, seed=5)
+        kept = draws.theta.nbytes + S * m * np.min_scalar_type(S - 1).itemsize
+        bound = kept + 6 * 8 * domain.BLOCK_CELLS + 8 * 8 * S
+        assert bound < 2 * draws.theta.nbytes
+        _, peak = traced_peak(rc.tune_kappa, draws, 0.1)
+        assert peak <= bound
 
 
 def peeled_box(theta, alpha):
@@ -162,6 +176,24 @@ class TestColumnSort:
         sel = peeled_box(np.random.default_rng(S + 1).standard_normal((S, 3)), 0.1)
         assert sel.K == round(S * 0.9)
         assert calls == []
+
+    def test_four_byte_order_gives_the_intp_box(self, monkeypatch):
+        # past 65536 draws the order takes four bytes a cell; a tied and a
+        # tie-free column must give the box an intp order gives
+        rng = np.random.default_rng(6)
+        theta = np.column_stack([rng.integers(-30, 31, 70000), rng.standard_normal(70000)])
+        draws = PosteriorDraws(theta=theta, model="UB")
+        got = rc.tune_kappa(draws, 0.1)
+        dtypes, sort_rows = [], credset.sort_rows
+        monkeypatch.setattr(
+            credset, "sort_rows", lambda v, dtype: dtypes.append(dtype) or sort_rows(v, np.intp)
+        )
+        want = rc.tune_kappa(draws, 0.1)
+        assert dtypes == [np.uint32]
+        assert (got.kappa, got.lower.tobytes(), got.upper.tobytes()) == (
+            want.kappa, want.lower.tobytes(), want.upper.tobytes()
+        )
+        assert np.array_equal(got.indices, want.indices)
 
     def test_all_tied_column_next_to_tie_free_ones(self):
         theta = np.random.default_rng(3).standard_normal((500, 3))
@@ -330,6 +362,47 @@ class TestMahalanobis:
         got = Dispersion(center, disp).distances(thetas)
         assert len(calls) == 1
         assert np.allclose(got, mahalanobis_solve(thetas, center, disp), rtol=1e-12, atol=0)
+
+
+class TestBlockedDistances:
+    """`Dispersion.distances` works per block of rows: the diagonal path's
+    result does not depend on the blocks, the factored one's only by the
+    rounding of its matrix product, and its temporaries are a few blocks."""
+
+    def draws_and_dispersions(self, S, m, seed):
+        rng = np.random.default_rng(seed)
+        thetas = rng.standard_normal((S, m)) * rng.uniform(0.5, 2.0, m)
+        B = rng.standard_normal((m, m))
+        factored = Dispersion(thetas.mean(axis=0), B @ B.T / m + np.eye(m))
+        diagonal = Dispersion(thetas.mean(axis=0), np.diag(rng.uniform(0.5, 2.0, m)))
+        return thetas, diagonal, factored
+
+    def test_blocks_of_three_rows_match_one_block(self, monkeypatch):
+        # 50 draws in blocks of 3 rows: 16 full blocks and a last one of 2
+        m = 7
+        thetas, diagonal, factored = self.draws_and_dispersions(50, m, seed=18)
+        whole = diagonal.distances(thetas), factored.distances(thetas)
+        monkeypatch.setattr(domain, "BLOCK_CELLS", 3 * m)
+        assert len(domain.row_blocks(50, m)) == 17
+        assert diagonal.distances(thetas).tobytes() == whole[0].tobytes()
+        np.testing.assert_allclose(factored.distances(thetas), whole[1], rtol=1e-12, atol=0)
+        reference = mahalanobis_solve(thetas, factored.center, factored.matrix)
+        np.testing.assert_allclose(whole[1], reference, rtol=1e-10)
+
+    @pytest.mark.parametrize("path", ["diagonal", "factored"])
+    def test_peak_memory_is_blocks_not_a_copy(self, path):
+        # the output and, per block, the centered rows and (factored) their
+        # product with L^-1, each block allocated while the last is still
+        # bound: four blocks of float64 cover it, and a copy of the draws
+        # (32 MB) would not fit
+        S, m = 20000, 200
+        thetas, diagonal, factored = self.draws_and_dispersions(S, m, seed=19)
+        dispersion = diagonal if path == "diagonal" else factored
+        dispersion.distances(thetas[:1])  # factor outside the traced call
+        out, peak = traced_peak(dispersion.distances, thetas)
+        bound = out.nbytes + 4 * 8 * domain.BLOCK_CELLS
+        assert bound < thetas.nbytes / 3
+        assert peak <= bound
 
 
 class TestDispersion:

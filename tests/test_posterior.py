@@ -4,6 +4,7 @@ from scipy import stats
 from scipy.special import ndtr
 
 import rankcred as rc
+from rankcred import domain
 from rankcred.posterior import (
     A_GRID_POINTS,
     A_GRID_SPAN,
@@ -15,7 +16,7 @@ from rankcred.posterior import (
     draw_theta,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, traced_peak
 from oracles import (
     a_log_density_reference,
     cond_a_rejection,
@@ -209,9 +210,13 @@ class TestGibbsHb:
             assert stats.ks_2samp(theta[:, i], ub.theta[:, i]).pvalue > 0.01 / baseball.m
 
     def test_draw_theta_requires_positive_a(self, baseball):
-        xb = np.zeros((2, baseball.m))
-        with pytest.raises(rc.DomainError):
-            draw_theta(baseball.y, baseball.d, xb, np.array([1e-3, 0.0]), np.random.default_rng(0))
+        # NaN compares false both ways, so it is caught as not > 0
+        xb = np.zeros((3, baseball.m))
+        for bad in (0.0, -1.0, np.nan):
+            a = np.array([1e-3, bad, bad])
+            message = f"model-variance draw 1 must be > 0, got {bad}"
+            with pytest.raises(rc.DomainError, match=message):
+                draw_theta(baseball.y, baseball.d, xb, a, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "y, d",
@@ -382,6 +387,78 @@ class TestPosteriorDraws:
         theta[5, 0] = bad
         with pytest.raises(rc.DomainError, match="draw 4, coordinate 2 is not finite"):
             rc.PosteriorDraws(theta=theta, model="UB")
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_bad_variance_draw_named(self, bad):
+        a = np.array([1.0, 2.0, bad, bad])
+        with pytest.raises(rc.DomainError, match=f"model-variance draw 2 must be > 0, got {bad}"):
+            rc.PosteriorDraws(theta=np.zeros((4, 3)), model="HB", beta=np.zeros((4, 1)), a=a)
+
+
+class TestDrawTheta:
+    """`draw_theta` fills theta block by block of rows: the same bits as the
+    whole-array formula from one (S, m) call of the generator, and no
+    whole-array temporaries."""
+
+    @staticmethod
+    def inputs(S, m, seed):
+        rng = np.random.default_rng(seed)
+        y, d = rng.standard_normal(m), rng.uniform(0.5, 2.0, m)
+        return y, d, rng.standard_normal((S, m)), rng.uniform(0.1, 3.0, S)
+
+    def test_blocks_match_whole_array_formula(self, monkeypatch):
+        # 50 draws in one block, and in blocks of 3 rows (the last of 2)
+        S, m = 50, 7
+        y, d, xb, a = self.inputs(S, m, seed=20)
+        rng = np.random.default_rng(21)
+        A = a[:, None]
+        want = (A * y + d * xb) / (A + d) + np.sqrt(A * d / (A + d)) * rng.standard_normal((S, m))
+        one_block = draw_theta(y, d, xb, a, np.random.default_rng(21))
+        monkeypatch.setattr(domain, "BLOCK_CELLS", 3 * m)
+        assert len(domain.row_blocks(S, m)) == 17
+        blocked_rng = np.random.default_rng(21)
+        blocked = draw_theta(y, d, xb, a, blocked_rng)
+        assert one_block.tobytes() == want.tobytes() == blocked.tobytes()
+        # both streams end in one state
+        assert blocked_rng.random() == rng.random()
+
+    def test_peak_memory_is_its_output(self):
+        # the output, and a block's means, sds and their temporaries
+        S, m = 20000, 200
+        y, d, xb, a = self.inputs(S, m, seed=22)
+        theta, peak = traced_peak(draw_theta, y, d, xb, a, np.random.default_rng(0))
+        assert peak <= theta.nbytes + 4 * 8 * domain.BLOCK_CELLS
+
+
+class TestDrawA:
+    """`_draw_a` inverts the grid's trapezoid CDF at its uniforms in
+    ascending order; np.interp at the uniforms as drawn is the reference."""
+
+    @staticmethod
+    def unsorted_reference(X, y, d, S, rng):
+        span = (np.log(d.min()) - A_GRID_SPAN, np.log(d.max()) + A_GRID_SPAN)
+        u = np.linspace(*span, A_GRID_POINTS)
+        log_dens = _a_log_density(u, X, y, d)
+        dens = np.exp(log_dens - log_dens.max())
+        cdf = np.concatenate([[0.0], np.cumsum(dens[1:] + dens[:-1])])
+        return np.exp(np.interp(rng.random(S) * cdf[-1], cdf, u)), cdf
+
+    @pytest.mark.parametrize("name", ["fixture", "flat tails"])
+    def test_sorted_queries_match_interp(self, name):
+        if name == "fixture":
+            ds = rc.baseball_dataset()
+        else:
+            # 100 variances near 0.01 against a unit spread of y: the density
+            # underflows to 0 on both ends of the grid
+            rng = np.random.default_rng(0)
+            ds = make_dataset(rng.standard_normal(100), rng.uniform(0.01, 0.02, 100))
+        X = design_matrix(ds)
+        want, cdf = self.unsorted_reference(X, ds.y, ds.d, 50000, np.random.default_rng(8))
+        # runs of equal CDF nodes at the top (the fixture) or at both ends
+        assert cdf[-2] == cdf[-1]
+        assert (cdf[1] == 0.0) == (name == "flat tails")
+        got = _draw_a(X, ds.y, ds.d, 50000, np.random.default_rng(8))
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSummarize:
