@@ -189,8 +189,11 @@ def _cmd_simulate(args) -> int:
         raise DomainError(f"unknown simulation config keys: {unknown}")
     raw = {key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()}
     cfg = SimConfig(**raw)
-    if not Path(args.out).parent.is_dir():  # found before the study, not after it
+    # found before the study, not after it
+    if not Path(args.out).parent.is_dir():
         raise DomainError(f"--out {args.out!r}: no such directory")
+    if Path(args.out).is_dir():
+        raise DomainError(f"--out {args.out!r} is a directory, not a result CSV path")
     rows = run_study(cfg)
     write_rows_csv(
         args.out,

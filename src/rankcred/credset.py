@@ -15,13 +15,16 @@ from functools import cached_property
 import numpy as np
 
 from . import metrics
-from .domain import DomainError, rank_span, row_blocks, sort_rows
+from .domain import DomainError, row_blocks
 from .posterior import PosteriorDraws
 
 CARTESIAN = "cartesian"
 ELLIPTICAL = "elliptical"
 
 _JITTER = 1e-10
+
+# values per column in the sample that places the tail thresholds of the box
+_TAIL_SAMPLE = 4096
 
 
 @dataclass(frozen=True)
@@ -75,8 +78,8 @@ def _check_alpha(draws: PosteriorDraws, alpha: float):
 
 def tune_kappa(draws: PosteriorDraws, alpha: float) -> CartesianBounds:
     """The Cartesian box holding round(S(1-alpha)) draws, its sides read off
-    the order statistics col_c[0] <= ... <= col_c[S-1] of each coordinate,
-    each read through the coordinate's sort order: no sorted copy is made.
+    the order statistics col_c[0] <= ... <= col_c[S-1] of each coordinate
+    (a stable sort: tied draws in index order, -0.0 tying 0.0).
 
     Depth.  Draw s has depth min over c of min(#(col_c <= theta_sc),
     #(col_c >= theta_sc)), counted with ties, and lies in the symmetric box
@@ -95,22 +98,69 @@ def tune_kappa(draws: PosteriorDraws, alpha: float) -> CartesianBounds:
     kappa is the type-7 quantile level of the final sides: with lo_c and
     S-1-hi_c order statistics peeled off below and above coordinate c,
     kappa = mean_c(lo_c + S-1-hi_c) / (S-1).
+
+    Tails.  Only the two ends of each column are sorted (`_tail_box`).  The
+    thresholds that bound them come from a strided, sorted sample of about
+    _TAIL_SAMPLE values per column, placed for about 1.5 (S-target+1)/m + m
+    draws per tail; when an attempt cannot settle the box the tails double,
+    up to whole columns, where no attempt fails.  The thresholds change only
+    how much is sorted, never the box.
     """
     _check_alpha(draws, alpha)
     S, m = draws.S, draws.m
     target = round(S * (1 - alpha))
-    values = np.ascontiguousarray(draws.theta.T)  # (m, S), row c = coordinate c
-    order, tied = sort_rows(values, np.min_scalar_type(S - 1))  # smallest dtype holding S - 1
-    depth, col_depth = np.full(S, S), np.empty(S, dtype=int)
-    place_depth = np.minimum(np.arange(1, S + 1), np.arange(S, 0, -1))  # tie-free depths
-    for c, col in enumerate(values):
-        if not tied[c]:
-            col_depth[order[c]] = place_depth
-        else:
-            # a draw of ranks lo..hi (its tie run) has #(col <= v) = hi, #(col >= v) = S + 1 - lo
-            lo, hi = rank_span(col)
-            np.minimum(hi, S + 1 - lo, out=col_depth)
-        np.minimum(depth, col_depth, out=depth)
+    sample = np.sort(draws.theta[:: max(1, S // _TAIL_SAMPLE)], axis=0)
+    n = 1.5 * (S - target + 1) / m + m  # draws per tail
+    while True:
+        j = int(n / S * len(sample))
+        if 2 * j + 1 >= len(sample):  # whole columns: the attempt settles the box
+            return _tail_box(draws.theta, target, np.full(m, np.inf), np.full(m, -np.inf))
+        box = _tail_box(draws.theta, target, sample[j], sample[-1 - j])
+        if box is not None:
+            return box
+        n *= 2
+
+
+def _tail_box(theta: np.ndarray, target: int, below, above) -> CartesianBounds | None:
+    """The box of `tune_kappa` from the tails of each column: tail c holds the
+    draws with theta_sc <= below[c], tail m + c those with theta_sc >= above[c],
+    so tail c holds col_c[0..size-1] and tail m + c col_c[S-size..S-1].
+
+    A draw strictly between the thresholds of c has more than size draws at
+    or below it and at or above it, so its depth exceeds the smallest tail
+    size T; a draw in a tail gets its exact count there.  The box is settled
+    when at least S - target + 1 draws have depth <= T (the target-th largest
+    depth is then exact) and every order statistic that the peel and the
+    sides read lies in its tail.  Returns None when it is not."""
+    S, m = theta.shape
+    cells = [np.flatnonzero(theta <= below), np.flatnonzero(theta >= above)]  # s * m + c
+    draw, column = np.divmod(np.concatenate(cells), m)
+    value = theta[draw, column]
+    # one or two bytes up to m = 32,768, so the stable sort is a radix sort
+    tail = column.astype(np.min_scalar_type(2 * m - 1))
+    tail[len(cells[0]) :] += m
+    # by tail, then value: an unstable sort by value, then a stable one by tail
+    order = np.argsort(value)
+    order = order[np.argsort(tail[order], kind="stable")]
+    draw, tail, value = draw[order], tail[order], value[order]
+    new_run = np.r_[True, (tail[1:] != tail[:-1]) | (value[1:] != value[:-1])]
+    if not new_run.all():  # tied values: put each tie run in draw order
+        order = np.lexsort((draw, value, tail))
+        draw, tail, value = draw[order], tail[order], value[order]
+    size = np.bincount(tail, minlength=2 * m)
+    start = np.cumsum(size) - size
+    # order statistic index of column c = place in the sorted tails + shift
+    shift = np.where(np.arange(2 * m) < m, 0, S - size) - start
+    # tie runs of the sorted tails: places first..last
+    runs = np.flatnonzero(new_run)
+    lengths = np.diff(np.r_[runs, len(tail)])
+    first, last = np.repeat(runs, lengths), np.repeat(runs + lengths - 1, lengths)
+    # order statistics lo..hi: #(col <= v) = hi + 1, #(col >= v) = S - lo
+    at = shift[tail]
+    depth = np.full(S, S)
+    np.minimum.at(depth, draw, np.minimum(last + at + 1, S - first - at))
+    if np.count_nonzero(depth <= size.min()) < S - target + 1:
+        return None
 
     k = min(int(np.partition(depth, S - target)[S - target]) - 1, (S - 1) // 2)
     cut = np.array([[k, S - 1 - k]] * m)  # (m, 2): index of the lower and upper side
@@ -123,18 +173,21 @@ def tune_kappa(draws: PosteriorDraws, alpha: float) -> CartesianBounds:
         if cut[c, 0] == cut[c, 1]:
             break
         i = cut[c, side] + (1 if side == 0 else -1)
-        side_value = values[c, order[c, i]]
-        out = inside & (values[c] < side_value if side == 0 else values[c] > side_value)
-        n = np.count_nonzero(out)
+        t = c + side * m
+        place, end = i - shift[t], start[t] + size[t]
+        if not start[t] <= place < end:
+            return None
+        # the draws below (above) the tie run of the new side leave the box
+        out = draw[start[t] : first[place]] if side == 0 else draw[last[place] + 1 : end]
+        n = np.count_nonzero(inside[out])
         if K - n < target:
             break
-        inside &= ~out
+        inside[out] = False
         K -= n
         cut[c, side] = i
 
-    rows = np.arange(m)
     kappa = float(np.mean(cut[:, 0] + S - 1 - cut[:, 1])) / (S - 1)
-    lower, upper = values[rows, order[rows, cut[:, 0]]], values[rows, order[rows, cut[:, 1]]]
+    lower, upper = value[cut[:, 0] - shift[:m]], value[cut[:, 1] - shift[m:]]
     return CartesianBounds(lower, upper, kappa, indices=np.flatnonzero(inside))
 
 
@@ -193,21 +246,23 @@ class Dispersion:
     def _chol_inv(self) -> np.ndarray:
         return np.linalg.inv(self._chol)
 
-    def distances(self, thetas: np.ndarray) -> np.ndarray:
-        """Squared distances ||L^-1 (theta - center)||^2 of the rows of `thetas`;
-        L = diag(sqrt(var)) scales each coordinate by 1/sqrt(var).  Computed
-        per block of rows, so the temporaries are a block's, not a copy of
+    def distances(self, thetas: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Squared distances ||L^-1 (theta - center)||^2 of the rows of `thetas`,
+        or of thetas[rows] when `rows` is given; L = diag(sqrt(var)) scales
+        each coordinate by 1/sqrt(var).  Computed per block of rows, gathered
+        block by block, so the temporaries are a block's, not a copy of
         `thetas`."""
-        out = np.empty(len(thetas))
+        n = len(thetas) if rows is None else len(rows)
+        out = np.empty(n)
         scale = 1.0 / np.sqrt(np.diagonal(self.matrix)) if self._chol is None else None
-        for rows in row_blocks(*thetas.shape):
-            diff = thetas[rows] - self.center
+        for block in row_blocks(n, thetas.shape[1]):
+            diff = thetas[block if rows is None else rows[block]] - self.center
             if scale is not None:
                 diff *= scale
-                np.einsum("si,si->s", diff, diff, out=out[rows])
+                np.einsum("si,si->s", diff, diff, out=out[block])
             else:
                 z = self._chol_inv @ diff.T
-                np.einsum("is,is->s", z, z, out=out[rows])
+                np.einsum("is,is->s", z, z, out=out[block])
         return out
 
     @property

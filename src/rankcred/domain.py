@@ -93,8 +93,9 @@ def row_blocks(n: int, m: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
-def sort_rows(values: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's stable argsort, in `dtype`, and exact-tie flag (-0.0 ties 0.0).
+def sort_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's stable argsort, in the smallest unsigned dtype that holds
+    n - 1 for rows of n, and exact-tie flag (-0.0 ties 0.0).
 
     Per block of rows, one sort of uint64 keys that preserve the order of the
     values and hold the column index in their low (n-1).bit_length() bits
@@ -103,7 +104,7 @@ def sort_rows(values: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
     may misorder) are sorted again by value, which flags the exact ties."""
     n = values.shape[1]
     index_mask = np.uint64((1 << (n - 1).bit_length()) - 1)
-    order = np.empty(values.shape, dtype=dtype)
+    order = np.empty(values.shape, dtype=np.min_scalar_type(n - 1))
     tied = np.zeros(len(values), dtype=bool)
     for rows in row_blocks(len(values), n):
         keys = (values[rows] + 0.0).view(np.uint64)  # -0.0 and 0.0: one key

@@ -60,7 +60,7 @@ class PosteriorDraws:
         """Each draw's stable argsort (order[s, k] is the entity at rank k+1,
         in the smallest unsigned dtype that holds m - 1) and exact-tie flag,
         read-only: `sort_rows` of theta."""
-        order, tied = sort_rows(self.theta, np.min_scalar_type(self.m - 1))
+        order, tied = sort_rows(self.theta)
         order.flags.writeable = False
         tied.flags.writeable = False
         return order, tied
@@ -219,22 +219,27 @@ def _draw_beta(X, y, d, a, rng) -> np.ndarray:
     return np.column_stack(_solve_reversed(K, [t[i] + z[:, i] for i in range(len(t))]))
 
 
-def draw_theta(y, d, xb, a, rng) -> np.ndarray:
-    """theta | beta, A, y for each row of the regression fits `xb` (S, m) and
-    each model variance in `a` (S,): shrink y toward the fit,
+def draw_theta(y, d, X, beta, a, rng) -> np.ndarray:
+    """theta | beta, A, y for each row of `beta` (S, q) and each model
+    variance in `a` (S,): shrink y toward the regression fit xb = X beta,
     theta_i ~ Normal((A y_i + d_i xb_i)/(A + d_i), A d_i/(A + d_i)).
 
     Block by block of rows, the normals fill theta in place, in the order one
     (S, m) call draws them, and are scaled and shifted there: the draws are
-    bitwise those of mean + sd * z computed whole.
+    bitwise those of mean + sd * z computed whole, with xb = beta @ X.T.  With
+    one design column each block forms its own fits, elementwise, the bits of
+    that product; with more the product is formed whole, since a product of
+    a block of rows can round differently.
     """
     _check_variances(a)
-    theta = np.empty(xb.shape)
-    for rows in row_blocks(*xb.shape):
+    theta = np.empty((len(a), len(y)))
+    xb = None if X.shape[1] == 1 else beta @ X.T
+    for rows in row_blocks(*theta.shape):
         block, ab = theta[rows], a[rows, None]
         rng.standard_normal(out=block)
         block *= np.sqrt(ab * d / (ab + d))
-        block += (ab * y + d * xb[rows]) / (ab + d)
+        fits = beta[rows] * X[:, 0] if xb is None else xb[rows]
+        block += (ab * y + d * fits) / (ab + d)
     return theta
 
 
@@ -258,9 +263,7 @@ def gibbs_hb(ds: Dataset, S: int, seed: int, include_intercept: bool = True) -> 
 
     a = _draw_a(X, ds.y, ds.d, S, rng)
     beta = _draw_beta(X, ds.y, ds.d, a, rng)
-    # with one column, the K = 1 product beta @ X.T is this elementwise one
-    xb = beta * X[:, 0] if q == 1 else beta @ X.T
-    theta = draw_theta(ds.y, ds.d, xb, a, rng)
+    theta = draw_theta(ds.y, ds.d, X, beta, a, rng)
     return PosteriorDraws(theta=theta, model=HB, beta=beta, a=a)
 
 

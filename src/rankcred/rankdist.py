@@ -71,7 +71,7 @@ def build_distribution(
         if selection.ellip is not None:
             dist = selection.ellip.distances[idx]
         elif dispersion is not None:
-            dist = dispersion.distances(draws.theta[idx])
+            dist = dispersion.distances(draws.theta, idx)
         else:
             raise DomainError("mahal weighting on a Cartesian selection needs a dispersion")
         # exponent shift so the largest weight is exp(0); guards underflow

@@ -235,6 +235,47 @@ def box_peel_reference(theta, alpha):
     return kappa, lower, upper, np.array(sel, dtype=int)
 
 
+def box_column_reference(theta, alpha):
+    """The Cartesian box of `credset.tune_kappa` from whole sorted columns:
+    each column's stable argsort, every draw's depth counted by
+    np.searchsorted in it, then the round-robin peel over whole columns.
+    Returns (kappa, lower, upper, indices)."""
+    theta = np.asarray(theta, dtype=float)
+    S, m = theta.shape
+    target = round(S * (1 - alpha))
+    cols, depth = [], np.full(S, S)
+    for c in range(m):
+        col = theta[:, c][np.argsort(theta[:, c], kind="stable")]
+        at_most = np.searchsorted(col, theta[:, c], side="right")
+        at_least = S - np.searchsorted(col, theta[:, c], side="left")
+        depth = np.minimum(depth, np.minimum(at_most, at_least))
+        cols.append(col)
+    k = min(int(np.sort(depth)[S - target]) - 1, (S - 1) // 2)
+    lo, hi = [k] * m, [S - 1 - k] * m
+    inside = depth > k
+    step = 0
+    while np.count_nonzero(inside) > target:
+        c, side = divmod(step % (2 * m), 2)
+        step += 1
+        if lo[c] == hi[c]:
+            break
+        if side == 0:
+            kept = inside & (theta[:, c] >= cols[c][lo[c] + 1])
+        else:
+            kept = inside & (theta[:, c] <= cols[c][hi[c] - 1])
+        if np.count_nonzero(kept) < target:
+            break
+        inside = kept
+        if side == 0:
+            lo[c] += 1
+        else:
+            hi[c] -= 1
+    kappa = sum(lo[c] + S - 1 - hi[c] for c in range(m)) / m / (S - 1)
+    lower = np.array([cols[c][lo[c]] for c in range(m)])
+    upper = np.array([cols[c][hi[c]] for c in range(m)])
+    return kappa, lower, upper, np.flatnonzero(inside)
+
+
 def variance_target_cdf(a_values, m, sse, dbar):
     """Grid-quadrature CDF of the density ~ (dbar+A)^(-1/2) A^(-m/2) e^(-sse/2A).
 

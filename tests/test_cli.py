@@ -495,6 +495,19 @@ class TestSimulateCommand:
         assert run_command(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 1
         assert "bogus" in capsys.readouterr().err
 
+    def test_out_directory_fails_before_the_study(self, tmp_path, capsys, monkeypatch):
+        # an existing directory as --out is rejected before any replication
+        studies = []
+        monkeypatch.setattr(cli, "run_study", lambda cfg: studies.append(cfg) or [])
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps({"n_reps": 1}))
+        (tmp_path / "out").mkdir()
+        argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: --out {argv[-1]!r} is a directory")
+        assert studies == []
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_retired_burnin_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "sim.json"
         cfg_path.write_text(json.dumps({"n_reps": 1, "burnin": 500}))

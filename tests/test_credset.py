@@ -12,6 +12,7 @@ from rankcred.posterior import PosteriorDraws
 
 from conftest import traced_peak
 from oracles import (
+    box_column_reference,
     box_peel_reference,
     cartesian_select_reference,
     kappa_grid_scan,
@@ -65,17 +66,27 @@ class TestTuneKappa:
                 rc.tune_kappa(draws, alpha)
 
     def test_peak_memory_keeps_no_sorted_copy(self):
-        # it keeps the draws as (m, S) columns and their sort order (two
-        # bytes a cell below S = 65537); the sort, the depths and the peel
-        # add a few blocks of rows and a few (S,) arrays.  A sorted copy of
-        # the columns, or an intp order, would add an array the size of theta
+        # it sorts a strided sample of each column (5,000 of 20,000 rows
+        # here) and the tails of each column, found through one boolean mask
+        # of the draws at a time; the tails' arrays take up to 16 words an
+        # entry, and the depths a few (S,) arrays.  A copy of the columns,
+        # sorted or not, would add an array the size of theta
         S, m = 20000, 200
         draws = normal_draws(S, m, seed=5)
-        kept = draws.theta.nbytes + S * m * np.min_scalar_type(S - 1).itemsize
-        bound = kept + 6 * 8 * domain.BLOCK_CELLS + 8 * 8 * S
-        assert bound < 2 * draws.theta.nbytes
+        sample = len(range(0, S, S // credset._TAIL_SAMPLE)) * m * 8
+        tails = 2 * m * (1.5 * (S - round(S * 0.9) + 1) / m + m)
+        bound = sample + S * m + 16 * 8 * tails + 8 * 8 * S
+        assert bound < draws.theta.nbytes
         _, peak = traced_peak(rc.tune_kappa, draws, 0.1)
         assert peak <= bound
+
+
+def assert_box_equals(box, reference):
+    kappa, lower, upper, indices = reference
+    assert box.kappa == kappa
+    assert box.lower.tobytes() == lower.tobytes()
+    assert box.upper.tobytes() == upper.tobytes()
+    assert np.array_equal(box.indices, indices)
 
 
 def peeled_box(theta, alpha):
@@ -88,11 +99,8 @@ def peeled_box(theta, alpha):
             rc.cartesian_select(draws, alpha)
         return None
     sel = rc.cartesian_select(draws, alpha)
-    kappa, lower, upper, indices = box_peel_reference(theta, alpha)
-    assert sel.cart.kappa == kappa
-    assert sel.cart.lower.tobytes() == lower.tobytes()
-    assert sel.cart.upper.tobytes() == upper.tobytes()
-    assert np.array_equal(sel.indices, indices)
+    assert_box_equals(sel.cart, box_peel_reference(theta, alpha))
+    assert np.array_equal(sel.indices, sel.cart.indices)
     assert sel.K >= round(S * (1 - alpha))
     return sel
 
@@ -145,11 +153,24 @@ class TestBoxPeeling:
         assert list(sel.indices) == [1]
 
 
+def count_attempts(monkeypatch) -> list:
+    """Record the thresholds of every attempt `tune_kappa` makes."""
+    attempts, tail_box = [], credset._tail_box
+
+    def spy(theta, target, below, above):
+        attempts.append((below.copy(), above.copy()))
+        return tail_box(theta, target, below, above)
+
+    monkeypatch.setattr(credset, "_tail_box", spy)
+    return attempts
+
+
 class TestColumnSort:
-    """`tune_kappa` sorts its columns with `domain.sort_rows`: packed keys,
-    the draw index in their low bits, sorted one block of columns at a time,
-    and a stable sort by value of any column whose keys agree above those
-    bits.  Each case is checked against `box_peel_reference`."""
+    """`tune_kappa` sorts only the tails of each column, cut at thresholds
+    read from a sorted sample of each column, by (tail, value) with the draw
+    index breaking ties, and doubles the tails when they cannot settle the
+    box.  Each case is checked against `box_peel_reference` or, where plain
+    loops are too slow, `box_column_reference` (whole columns)."""
 
     @staticmethod
     def near_tie_pairs(S, rng):
@@ -169,31 +190,62 @@ class TestColumnSort:
         assert sel.K == round(S * 0.9)
 
     @pytest.mark.parametrize("S", [1024, 1025])
-    def test_tie_free_columns_sort_once(self, S, monkeypatch):
-        # the keys order tie-free columns by themselves: no value argsort
-        calls, argsort = [], np.argsort
-        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+    def test_tie_free_tails_sort_once(self, S, monkeypatch):
+        # tie-free tails are placed by one sort by value and one by tail:
+        # the lexsort that puts tie runs in draw order is not called
+        calls, lexsort = [], np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda *a, **k: calls.append(1) or lexsort(*a, **k))
         sel = peeled_box(np.random.default_rng(S + 1).standard_normal((S, 3)), 0.1)
         assert sel.K == round(S * 0.9)
         assert calls == []
+        peeled_box(np.random.default_rng(S + 2).integers(-9, 10, (S, 3)).astype(float), 0.1)
+        assert calls == [1]
 
-    def test_four_byte_order_gives_the_intp_box(self, monkeypatch):
-        # past 65536 draws the order takes four bytes a cell; a tied and a
-        # tie-free column must give the box an intp order gives
-        rng = np.random.default_rng(6)
-        theta = np.column_stack([rng.integers(-30, 31, 70000), rng.standard_normal(70000)])
-        draws = PosteriorDraws(theta=theta, model="UB")
-        got = rc.tune_kappa(draws, 0.1)
-        dtypes, sort_rows = [], credset.sort_rows
-        monkeypatch.setattr(
-            credset, "sort_rows", lambda v, dtype: dtypes.append(dtype) or sort_rows(v, np.intp)
-        )
-        want = rc.tune_kappa(draws, 0.1)
-        assert dtypes == [np.uint32]
-        assert (got.kappa, got.lower.tobytes(), got.upper.tobytes()) == (
-            want.kappa, want.lower.tobytes(), want.upper.tobytes()
-        )
-        assert np.array_equal(got.indices, want.indices)
+    def test_two_byte_tail_ids(self):
+        # past 127 coordinates the 2m tail ids take two bytes, not one
+        theta = np.random.default_rng(6).standard_normal((2000, 130))
+        theta[:, 7] = np.round(theta[:, 7] * 4)  # a tied column among them
+        sel = rc.cartesian_select(PosteriorDraws(theta=theta, model="UB"), 0.1)
+        assert np.min_scalar_type(2 * 130 - 1) == np.uint16
+        assert_box_equals(sel.cart, box_column_reference(theta, 0.1))
+
+    def test_correlated_columns_grow_the_tails(self, monkeypatch):
+        # nearly equal columns share their shallow draws, so the box lies
+        # deeper than tails sized for independent columns reach
+        rng = np.random.default_rng(8)
+        theta = rng.standard_normal((400, 1)) + 0.05 * rng.standard_normal((400, 6))
+        attempts = count_attempts(monkeypatch)
+        peeled_box(theta, 0.1)
+        assert len(attempts) == 2
+        theta = rng.standard_normal((3000, 1)) + 0.05 * rng.standard_normal((3000, 12))
+        attempts.clear()
+        sel = rc.cartesian_select(PosteriorDraws(theta=theta, model="UB"), 0.1)
+        assert len(attempts) == 3
+        assert_box_equals(sel.cart, box_column_reference(theta, 0.1))
+
+    @given(
+        S=st.integers(1, 300),
+        m=st.integers(1, 4),
+        spread=st.integers(0, 20),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.01, 0.5, exclude_min=True, exclude_max=True),
+        sample=st.sampled_from([1, 2, 3, 8]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tiny_sample_and_whole_columns(self, S, m, spread, seed, alpha, sample):
+        # a sample of one row cuts no tail: both tails are whole columns,
+        # settled at once.  Samples of a few rows cut crude tails that often
+        # need doubling.  Either way the box is the reference's
+        rng = np.random.default_rng(seed)
+        theta = rng.integers(-spread, spread + 1, size=(S, m)).astype(float)
+        theta += rng.standard_normal((S, m)) * (seed % 2)  # ties, or none
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(credset, "_TAIL_SAMPLE", sample)
+            attempts = count_attempts(patch)
+            peeled_box(theta, alpha)
+        if sample == 1 and attempts:
+            assert len(attempts) == 1
+            assert np.all(attempts[0][0] == np.inf) and np.all(attempts[0][1] == -np.inf)
 
     def test_all_tied_column_next_to_tie_free_ones(self):
         theta = np.random.default_rng(3).standard_normal((500, 3))
@@ -211,6 +263,36 @@ class TestColumnSort:
         assert np.signbit(theta[:60, 0]).any() and not np.signbit(theta[:60, 0]).all()
         sel = peeled_box(theta, 0.1)
         assert sel.cart.lower[0] == 0.0
+
+
+class TestMatchesColumnReference:
+    """Byte for byte the box of `box_column_reference`, which sorts whole
+    columns, on the draw sets the benchmarks and criterion 9 select from."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_baseball_hb(self, baseball, seed):
+        draws = rc.gibbs_hb(baseball, 50000, seed=seed)
+        assert_box_equals(rc.tune_kappa(draws, 0.1), box_column_reference(draws.theta, 0.1))
+
+    @pytest.mark.parametrize("cell, a, beta1", [(0, 1.0, 0.0), (1, 0.001, 0.4)])
+    def test_criterion_9_cells(self, cell, a, beta1):
+        # the first replication of each cell, drawn as `simlab.run_cell` draws it
+        cfg = rc.SimConfig(n_reps=1, samples=2000, seed=0)
+        x = np.random.default_rng(6).uniform(0.0, 1.0, cfg.m)
+        rng = np.random.default_rng([cfg.seed, cell, 0])
+        _, ds = rc.generate_instance(x, cfg.beta0, beta1, a, cfg.d, rng)
+        ub = rc.sample_ub(ds, cfg.samples, rng.integers(2**63))
+        hb = rc.gibbs_hb(ds, cfg.samples, rng.integers(2**63))
+        for draws in (ub, hb):
+            box = rc.tune_kappa(draws, cfg.alpha)
+            assert_box_equals(box, box_column_reference(draws.theta, cfg.alpha))
+
+    def test_fixture_needs_one_attempt(self, hb_draws, monkeypatch):
+        # tails sized for the fixture settle its box at the first attempt
+        attempts = count_attempts(monkeypatch)
+        rc.tune_kappa(hb_draws, 0.1)
+        assert hb_draws.S == 50000 and len(attempts) == 1
+        assert np.all(np.isfinite(attempts[0][0]))
 
 
 class TestMatchesQuantileReference:
@@ -388,6 +470,17 @@ class TestBlockedDistances:
         np.testing.assert_allclose(factored.distances(thetas), whole[1], rtol=1e-12, atol=0)
         reference = mahalanobis_solve(thetas, factored.center, factored.matrix)
         np.testing.assert_allclose(whole[1], reference, rtol=1e-10)
+
+    def test_rows_gathered_by_block_match_the_gathered_copy(self, monkeypatch):
+        # distances of theta[rows], gathered block by block, are the bits of
+        # the distances of a gathered copy: the blocks are the same rows
+        monkeypatch.setattr(domain, "BLOCK_CELLS", 3 * 6)
+        thetas, diagonal, factored = self.draws_and_dispersions(50, 6, seed=12)
+        rows = np.flatnonzero(np.random.default_rng(13).random(50) < 0.7)
+        assert len(domain.row_blocks(len(rows), 6)) > 5
+        for dispersion in (diagonal, factored):
+            got = dispersion.distances(thetas, rows)
+            assert got.tobytes() == dispersion.distances(thetas[rows]).tobytes()
 
     @pytest.mark.parametrize("path", ["diagonal", "factored"])
     def test_peak_memory_is_blocks_not_a_copy(self, path):

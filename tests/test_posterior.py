@@ -202,21 +202,21 @@ class TestGibbsHb:
         # A held at 1e6: the HB draw of theta given A degenerates to the
         # UB posterior; compare marginals by two-sample KS, one test per
         # coordinate at the Bonferroni level 0.01/m for the family
-        xb = np.full((4000, baseball.m), baseball.y.mean())
+        X, beta = np.ones((baseball.m, 1)), np.full((4000, 1), baseball.y.mean())
         a = np.full(4000, 1e6)
-        theta = draw_theta(baseball.y, baseball.d, xb, a, np.random.default_rng(13))
+        theta = draw_theta(baseball.y, baseball.d, X, beta, a, np.random.default_rng(13))
         ub = rc.sample_ub(baseball, 4000, seed=14)
         for i in range(baseball.m):
             assert stats.ks_2samp(theta[:, i], ub.theta[:, i]).pvalue > 0.01 / baseball.m
 
     def test_draw_theta_requires_positive_a(self, baseball):
         # NaN compares false both ways, so it is caught as not > 0
-        xb = np.zeros((3, baseball.m))
+        X, beta = np.ones((baseball.m, 1)), np.zeros((3, 1))
         for bad in (0.0, -1.0, np.nan):
             a = np.array([1e-3, bad, bad])
             message = f"model-variance draw 1 must be > 0, got {bad}"
             with pytest.raises(rc.DomainError, match=message):
-                draw_theta(baseball.y, baseball.d, xb, a, np.random.default_rng(0))
+                draw_theta(baseball.y, baseball.d, X, beta, a, np.random.default_rng(0))
 
     @pytest.mark.parametrize(
         "y, d",
@@ -364,15 +364,17 @@ class TestDrawBeta:
 
     @pytest.mark.parametrize("name", DESIGNS)
     def test_gibbs_hb_is_its_three_steps(self, name):
-        # theta from the fits beta @ X.T: with one column gibbs_hb multiplies
-        # elementwise, which must give the same bits
+        # theta from the fits beta @ X.T, whole: with one column draw_theta
+        # multiplies elementwise, which must give the same bits
         ds, include_intercept = design(name)
         X = design_matrix(ds, include_intercept)
         draws = rc.gibbs_hb(ds, 3000, seed=6, include_intercept=include_intercept)
         rng = np.random.default_rng(6)
         a = _draw_a(X, ds.y, ds.d, 3000, rng)
         beta = _draw_beta(X, ds.y, ds.d, a, rng)
-        theta = draw_theta(ds.y, ds.d, beta @ X.T, a, rng)
+        A = a[:, None]
+        z = rng.standard_normal((3000, ds.m))
+        theta = (A * ds.y + ds.d * (beta @ X.T)) / (A + ds.d) + np.sqrt(A * ds.d / (A + ds.d)) * z
         assert draws.a.tobytes() == a.tobytes()
         assert draws.beta.tobytes() == beta.tobytes()
         assert draws.theta.tobytes() == theta.tobytes()
@@ -397,36 +399,43 @@ class TestPosteriorDraws:
 
 class TestDrawTheta:
     """`draw_theta` fills theta block by block of rows: the same bits as the
-    whole-array formula from one (S, m) call of the generator, and no
-    whole-array temporaries."""
+    whole-array formula from one (S, m) call of the generator, and with one
+    design column no whole-array temporaries."""
 
     @staticmethod
-    def inputs(S, m, seed):
+    def inputs(S, m, q, seed):
         rng = np.random.default_rng(seed)
         y, d = rng.standard_normal(m), rng.uniform(0.5, 2.0, m)
-        return y, d, rng.standard_normal((S, m)), rng.uniform(0.1, 3.0, S)
+        X = np.column_stack([np.ones(m), rng.uniform(0.0, 1.0, (m, q - 1))])
+        return y, d, X, rng.standard_normal((S, q)), rng.uniform(0.1, 3.0, S)
 
     def test_blocks_match_whole_array_formula(self, monkeypatch):
-        # 50 draws in one block, and in blocks of 3 rows (the last of 2)
+        # 50 draws in one block, and in blocks of 3 rows (the last of 2) or
+        # of one row, with one design column (fits per block) and two (the
+        # product whole: a product of one row can round differently)
         S, m = 50, 7
-        y, d, xb, a = self.inputs(S, m, seed=20)
-        rng = np.random.default_rng(21)
-        A = a[:, None]
-        want = (A * y + d * xb) / (A + d) + np.sqrt(A * d / (A + d)) * rng.standard_normal((S, m))
-        one_block = draw_theta(y, d, xb, a, np.random.default_rng(21))
-        monkeypatch.setattr(domain, "BLOCK_CELLS", 3 * m)
-        assert len(domain.row_blocks(S, m)) == 17
-        blocked_rng = np.random.default_rng(21)
-        blocked = draw_theta(y, d, xb, a, blocked_rng)
-        assert one_block.tobytes() == want.tobytes() == blocked.tobytes()
-        # both streams end in one state
-        assert blocked_rng.random() == rng.random()
+        for q, rows, blocks in ((1, 3, 17), (1, 1, 50), (2, 3, 17), (2, 1, 50)):
+            y, d, X, beta, a = self.inputs(S, m, q, seed=20)
+            rng = np.random.default_rng(21)
+            A, xb = a[:, None], beta @ X.T
+            z = rng.standard_normal((S, m))
+            want = (A * y + d * xb) / (A + d) + np.sqrt(A * d / (A + d)) * z
+            one_block = draw_theta(y, d, X, beta, a, np.random.default_rng(21))
+            with monkeypatch.context() as patch:
+                patch.setattr(domain, "BLOCK_CELLS", rows * m)
+                assert len(domain.row_blocks(S, m)) == blocks
+                blocked_rng = np.random.default_rng(21)
+                blocked = draw_theta(y, d, X, beta, a, blocked_rng)
+            assert one_block.tobytes() == want.tobytes() == blocked.tobytes()
+            # both streams end in one state
+            assert blocked_rng.random() == rng.random()
 
     def test_peak_memory_is_its_output(self):
-        # the output, and a block's means, sds and their temporaries
+        # one design column: the output, and a block's fits, means, sds and
+        # their temporaries
         S, m = 20000, 200
-        y, d, xb, a = self.inputs(S, m, seed=22)
-        theta, peak = traced_peak(draw_theta, y, d, xb, a, np.random.default_rng(0))
+        y, d, X, beta, a = self.inputs(S, m, 1, seed=22)
+        theta, peak = traced_peak(draw_theta, y, d, X, beta, a, np.random.default_rng(0))
         assert peak <= theta.nbytes + 4 * 8 * domain.BLOCK_CELLS
 
 

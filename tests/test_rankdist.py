@@ -7,7 +7,7 @@ from rankcred import domain
 from rankcred.posterior import PosteriorDraws
 from rankcred.rankdist import DS_TOL, rank_table
 
-from conftest import wide_dataset
+from conftest import traced_peak, wide_dataset
 from oracles import (
     mahalanobis_solve,
     rank_table_reference,
@@ -243,6 +243,23 @@ class TestBuildDistribution:
         assert got.tobytes() == reference.tobytes()
         manual = sum(wi * rank_table(t) for wi, t in zip(w, theta[sel.indices]))
         assert np.allclose(got, manual, rtol=0, atol=1e-12)
+
+    def test_cartesian_mahal_peak_memory_is_blocks(self):
+        # the box's draws are gathered a block of rows at a time for their
+        # distances: the weights, the matrix and a few blocks of float64
+        # (gathered rows, their centered and transformed copies; the rank
+        # count's cells, weights and np.add.at's own copies), not a K x m
+        # copy of the selected draws
+        draws = rc.gibbs_hb(wide_dataset(200, seed=200), 20000, seed=1)
+        summary = rc.summarize(draws)
+        dispersion = rc.Dispersion(summary.mean, summary.cov)
+        sel = rc.cartesian_select(draws, 0.1)
+        draws.row_order, dispersion.distances(draws.theta[:1])  # cached outside the trace
+        K, m = sel.K, draws.m
+        bound = 6 * 8 * domain.BLOCK_CELLS + 8 * 8 * K + 8 * m * m
+        assert bound < K * m * 8 / 2
+        _, peak = traced_peak(rc.build_distribution, sel, draws, rc.MAHALANOBIS_EXP, dispersion)
+        assert peak <= bound
 
     def test_default_blocks_match_one_count(self):
         # 10000 draws of m = 64 fill three blocks of 4096 rows
