@@ -63,7 +63,9 @@ def _cmd_fit(args) -> int:
         sel = credset.elliptical_select(draws, dispersion, args.alpha)
         geometry_meta = {"cutoff": sel.ellip.cutoff}
     size = sel.size
-    dist = rankdist.build_distribution(sel, draws, args.weights, dispersion=dispersion)
+    box_mahal = sel.cart is not None and args.weights == rankdist.MAHALANOBIS_EXP
+    distances = dispersion.distances(draws.theta) if box_mahal else None
+    dist = rankdist.build_distribution(sel, draws, args.weights, distances)
 
     # the overlay's KWW ranks come before the first artifact: a bad alpha leaves none
     ranks = kww.rank_confidence_set(ds, args.alpha, kww.INDEPENDENCE) if args.plot_data else None
@@ -80,7 +82,10 @@ def _cmd_fit(args) -> int:
         exp_abs_dev = metrics.expected_abs_deviation(dist.probs, gold_ranks)
     # rank quantile q: the first rank whose cumulative mass reaches q
     cum = np.cumsum(dist.probs, axis=0)
-    q05, q50, q95 = (((cum < q).sum(axis=0) + 1).tolist() for q in (0.05, 0.50, 0.95))
+    # (within rounding: a mass that sums to q may round just below it)
+    q05, q50, q95 = (
+        ((cum < q - rankdist.DS_TOL).sum(axis=0) + 1).tolist() for q in (0.05, 0.50, 0.95)
+    )
     rows = []
     for i, ident in enumerate(ds.ids):
         row = [

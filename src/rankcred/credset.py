@@ -22,6 +22,7 @@ CARTESIAN = "cartesian"
 ELLIPTICAL = "elliptical"
 
 _JITTER = 1e-10
+_SYMMETRY_TOL = 1e-10  # |a_ij - a_ji| allowed for rounding, relative to the largest |a_ij|
 
 # values per column in the sample that places the tail thresholds of the box
 _TAIL_SAMPLE = 4096
@@ -232,6 +233,16 @@ class Dispersion:
             if len(bad):
                 entry, value = ", ".join(map(str, bad[0])), array[tuple(bad[0])]
                 raise DomainError(f"dispersion {name}[{entry}] is not finite: {value}")
+        # the factor reads only the lower triangle, so an upper one unlike it would go unseen
+        gap = matrix - matrix.T  # the one m x m temporary
+        top = max(matrix.max(initial=0.0), -matrix.min(initial=0.0))
+        asymmetric = np.argwhere(np.abs(gap, out=gap) > _SYMMETRY_TOL * top)
+        if len(asymmetric):
+            i, j = asymmetric[0]
+            raise DomainError(
+                f"dispersion matrix[{i}, {j}] = {matrix[i, j]} but matrix[{j}, {i}] = "
+                f"{matrix[j, i]}: not symmetric"
+            )
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "matrix", matrix)
 
@@ -246,17 +257,14 @@ class Dispersion:
     def _chol_inv(self) -> np.ndarray:
         return np.linalg.inv(self._chol)
 
-    def distances(self, thetas: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    def distances(self, thetas: np.ndarray) -> np.ndarray:
         """Squared distances ||L^-1 (theta - center)||^2 of the rows of `thetas`,
-        or of thetas[rows] when `rows` is given; L = diag(sqrt(var)) scales
-        each coordinate by 1/sqrt(var).  Computed per block of rows, gathered
-        block by block, so the temporaries are a block's, not a copy of
-        `thetas`."""
-        n = len(thetas) if rows is None else len(rows)
-        out = np.empty(n)
+        L = diag(sqrt(var)) scaling each coordinate by 1/sqrt(var), computed per
+        block of rows: the temporaries are a block's, not a copy of `thetas`."""
+        out = np.empty(len(thetas))
         scale = 1.0 / np.sqrt(np.diagonal(self.matrix)) if self._chol is None else None
-        for block in row_blocks(n, thetas.shape[1]):
-            diff = thetas[block if rows is None else rows[block]] - self.center
+        for block in row_blocks(len(thetas), thetas.shape[1]):
+            diff = thetas[block] - self.center
             if scale is not None:
                 diff *= scale
                 np.einsum("si,si->s", diff, diff, out=out[block])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .credset import CredibleSelection, Dispersion
+from .credset import CredibleSelection
 from .domain import DomainError, rank_span, row_blocks
 from .posterior import PosteriorDraws
 
@@ -52,13 +52,13 @@ def build_distribution(
     selection: CredibleSelection,
     draws: PosteriorDraws,
     weighting: str = EQUAL,
-    dispersion: Dispersion | None = None,
+    distances: np.ndarray | None = None,
 ) -> RankCredibleDistribution:
     """Weighted average of rank tables over a credible selection.
 
-    Under `mahal` weighting w_s is proportional to exp(-d_s/2) with d_s the
-    Mahalanobis distance of draw s; elliptical selections reuse their stored
-    distances, Cartesian selections need `dispersion`.
+    Under `mahal` weighting w_s is proportional to exp(-d_s/2), with d_s =
+    distances[s] the Mahalanobis distance of draw s: one per draw, all S, as
+    `Dispersion.distances(draws.theta)` gives; an ellipse's own by default.
     """
     if selection.K == 0:
         raise DomainError("cannot build a distribution from an empty selection")
@@ -68,14 +68,12 @@ def build_distribution(
     if weighting == EQUAL:
         weights = np.full(K, 1.0 / K)
     elif weighting == MAHALANOBIS_EXP:
-        if selection.ellip is not None:
-            dist = selection.ellip.distances[idx]
-        elif dispersion is not None:
-            dist = dispersion.distances(draws.theta, idx)
-        else:
-            raise DomainError("mahal weighting on a Cartesian selection needs a dispersion")
+        if distances is None and selection.ellip is not None:
+            distances = selection.ellip.distances
+        if np.shape(distances) != (draws.S,):  # a box has no distances of its own
+            raise DomainError(f"mahal weighting needs the distances of all {draws.S} draws")
         # exponent shift so the largest weight is exp(0); guards underflow
-        logw = -dist / 2.0
+        logw = -np.asarray(distances)[idx] / 2.0
         logw -= logw.max()
         weights = np.exp(logw)
         weights /= weights.sum()

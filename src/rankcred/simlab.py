@@ -85,7 +85,10 @@ def generate_instance(x, beta0, beta1, a, d, rng):
 
 
 def run_cell(cfg: SimConfig, x, a, beta1, cell_index):
-    """Averages over replications for one (a, beta1) cell; returns row dicts."""
+    """Averages over replications for one (a, beta1) cell; returns row dicts.
+
+    Each model's draws take one distance pass, in its elliptical selection:
+    those distances of all S draws weight both selections' `mahal` rows."""
     acc = {}  # (method, geometry, weighting) -> [dev_sum, root_sum, len_sum]
 
     def add(key, dev, size):
@@ -110,12 +113,12 @@ def run_cell(cfg: SimConfig, x, a, beta1, cell_index):
             ("UB", ub, credset.Dispersion(ds.y, np.diag(ds.d))),
             ("HB", hb, credset.Dispersion(summ.mean, summ.cov)),
         ):
-            for sel in (
-                credset.cartesian_select(draws, cfg.alpha),
-                credset.elliptical_select(draws, dispersion, cfg.alpha),
-            ):
+            ellipse = credset.elliptical_select(draws, dispersion, cfg.alpha)
+            for sel in (credset.cartesian_select(draws, cfg.alpha), ellipse):
                 for weighting in (rankdist.EQUAL, rankdist.MAHALANOBIS_EXP):
-                    dist = rankdist.build_distribution(sel, draws, weighting, dispersion=dispersion)
+                    dist = rankdist.build_distribution(
+                        sel, draws, weighting, ellipse.ellip.distances
+                    )
                     dev = metrics.expected_abs_deviation(dist.probs, xi).mean()
                     add((method, sel.geometry, weighting), dev, sel.size)
 

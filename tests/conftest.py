@@ -80,6 +80,21 @@ def count_factorizations(monkeypatch, m) -> list:
     return calls
 
 
+def spy_distance_passes(monkeypatch) -> list:
+    """Record the row count of every `Dispersion.distances` call: one entry
+    per distance pass over a set of draws."""
+    from rankcred import credset
+
+    passes = []
+
+    def spy(self, thetas, _fn=credset.Dispersion.distances):
+        passes.append(len(thetas))
+        return _fn(self, thetas)
+
+    monkeypatch.setattr(credset.Dispersion, "distances", spy)
+    return passes
+
+
 def pytest_terminal_summary(terminalreporter):
     """One pass/fail line per acceptance criterion, immune to capture."""
     try:

@@ -62,9 +62,8 @@ def total_deviation(dist, xi):
 def fit_both(draws, center, dispersion, alpha=0.1):
     cart = credset.cartesian_select(draws, alpha)
     ellip = credset.elliptical_select(draws, rc.Dispersion(center, dispersion), alpha)
-    dist_c = rankdist.build_distribution(
-        cart, draws, rc.MAHALANOBIS_EXP, dispersion=rc.Dispersion(center, dispersion)
-    )
+    # the box's mahal weights read the ellipse's distances, as run_cell's do
+    dist_c = rankdist.build_distribution(cart, draws, rc.MAHALANOBIS_EXP, ellip.ellip.distances)
     dist_e = rankdist.build_distribution(ellip, draws, rc.MAHALANOBIS_EXP)
     return cart, ellip, dist_c, dist_e
 

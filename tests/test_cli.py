@@ -18,6 +18,7 @@ from rankcred.fileio import emit_dataset, format_matrix, write_matrix_csv, write
 from rankcred.rankdist import DS_TOL
 
 from conftest import HB_FACTORIZATION, count_factorizations, make_dataset, wide_dataset
+from conftest import spy_distance_passes
 from oracles import plot_data_reference
 
 DATA_CSV = """id,y,d,gold
@@ -346,6 +347,43 @@ class TestFitCommand:
         argv = ["fit", str(data), "--model", model, "--set", geometry, "--weights", weights]
         assert run_command([*argv, "--samples", "2000", "--out", str(tmp_path / "out")]) == 0
         assert calls == (HB_FACTORIZATION if expected else [])
+
+    @pytest.mark.parametrize("model", ["hb", "ub"])
+    @pytest.mark.parametrize(
+        "geometry, weights, expected",
+        [("cartesian", "mahal", 1), ("cartesian", "equal", 0), ("elliptical", "mahal", 1),
+         ("elliptical", "equal", 1)],
+    )
+    def test_distance_passes_per_fit(self, tmp_path, monkeypatch, model, geometry, weights, expected):
+        # an ellipse makes one pass over all draws and its mahal weights read
+        # it; a box makes one only for mahal weights
+        passes = spy_distance_passes(monkeypatch)
+        argv = ["fit", FIXTURE, "--model", model, "--set", geometry, "--weights", weights]
+        assert run_command([*argv, "--samples", "2000", "--out", str(tmp_path / "out")]) == 0
+        assert passes == [2000] * expected
+
+    def test_rank_quantiles_count_ranks_as_integers(self, tmp_path):
+        # equal weights over K draws: rank quantile q of entity i is the first
+        # rank k that K q or more selected draws give i or a better one, here
+        # counted in integers.  At seed 1, F. Howard (index 2) holds rank <= 13
+        # in exactly half of the 45,000 draws, where the column's running float
+        # sum lands one ulp below 0.5
+        out = tmp_path / "out"
+        argv = ["fit", FIXTURE, "--model", "hb", "--set", "elliptical", "--seed", "1"]
+        assert run_command([*argv, "--weights", "equal", "--out", str(out)]) == 0
+        draws = rc.gibbs_hb(rc.parse_dataset(FIXTURE), 50000, 1)
+        summary = rc.summarize(draws)
+        sel = rc.elliptical_select(draws, rc.Dispersion(summary.mean, summary.cov), 0.1)
+        theta = draws.theta[sel.indices]
+        assert sel.K == 45000 and not (np.diff(np.sort(theta, axis=1), axis=1) == 0).any()
+        ranks = np.argsort(np.argsort(theta, axis=1), axis=1) + 1  # (K, m), in 1..m
+        k = np.arange(1, 19)
+        counts = (ranks[:, None, :] <= k[:, None]).sum(axis=0)  # (rank k, entity i)
+        assert 2 * counts[12, 2] == sel.K
+        reference = [np.argmax(100 * counts >= percent * sel.K, axis=0) + 1 for percent in (5, 50, 95)]
+        got = np.array([[int(v) for v in r[4:7]] for r in read_csv(out / "rank_summary.csv")[1:]])
+        assert np.array_equal(got.T, reference)
+        assert got[2, 1] == 13
 
     @pytest.mark.parametrize("geometry", ["cartesian", "elliptical"])
     def test_size_report_past_double_range(self, tmp_path, geometry):

@@ -471,17 +471,6 @@ class TestBlockedDistances:
         reference = mahalanobis_solve(thetas, factored.center, factored.matrix)
         np.testing.assert_allclose(whole[1], reference, rtol=1e-10)
 
-    def test_rows_gathered_by_block_match_the_gathered_copy(self, monkeypatch):
-        # distances of theta[rows], gathered block by block, are the bits of
-        # the distances of a gathered copy: the blocks are the same rows
-        monkeypatch.setattr(domain, "BLOCK_CELLS", 3 * 6)
-        thetas, diagonal, factored = self.draws_and_dispersions(50, 6, seed=12)
-        rows = np.flatnonzero(np.random.default_rng(13).random(50) < 0.7)
-        assert len(domain.row_blocks(len(rows), 6)) > 5
-        for dispersion in (diagonal, factored):
-            got = dispersion.distances(thetas, rows)
-            assert got.tobytes() == dispersion.distances(thetas[rows]).tobytes()
-
     @pytest.mark.parametrize("path", ["diagonal", "factored"])
     def test_peak_memory_is_blocks_not_a_copy(self, path):
         # the output and, per block, the centered rows and (factored) their
@@ -530,6 +519,33 @@ class TestDispersion:
     def test_inf_center_raises(self):
         with pytest.raises(rc.DomainError, match=r"dispersion center\[1\] is not finite: -inf"):
             Dispersion([0.0, -np.inf, 0.0], np.eye(3))
+
+    def test_asymmetric_matrix_raises(self):
+        # the factor reads only the lower triangle: this matrix would be taken
+        # for the identity, giving (1, 1) distance 2 and log det 0
+        with pytest.raises(rc.DomainError, match=r"matrix\[0, 1\] = 5.0 but matrix\[1, 0\] = 0.0"):
+            Dispersion([0.0, 0.0], [[1.0, 5.0], [0.0, 1.0]])
+        # the first asymmetric entry in row-major order is named, here off
+        # the diagonal of an otherwise diagonal matrix
+        disp = np.diag([1.0, 2.0, 3.0, 4.0])
+        disp[3, 1], disp[2, 0] = 1e-3, 2e-3
+        with pytest.raises(rc.DomainError, match=r"matrix\[0, 2\] = 0.0 but matrix\[2, 0\] = 0.002"):
+            Dispersion(np.zeros(4), disp)
+
+    def test_rounding_asymmetry_is_accepted(self):
+        # products such as A S A' may differ from their transpose by rounding:
+        # a gap of 0.5e-10 times the largest entry passes, one of 2e-10 not
+        B = np.random.default_rng(24).standard_normal((6, 6))
+        disp = B @ B.T + np.eye(6)
+        top = np.abs(disp).max()
+        nudged = disp.copy()
+        nudged[4, 1] += 0.5e-10 * top
+        assert Dispersion(np.zeros(6), nudged).log_det == pytest.approx(
+            np.linalg.slogdet(disp)[1], rel=1e-9
+        )
+        nudged[4, 1] += 1.5e-10 * top
+        with pytest.raises(rc.DomainError, match=r"matrix\[1, 4\] .* not symmetric"):
+            Dispersion(np.zeros(6), nudged)
 
     @pytest.mark.parametrize(
         "center, matrix",

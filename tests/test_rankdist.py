@@ -125,7 +125,8 @@ class TestBuildDistribution:
     def test_doubly_stochastic_mahal(self):
         sel, draws = toy_selection_and_draws(seed=1)
         disp = rc.Dispersion(draws.theta.mean(axis=0), np.cov(draws.theta.T))
-        dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP, dispersion=disp)
+        distances = disp.distances(draws.theta)
+        dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP, distances=distances)
         assert np.allclose(dist.probs.sum(axis=0), 1.0, atol=DS_TOL)
         assert np.allclose(dist.probs.sum(axis=1), 1.0, atol=DS_TOL)
 
@@ -153,9 +154,25 @@ class TestBuildDistribution:
         assert dist.probs[0, 0] > 1.0 / 3.0
 
     def test_cartesian_mahal_requires_context(self):
+        # a box has no distances of its own, and those of its selected draws
+        # alone are not the S that the weights index
         sel, draws = toy_selection_and_draws(seed=2)
-        with pytest.raises(rc.DomainError, match="dispersion"):
+        with pytest.raises(rc.DomainError, match="needs the distances of all 400 draws"):
             rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
+        distances = rc.Dispersion(np.zeros(5), np.eye(5)).distances(draws.theta)
+        with pytest.raises(rc.DomainError, match="needs the distances of all 400 draws"):
+            rc.build_distribution(sel, draws, rc.MAHALANOBIS_EXP, distances[sel.indices])
+
+    def test_given_distances_override_the_ellipse(self):
+        # an ellipse's weights default to its own distances; a vector given
+        # for all draws is read in their place
+        sel, draws = toy_selection_and_draws(seed=6)
+        ellipse = rc.elliptical_select(draws, rc.Dispersion(np.arange(5.0), np.eye(5)), 0.1)
+        own = rc.build_distribution(ellipse, draws, rc.MAHALANOBIS_EXP)
+        same = rc.build_distribution(ellipse, draws, rc.MAHALANOBIS_EXP, ellipse.ellip.distances)
+        assert own.probs.tobytes() == same.probs.tobytes()
+        flat = rc.build_distribution(ellipse, draws, rc.MAHALANOBIS_EXP, np.zeros(draws.S))
+        assert flat.probs.tobytes() == rc.build_distribution(ellipse, draws).probs.tobytes()
 
     def test_unknown_weighting(self):
         sel, draws = toy_selection_and_draws(seed=3)
@@ -211,6 +228,7 @@ class TestBuildDistribution:
         assume(all(sel.K < S for sel in sels))
         center = theta.mean(axis=0)
         dispersion = np.cov(theta.T).reshape(m, m) + np.eye(m)
+        distances = rc.Dispersion(center, dispersion).distances(theta)
         for sel in sels:
             rows = theta[sel.indices]
             dist = mahalanobis_solve(rows, center, dispersion)
@@ -218,7 +236,7 @@ class TestBuildDistribution:
                 (rc.EQUAL, np.ones(sel.K)),
                 (rc.MAHALANOBIS_EXP, np.exp(-(dist - dist.min()) / 2)),
             ):
-                got = rc.build_distribution(sel, draws, weighting, rc.Dispersion(center, dispersion))
+                got = rc.build_distribution(sel, draws, weighting, distances)
                 manual = sum(wi * rank_table(t) for wi, t in zip(w / w.sum(), rows))
                 assert np.allclose(got.probs, manual, rtol=0, atol=1e-12)
         assert draws.row_order[0] is order and draws.row_order[1] is tied
@@ -245,20 +263,19 @@ class TestBuildDistribution:
         assert np.allclose(got, manual, rtol=0, atol=1e-12)
 
     def test_cartesian_mahal_peak_memory_is_blocks(self):
-        # the box's draws are gathered a block of rows at a time for their
-        # distances: the weights, the matrix and a few blocks of float64
-        # (gathered rows, their centered and transformed copies; the rank
-        # count's cells, weights and np.add.at's own copies), not a K x m
-        # copy of the selected draws
+        # the box's weights index the distances of all draws, passed in: the
+        # weights, the matrix and a few blocks of float64 (the rank count's
+        # cells, weights and np.add.at's own copies), not a K x m copy of the
+        # selected draws
         draws = rc.gibbs_hb(wide_dataset(200, seed=200), 20000, seed=1)
         summary = rc.summarize(draws)
-        dispersion = rc.Dispersion(summary.mean, summary.cov)
+        distances = rc.Dispersion(summary.mean, summary.cov).distances(draws.theta)
         sel = rc.cartesian_select(draws, 0.1)
-        draws.row_order, dispersion.distances(draws.theta[:1])  # cached outside the trace
+        draws.row_order  # cached outside the trace
         K, m = sel.K, draws.m
-        bound = 6 * 8 * domain.BLOCK_CELLS + 8 * 8 * K + 8 * m * m
+        bound = 4 * 8 * domain.BLOCK_CELLS + 8 * 8 * K + 8 * m * m
         assert bound < K * m * 8 / 2
-        _, peak = traced_peak(rc.build_distribution, sel, draws, rc.MAHALANOBIS_EXP, dispersion)
+        _, peak = traced_peak(rc.build_distribution, sel, draws, rc.MAHALANOBIS_EXP, distances)
         assert peak <= bound
 
     def test_default_blocks_match_one_count(self):

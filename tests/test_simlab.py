@@ -7,7 +7,7 @@ import rankcred as rc
 from rankcred import kww, rankdist
 from rankcred.simlab import RESULT_COLUMNS, run_cell
 
-from conftest import HB_FACTORIZATION, count_factorizations
+from conftest import HB_FACTORIZATION, count_factorizations, spy_distance_passes
 
 
 class TestSimConfig:
@@ -219,3 +219,11 @@ class TestRunStudy:
         cfg = rc.SimConfig(n_reps=1, samples=500)
         run_cell(cfg, np.random.default_rng(0).uniform(0.0, 1.0, 18), 1.0, 0.0, 0)
         assert calls == HB_FACTORIZATION
+
+    def test_two_distance_passes_per_replication(self, monkeypatch):
+        # one pass over all S draws per model: its ellipse's distances weight
+        # the box's mahal draws too
+        passes = spy_distance_passes(monkeypatch)
+        cfg = rc.SimConfig(n_reps=3, samples=500)
+        run_cell(cfg, np.random.default_rng(0).uniform(0.0, 1.0, 18), 1.0, 0.4, 0)
+        assert passes == [500] * 2 * 3
