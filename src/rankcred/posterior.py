@@ -5,12 +5,13 @@ the variance prior (Dbar+A)^(-1/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .domain import Dataset, DomainError, row_blocks, sort_rows
+from .domain import Dataset, DomainError, new_row_order, row_blocks, sort_block, sort_rows
 
 UB = "UB"
 HB = "HB"
@@ -36,6 +37,8 @@ class PosteriorDraws:
     model: str  # UB or HB
     beta: np.ndarray | None = None  # (S, q), HB only
     a: np.ndarray | None = None  # (S,), HB only
+    # (order, tied) as `sort_rows` of theta gives them, when the sampler has them
+    sorted_rows: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.theta.ndim != 2 or self.theta.shape[0] < 1:
@@ -59,8 +62,8 @@ class PosteriorDraws:
     def row_order(self) -> tuple[np.ndarray, np.ndarray]:
         """Each draw's stable argsort (order[s, k] is the entity at rank k+1,
         in the smallest unsigned dtype that holds m - 1) and exact-tie flag,
-        read-only: `sort_rows` of theta."""
-        order, tied = sort_rows(self.theta)
+        read-only: `sort_rows` of theta, unless the sampler supplied it."""
+        order, tied = sort_rows(self.theta) if self.sorted_rows is None else self.sorted_rows
         order.flags.writeable = False
         tied.flags.writeable = False
         return order, tied
@@ -92,13 +95,70 @@ def _generator(S: int, seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _draw_sorted(rng, S: int, m: int, finish):
+    """S x m draws and their row order, `sort_rows` of the draws.
+
+    Each of `row_blocks(S, m)` is filled with standard normals, in the order
+    one (S, m) call of `rng` draws them; finish(block, rows) then turns the
+    normals of draws `rows` into the draws, in place, and the block is
+    sorted.  With two or more blocks one helper thread fills the blocks,
+    at most one ahead of the block the calling thread finishes and sorts
+    (numpy's generator releases the GIL while it fills), and is the only
+    user of `rng` until it is joined.  An error on either side stops the
+    other and is raised here once the helper has ended.
+    """
+    theta = np.empty((S, m))
+    order, tied = new_row_order(S, m)
+    blocks = row_blocks(S, m)
+    if len(blocks) == 1:
+        rng.standard_normal(out=theta)
+        finish(theta, blocks[0])
+        sort_block(theta, blocks[0], order, tied)
+        return theta, (order, tied)
+
+    filled, free = threading.Semaphore(0), threading.Semaphore(2)
+    stop, failure = threading.Event(), []
+
+    def fill():
+        try:
+            for rows in blocks:
+                free.acquire()
+                if stop.is_set():
+                    return
+                rng.standard_normal(out=theta[rows])
+                filled.release()
+        except BaseException as exc:  # raised again in the caller, which waits on `filled`
+            failure.append(exc)
+            filled.release()
+
+    helper = threading.Thread(target=fill, name="rankcred-normals", daemon=True)
+    helper.start()
+    try:
+        for rows in blocks:
+            filled.acquire()
+            if failure:
+                raise failure[0]
+            finish(theta[rows], rows)
+            sort_block(theta, rows, order, tied)
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        helper.join()
+    return theta, (order, tied)
+
+
 def sample_ub(ds: Dataset, S: int, seed: int) -> PosteriorDraws:
     """Draw S vectors theta with theta_i ~ Normal(y_i, d_i), independent."""
     rng = _generator(S, seed)
-    theta = rng.standard_normal((S, ds.m))
-    theta *= np.sqrt(ds.d)
-    theta += ds.y
-    return PosteriorDraws(theta=theta, model=UB)
+    sd = np.sqrt(ds.d)
+
+    def finish(block, rows):
+        block *= sd
+        block += ds.y
+
+    theta, row_order = _draw_sorted(rng, S, ds.m, finish)
+    return PosteriorDraws(theta=theta, model=UB, sorted_rows=row_order)
 
 
 def _cholesky_columns(G):
@@ -219,28 +279,29 @@ def _draw_beta(X, y, d, a, rng) -> np.ndarray:
     return np.column_stack(_solve_reversed(K, [t[i] + z[:, i] for i in range(len(t))]))
 
 
-def draw_theta(y, d, X, beta, a, rng) -> np.ndarray:
+def draw_theta(y, d, X, beta, a, rng):
     """theta | beta, A, y for each row of `beta` (S, q) and each model
     variance in `a` (S,): shrink y toward the regression fit xb = X beta,
     theta_i ~ Normal((A y_i + d_i xb_i)/(A + d_i), A d_i/(A + d_i)).
+    Returns theta and its row order, as `_draw_sorted` gives them.
 
-    Block by block of rows, the normals fill theta in place, in the order one
-    (S, m) call draws them, and are scaled and shifted there: the draws are
-    bitwise those of mean + sd * z computed whole, with xb = beta @ X.T.  With
-    one design column each block forms its own fits, elementwise, the bits of
-    that product; with more the product is formed whole, since a product of
-    a block of rows can round differently.
+    Block by block of rows, the normals are scaled and shifted in place: the
+    draws are bitwise those of mean + sd * z computed whole, with z from one
+    (S, m) call and xb = beta @ X.T.  With one design column each block forms
+    its own fits, elementwise, the bits of that product; with more the
+    product is formed whole, since a product of a block of rows can round
+    differently.
     """
     _check_variances(a)
-    theta = np.empty((len(a), len(y)))
     xb = None if X.shape[1] == 1 else beta @ X.T
-    for rows in row_blocks(*theta.shape):
-        block, ab = theta[rows], a[rows, None]
-        rng.standard_normal(out=block)
+
+    def finish(block, rows):
+        ab = a[rows, None]
         block *= np.sqrt(ab * d / (ab + d))
         fits = beta[rows] * X[:, 0] if xb is None else xb[rows]
         block += (ab * y + d * fits) / (ab + d)
-    return theta
+
+    return _draw_sorted(rng, len(a), len(y), finish)
 
 
 def gibbs_hb(ds: Dataset, S: int, seed: int, include_intercept: bool = True) -> PosteriorDraws:
@@ -263,8 +324,8 @@ def gibbs_hb(ds: Dataset, S: int, seed: int, include_intercept: bool = True) -> 
 
     a = _draw_a(X, ds.y, ds.d, S, rng)
     beta = _draw_beta(X, ds.y, ds.d, a, rng)
-    theta = draw_theta(ds.y, ds.d, X, beta, a, rng)
-    return PosteriorDraws(theta=theta, model=HB, beta=beta, a=a)
+    theta, row_order = draw_theta(ds.y, ds.d, X, beta, a, rng)
+    return PosteriorDraws(theta=theta, model=HB, beta=beta, a=a, sorted_rows=row_order)
 
 
 def summarize(draws: PosteriorDraws) -> PosteriorSummary:

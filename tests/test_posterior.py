@@ -1,10 +1,14 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import ndtr
 
 import rankcred as rc
-from rankcred import domain
+from rankcred import domain, posterior
 from rankcred.posterior import (
     A_GRID_POINTS,
     A_GRID_SPAN,
@@ -12,11 +16,13 @@ from rankcred.posterior import (
     _cholesky_columns,
     _draw_a,
     _draw_beta,
+    _draw_sorted,
     design_matrix,
     draw_theta,
 )
+from rankcred.simlab import run_cell
 
-from conftest import make_dataset, traced_peak
+from conftest import make_dataset, traced_peak, wide_dataset
 from oracles import (
     a_log_density_reference,
     cond_a_rejection,
@@ -204,7 +210,7 @@ class TestGibbsHb:
         # coordinate at the Bonferroni level 0.01/m for the family
         X, beta = np.ones((baseball.m, 1)), np.full((4000, 1), baseball.y.mean())
         a = np.full(4000, 1e6)
-        theta = draw_theta(baseball.y, baseball.d, X, beta, a, np.random.default_rng(13))
+        theta, _ = draw_theta(baseball.y, baseball.d, X, beta, a, np.random.default_rng(13))
         ub = rc.sample_ub(baseball, 4000, seed=14)
         for i in range(baseball.m):
             assert stats.ks_2samp(theta[:, i], ub.theta[:, i]).pvalue > 0.01 / baseball.m
@@ -420,23 +426,208 @@ class TestDrawTheta:
             A, xb = a[:, None], beta @ X.T
             z = rng.standard_normal((S, m))
             want = (A * y + d * xb) / (A + d) + np.sqrt(A * d / (A + d)) * z
-            one_block = draw_theta(y, d, X, beta, a, np.random.default_rng(21))
+            one_block, one_block_order = draw_theta(y, d, X, beta, a, np.random.default_rng(21))
             with monkeypatch.context() as patch:
                 patch.setattr(domain, "BLOCK_CELLS", rows * m)
                 assert len(domain.row_blocks(S, m)) == blocks
                 blocked_rng = np.random.default_rng(21)
-                blocked = draw_theta(y, d, X, beta, a, blocked_rng)
+                blocked, blocked_order = draw_theta(y, d, X, beta, a, blocked_rng)
             assert one_block.tobytes() == want.tobytes() == blocked.tobytes()
+            want_order = domain.sort_rows(want)
+            for got in (one_block_order, blocked_order):
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in want_order]
             # both streams end in one state
             assert blocked_rng.random() == rng.random()
 
     def test_peak_memory_is_its_output(self):
-        # one design column: the output, and a block's fits, means, sds and
-        # their temporaries
+        # one design column: the output (the draws and their row order), and
+        # a block's fits, means, sds or sort keys and their temporaries
         S, m = 20000, 200
         y, d, X, beta, a = self.inputs(S, m, 1, seed=22)
-        theta, peak = traced_peak(draw_theta, y, d, X, beta, a, np.random.default_rng(0))
-        assert peak <= theta.nbytes + 4 * 8 * domain.BLOCK_CELLS
+        (theta, (order, tied)), peak = traced_peak(
+            draw_theta, y, d, X, beta, a, np.random.default_rng(0)
+        )
+        assert peak <= theta.nbytes + order.nbytes + tied.nbytes + 4 * 8 * domain.BLOCK_CELLS
+
+
+
+def bounded(fn, *args, timeout=60.0):
+    """fn(*args) on a thread joined within `timeout` seconds: its result, or
+    its exception raised here; a call still running fails the test."""
+    out = {}
+
+    def run():
+        try:
+            out["result"] = fn(*args)
+        except BaseException as exc:  # handed to the test thread below
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)  # a hung call cannot hold up exit
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"{fn.__name__} still running after {timeout} s"
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+class FakeGenerator:
+    """Fills each block with ones and counts its fills; fill number
+    `fail_at` (from 1) raises instead, and fill number `slow_at` sets
+    `slow` and takes 0.2 s."""
+
+    def __init__(self, fail_at=None, slow_at=None):
+        self.fills, self.fail_at, self.slow_at = 0, fail_at, slow_at
+        self.slow = threading.Event()
+
+    def standard_normal(self, out):
+        self.fills += 1
+        if self.fills == self.fail_at:
+            raise RuntimeError(f"fill {self.fills}")
+        if self.fills == self.slow_at:
+            self.slow.set()
+            time.sleep(0.2)
+        out[...] = 1.0
+
+
+class TestDrawSorted:
+    """The samplers fill each block of normals on one helper thread while
+    the calling thread finishes and row-sorts the block before it: the draws,
+    their row order and the generator's end state are those of one (S, m)
+    call, the whole-array formula and `sort_rows` of the draws, on one
+    thread.  A draw set of one block starts no thread."""
+
+    # (S, m, rows per block): 50 blocks of 1 row; 17 blocks of 3 rows, the
+    # last of 2; and at the default, 3 blocks of 4096 rows, the last of 1808
+    SHAPES = {"1-row": (50, 7, 1, 50), "3-row": (50, 7, 3, 17), "default": (10000, 64, None, 3)}
+
+    @staticmethod
+    def reference(ds, S, seed, hb):
+        """theta, single-threaded from one (S, m) call, and the generator after it."""
+        rng = np.random.default_rng(seed)
+        if not hb:
+            return ds.y + np.sqrt(ds.d) * rng.standard_normal((S, ds.m)), rng
+        X = design_matrix(ds)
+        a = _draw_a(X, ds.y, ds.d, S, rng)
+        beta = _draw_beta(X, ds.y, ds.d, a, rng)
+        A, z = a[:, None], rng.standard_normal((S, ds.m))
+        theta = (A * ds.y + ds.d * (beta @ X.T)) / (A + ds.d) + np.sqrt(A * ds.d / (A + ds.d)) * z
+        return theta, rng
+
+    @pytest.mark.parametrize("blocks", SHAPES)
+    @pytest.mark.parametrize("model, q", [("ub", 1), ("hb", 1), ("hb", 2)])
+    def test_matches_single_threaded_reference(self, model, q, blocks, monkeypatch):
+        S, m, rows, n_blocks = self.SHAPES[blocks]
+        if rows is not None:
+            monkeypatch.setattr(domain, "BLOCK_CELLS", rows * m)
+        assert len(domain.row_blocks(S, m)) == n_blocks
+        wide = wide_dataset(m, seed=m)  # one covariate: two design columns
+        ds = wide if q == 2 else make_dataset(wide.y, wide.d)
+        made = []
+
+        def generator(S, seed, _fn=posterior._generator):
+            made.append(_fn(S, seed))
+            return made[-1]
+
+        monkeypatch.setattr(posterior, "_generator", generator)
+        draws = rc.sample_ub(ds, S, 11) if model == "ub" else rc.gibbs_hb(ds, S, 11)
+        theta, rng = self.reference(ds, S, 11, hb=model == "hb")
+        assert model == "ub" or design_matrix(ds).shape[1] == q
+        assert draws.theta.tobytes() == theta.tobytes()
+        assert made[0].bit_generator.state == rng.bit_generator.state
+        # the sampler's row order, not a lazy sort of theta
+        monkeypatch.setattr(posterior, "sort_rows", None)
+        want = domain.sort_rows(theta)
+        assert [v.tobytes() for v in draws.row_order] == [v.tobytes() for v in want]
+
+    def test_same_seed_reruns_are_byte_identical(self):
+        ds = wide_dataset(200, seed=3)
+        assert len(domain.row_blocks(5000, 200)) == 4
+        first = rc.sample_ub(ds, 5000, seed=8)
+        for _ in range(20):
+            again = rc.sample_ub(ds, 5000, seed=8)
+            assert again.theta.tobytes() == first.theta.tobytes()
+            assert [v.tobytes() for v in again.row_order] == [
+                v.tobytes() for v in first.row_order
+            ]
+
+    def test_one_thread_per_call_of_several_blocks(self, monkeypatch):
+        threads, started = threading.active_count(), []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Spy)
+        cfg = rc.SimConfig(n_reps=1)
+        assert len(domain.row_blocks(cfg.samples, cfg.m)) == 1
+        run_cell(cfg, np.random.default_rng(0).uniform(0.0, 1.0, cfg.m), 0.01, 0.4, 0)
+        assert started == []
+        ds = wide_dataset(200, seed=1)
+        assert len(domain.row_blocks(20000, 200)) == 16
+        rc.sample_ub(ds, 20000, seed=2)
+        assert len(started) == 1
+        rc.gibbs_hb(ds, 20000, seed=2)
+        assert len(started) == 2
+        assert threading.active_count() == threads
+
+    def test_generator_error_is_raised_in_caller(self, monkeypatch):
+        # 10 blocks of 4 rows: the third fill raises after two blocks are done
+        threads, done = threading.active_count(), []
+        monkeypatch.setattr(domain, "BLOCK_CELLS", 4 * 5)
+        rng = FakeGenerator(fail_at=3)
+        with pytest.raises(RuntimeError, match="fill 3"):
+            bounded(_draw_sorted, rng, 40, 5, lambda block, rows: done.append(rows.start))
+        assert done == [0, 4] and rng.fills == 3
+        assert threading.active_count() == threads
+
+    def test_finish_error_stops_helper(self, monkeypatch):
+        # the helper fills at most one block beyond the one being finished:
+        # block 2 of 10 raises while fill 3 runs, no fill follows it, and
+        # the helper has ended by the time the error reaches the caller
+        threads = threading.active_count()
+        monkeypatch.setattr(domain, "BLOCK_CELLS", 4 * 5)
+        rng = FakeGenerator(slow_at=3)
+
+        def finish(block, rows):
+            if rows.start == 4:
+                assert rng.slow.wait(60.0)
+                raise ValueError("block 2")
+
+        with pytest.raises(ValueError, match="block 2"):
+            bounded(_draw_sorted, rng, 40, 5, finish)
+        assert threading.active_count() == threads
+        assert rng.fills == 3
+
+    def test_concurrent_samplers_with_fast_switching(self, monkeypatch):
+        # four samplers at once on blocks of one row, each with its helper,
+        # the interpreter switching threads every microsecond: each draw set
+        # and row order is that of a lone call
+        monkeypatch.setattr(domain, "BLOCK_CELLS", 7)
+        ds = wide_dataset(7, seed=7)
+        want = [rc.sample_ub(ds, 60, seed) for seed in range(4)]
+        got = [None] * 4
+
+        def sample(seed):
+            got[seed] = rc.sample_ub(ds, 60, seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [
+                threading.Thread(target=sample, args=(seed,), daemon=True) for seed in range(4)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for w, g in zip(want, got):
+            assert g.theta.tobytes() == w.theta.tobytes()
+            assert [v.tobytes() for v in g.row_order] == [v.tobytes() for v in w.row_order]
 
 
 class TestDrawA:
