@@ -93,45 +93,50 @@ def row_blocks(n: int, m: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, n, step)]
 
 
-def sort_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def sort_rows(values: np.ndarray, make_block=None) -> tuple[np.ndarray, np.ndarray]:
     """Each row's stable argsort, in the smallest unsigned dtype that holds
-    n - 1 for rows of n, and exact-tie flag (-0.0 ties 0.0): `sort_block`
-    on each of `row_blocks`."""
-    order, tied = new_row_order(*values.shape)
-    for rows in row_blocks(*values.shape):
-        sort_block(values, rows, order, tied)
-    return order, tied
+    n - 1 for rows of n, and exact-tie flag (-0.0 ties 0.0).  When given,
+    make_block(rows) is called for each of `row_blocks` before that block
+    is read: the samplers make their draws there, block by block.
 
-
-def new_row_order(n_rows: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The order (unset) and tie flags (False) that `sort_block` fills."""
-    return np.empty((n_rows, n), dtype=np.min_scalar_type(n - 1)), np.zeros(n_rows, dtype=bool)
-
-
-def sort_block(values: np.ndarray, rows: slice, order: np.ndarray, tied: np.ndarray):
-    """Sort the rows `rows` of `values` into order[rows] and tied[rows].
-
-    One sort of uint64 keys that preserve the order of the values and hold
-    the column index in their low (n-1).bit_length() bits gives the order:
-    exact ties sort by index.  Rows where two neighbouring keys agree above
-    those bits (every exact tie and any near-tie the keys may misorder) are
-    sorted again by value, which flags the exact ties."""
+    Per block of rows, one sort of uint64 keys that preserve the order of the
+    values and hold the column index in their low (n-1).bit_length() bits
+    gives the order: exact ties sort by index.  Rows where two neighbouring
+    keys agree above those bits (every exact tie and any near-tie the keys
+    may misorder) are sorted again by value, which flags the exact ties.
+    Every block's keys and masks reuse the buffers of the first."""
     n = values.shape[1]
     index_mask = np.uint64((1 << (n - 1).bit_length()) - 1)
-    keys = (values[rows] + 0.0).view(np.uint64)  # -0.0 and 0.0: one key
-    # negative: flip every bit; otherwise set the sign bit
-    keys ^= (keys.view(np.int64) >> 63).view(np.uint64) | np.uint64(1 << 63)
-    keys &= ~index_mask
-    keys |= np.arange(n, dtype=np.uint64)
-    keys.sort(axis=1)
-    order[rows] = keys & index_mask
-    keys |= index_mask  # what is left to compare: the bits above the index
-    near = rows.start + np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1))
-    if len(near):  # no value argsort on tie-free blocks
-        v = values[near]
-        order[near] = near_order = np.argsort(v, axis=1, kind="stable")
-        v = np.take_along_axis(v, near_order, axis=1)
-        tied[near] = (v[:, 1:] == v[:, :-1]).any(axis=1)
+    order = np.empty(values.shape, dtype=np.min_scalar_type(n - 1))
+    tied = np.zeros(len(values), dtype=bool)
+    blocks = row_blocks(len(values), n)
+    first = values[blocks[0]]
+    key_buf, sign_buf = np.empty((2,) + first.shape, dtype=np.uint64)
+    near_buf = np.empty((len(first), n - 1), dtype=bool)
+    for rows in blocks:
+        if make_block is not None:
+            make_block(rows)
+        block = values[rows]
+        keys, sign = key_buf[: len(block)], sign_buf[: len(block)]
+        np.add(block, 0.0, out=keys.view(np.float64))  # -0.0 and 0.0: one key
+        # negative: flip every bit; otherwise set the sign bit
+        np.right_shift(keys.view(np.int64), 63, out=sign.view(np.int64))
+        sign |= np.uint64(1 << 63)
+        keys ^= sign
+        keys &= ~index_mask
+        keys |= np.arange(n, dtype=np.uint64)
+        keys.sort(axis=1)
+        order[rows] = keys  # the cast keeps the low bits, the index among them
+        order[rows] &= order.dtype.type(index_mask)
+        keys |= index_mask  # what is left to compare: the bits above the index
+        near = np.equal(keys[:, 1:], keys[:, :-1], out=near_buf[: len(block)]).any(axis=1)
+        near = rows.start + np.flatnonzero(near)
+        if len(near):  # no value argsort on tie-free blocks
+            v = values[near]
+            order[near] = near_order = np.argsort(v, axis=1, kind="stable")
+            v = np.take_along_axis(v, near_order, axis=1)
+            tied[near] = (v[:, 1:] == v[:, :-1]).any(axis=1)
+    return order, tied
 
 
 def rank_span(values) -> tuple[np.ndarray, np.ndarray]:

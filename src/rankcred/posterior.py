@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import Dataset, DomainError, new_row_order, row_blocks, sort_block, sort_rows
+from .domain import Dataset, DomainError, row_blocks, sort_rows
 
 UB = "UB"
 HB = "HB"
@@ -37,8 +37,10 @@ class PosteriorDraws:
     model: str  # UB or HB
     beta: np.ndarray | None = None  # (S, q), HB only
     a: np.ndarray | None = None  # (S,), HB only
-    # (order, tied) as `sort_rows` of theta gives them, when the sampler has them
-    sorted_rows: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    # `sort_rows` of theta, set by the samplers, which sort each block as they draw it
+    _sorted_rows: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.theta.ndim != 2 or self.theta.shape[0] < 1:
@@ -62,8 +64,8 @@ class PosteriorDraws:
     def row_order(self) -> tuple[np.ndarray, np.ndarray]:
         """Each draw's stable argsort (order[s, k] is the entity at rank k+1,
         in the smallest unsigned dtype that holds m - 1) and exact-tie flag,
-        read-only: `sort_rows` of theta, unless the sampler supplied it."""
-        order, tied = sort_rows(self.theta) if self.sorted_rows is None else self.sorted_rows
+        read-only: `sort_rows` of theta."""
+        order, tied = sort_rows(self.theta) if self._sorted_rows is None else self._sorted_rows
         order.flags.writeable = False
         tied.flags.writeable = False
         return order, tied
@@ -99,53 +101,62 @@ def _draw_sorted(rng, S: int, m: int, finish):
     """S x m draws and their row order, `sort_rows` of the draws.
 
     Each of `row_blocks(S, m)` is filled with standard normals, in the order
-    one (S, m) call of `rng` draws them; finish(block, rows) then turns the
-    normals of draws `rows` into the draws, in place, and the block is
-    sorted.  With two or more blocks one helper thread fills the blocks,
-    at most one ahead of the block the calling thread finishes and sorts
+    one (S, m) call of `rng` draws them; finish(block, rows) turns the
+    normals of draws `rows` into the draws, in place, just before
+    `sort_rows` sorts them.  With two or more blocks one helper thread fills
+    the blocks, at most two ahead of the block the calling thread sorts
     (numpy's generator releases the GIL while it fills), and is the only
-    user of `rng` until it is joined.  An error on either side stops the
-    other and is raised here once the helper has ended.
+    user of `rng` until it is joined.  A generator error is raised here
+    when the caller reaches the block it hit; an error in the caller stops
+    the helper.  Either way the helper has ended before this returns.
     """
     theta = np.empty((S, m))
-    order, tied = new_row_order(S, m)
     blocks = row_blocks(S, m)
     if len(blocks) == 1:
-        rng.standard_normal(out=theta)
-        finish(theta, blocks[0])
-        sort_block(theta, blocks[0], order, tied)
-        return theta, (order, tied)
+
+        def make(rows):
+            rng.standard_normal(out=theta)
+            finish(theta, rows)
+
+        return theta, sort_rows(theta, make)
 
     filled, free = threading.Semaphore(0), threading.Semaphore(2)
-    stop, failure = threading.Event(), []
+    stop, failed = threading.Event(), {}
 
     def fill():
-        try:
-            for rows in blocks:
-                free.acquire()
-                if stop.is_set():
-                    return
+        for rows in blocks:
+            free.acquire()
+            if stop.is_set():
+                return
+            try:
                 rng.standard_normal(out=theta[rows])
+            except BaseException as exc:  # raised in the caller once it reaches these rows
+                failed[rows.start] = exc
+                return
+            finally:
                 filled.release()
-        except BaseException as exc:  # raised again in the caller, which waits on `filled`
-            failure.append(exc)
-            filled.release()
+
+    def make(rows):
+        filled.acquire()
+        if rows.start in failed:
+            raise failed[rows.start]
+        finish(theta[rows], rows)
+        free.release()
 
     helper = threading.Thread(target=fill, name="rankcred-normals", daemon=True)
     helper.start()
     try:
-        for rows in blocks:
-            filled.acquire()
-            if failure:
-                raise failure[0]
-            finish(theta[rows], rows)
-            sort_block(theta, rows, order, tied)
-            free.release()
+        return theta, sort_rows(theta, make)
     finally:
         stop.set()
         free.release()
         helper.join()
-    return theta, (order, tied)
+
+
+def _with_row_order(draws: PosteriorDraws, row_order) -> PosteriorDraws:
+    """`draws`, whose `row_order` is the one their sampler made as it drew them."""
+    object.__setattr__(draws, "_sorted_rows", row_order)
+    return draws
 
 
 def sample_ub(ds: Dataset, S: int, seed: int) -> PosteriorDraws:
@@ -158,7 +169,7 @@ def sample_ub(ds: Dataset, S: int, seed: int) -> PosteriorDraws:
         block += ds.y
 
     theta, row_order = _draw_sorted(rng, S, ds.m, finish)
-    return PosteriorDraws(theta=theta, model=UB, sorted_rows=row_order)
+    return _with_row_order(PosteriorDraws(theta=theta, model=UB), row_order)
 
 
 def _cholesky_columns(G):
@@ -295,11 +306,20 @@ def draw_theta(y, d, X, beta, a, rng):
     _check_variances(a)
     xb = None if X.shape[1] == 1 else beta @ X.T
 
-    def finish(block, rows):
+    def finish(block, rows):  # two temporaries the size of the block
         ab = a[rows, None]
-        block *= np.sqrt(ab * d / (ab + d))
-        fits = beta[rows] * X[:, 0] if xb is None else xb[rows]
-        block += (ab * y + d * fits) / (ab + d)
+        t, w = ab * d, ab + d
+        t /= w
+        block *= np.sqrt(t, out=t)
+        np.multiply(ab, y, out=t)
+        if xb is None:
+            np.multiply(beta[rows], X[:, 0], out=w)
+            w *= d
+        else:
+            np.multiply(d, xb[rows], out=w)
+        t += w
+        t /= np.add(ab, d, out=w)
+        block += t
 
     return _draw_sorted(rng, len(a), len(y), finish)
 
@@ -325,7 +345,7 @@ def gibbs_hb(ds: Dataset, S: int, seed: int, include_intercept: bool = True) -> 
     a = _draw_a(X, ds.y, ds.d, S, rng)
     beta = _draw_beta(X, ds.y, ds.d, a, rng)
     theta, row_order = draw_theta(ds.y, ds.d, X, beta, a, rng)
-    return PosteriorDraws(theta=theta, model=HB, beta=beta, a=a, sorted_rows=row_order)
+    return _with_row_order(PosteriorDraws(theta=theta, model=HB, beta=beta, a=a), row_order)
 
 
 def summarize(draws: PosteriorDraws) -> PosteriorSummary:

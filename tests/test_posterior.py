@@ -441,14 +441,14 @@ class TestDrawTheta:
 
     def test_peak_memory_is_its_output(self):
         # one design column: the output (the draws and their row order), and
-        # a block's fits, means, sds or sort keys and their temporaries
+        # per block the sort's two key buffers and its mask, and the formula's
+        # two temporaries
         S, m = 20000, 200
         y, d, X, beta, a = self.inputs(S, m, 1, seed=22)
         (theta, (order, tied)), peak = traced_peak(
             draw_theta, y, d, X, beta, a, np.random.default_rng(0)
         )
-        assert peak <= theta.nbytes + order.nbytes + tied.nbytes + 4 * 8 * domain.BLOCK_CELLS
-
+        assert peak <= theta.nbytes + order.nbytes + tied.nbytes + 5 * 8 * domain.BLOCK_CELLS
 
 
 def bounded(fn, *args, timeout=60.0):
@@ -492,10 +492,11 @@ class FakeGenerator:
 
 class TestDrawSorted:
     """The samplers fill each block of normals on one helper thread while
-    the calling thread finishes and row-sorts the block before it: the draws,
-    their row order and the generator's end state are those of one (S, m)
-    call, the whole-array formula and `sort_rows` of the draws, on one
-    thread.  A draw set of one block starts no thread."""
+    the calling thread turns the blocks filled into draws and row-sorts
+    them (`sort_rows` with a block hook): the draws, their row order and
+    the generator's end state are those of one (S, m) call, the
+    whole-array formula and `sort_rows` of the draws, on one thread.  A
+    draw set of one block starts no thread."""
 
     # (S, m, rows per block): 50 blocks of 1 row; 17 blocks of 3 rows, the
     # last of 2; and at the default, 3 blocks of 4096 rows, the last of 1808
@@ -573,19 +574,34 @@ class TestDrawSorted:
         assert threading.active_count() == threads
 
     def test_generator_error_is_raised_in_caller(self, monkeypatch):
-        # 10 blocks of 4 rows: the third fill raises after two blocks are done
+        # 10 blocks of 4 rows: the third fill raises; the caller finishes the
+        # two blocks filled before it, here with the error already stored
+        # when it starts on block 2, and raises the error at the third
         threads, done = threading.active_count(), []
         monkeypatch.setattr(domain, "BLOCK_CELLS", 4 * 5)
         rng = FakeGenerator(fail_at=3)
+        sort_rows = posterior.sort_rows
+
+        def late_sort_rows(values, make_block):
+            def make(rows):
+                while rows.start == 4 and rng.fills < 3:
+                    time.sleep(0.001)
+                time.sleep(0.05 if rows.start == 4 else 0)
+                make_block(rows)
+
+            return sort_rows(values, make)
+
+        monkeypatch.setattr(posterior, "sort_rows", late_sort_rows)
         with pytest.raises(RuntimeError, match="fill 3"):
             bounded(_draw_sorted, rng, 40, 5, lambda block, rows: done.append(rows.start))
         assert done == [0, 4] and rng.fills == 3
         assert threading.active_count() == threads
 
     def test_finish_error_stops_helper(self, monkeypatch):
-        # the helper fills at most one block beyond the one being finished:
-        # block 2 of 10 raises while fill 3 runs, no fill follows it, and
-        # the helper has ended by the time the error reaches the caller
+        # the helper fills at most two blocks beyond the last one finished:
+        # block 2 of 10 waits out fill 3, sees no fill follow it, and raises;
+        # the helper fills no more and has ended by the time the error
+        # reaches the caller
         threads = threading.active_count()
         monkeypatch.setattr(domain, "BLOCK_CELLS", 4 * 5)
         rng = FakeGenerator(slow_at=3)
@@ -593,9 +609,10 @@ class TestDrawSorted:
         def finish(block, rows):
             if rows.start == 4:
                 assert rng.slow.wait(60.0)
-                raise ValueError("block 2")
+                time.sleep(0.4)  # fill 3 takes 0.2 s
+                raise ValueError(f"block 2 after {rng.fills} fills")
 
-        with pytest.raises(ValueError, match="block 2"):
+        with pytest.raises(ValueError, match="block 2 after 3 fills"):
             bounded(_draw_sorted, rng, 40, 5, finish)
         assert threading.active_count() == threads
         assert rng.fills == 3
