@@ -37,9 +37,9 @@ class PosteriorDraws:
     model: str  # UB or HB
     beta: np.ndarray | None = None  # (S, q), HB only
     a: np.ndarray | None = None  # (S,), HB only
-    # `sort_rows` of theta, set by the samplers, which sort each block as they draw it
+    # `sort_rows` of theta, given by the samplers, which sort each block as they draw it
     _sorted_rows: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
+        default=None, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -103,29 +103,20 @@ def _draw_sorted(rng, S: int, m: int, finish):
     Each of `row_blocks(S, m)` is filled with standard normals, in the order
     one (S, m) call of `rng` draws them; finish(block, rows) turns the
     normals of draws `rows` into the draws, in place, just before
-    `sort_rows` sorts them.  With two or more blocks one helper thread fills
-    the blocks, at most two ahead of the block the calling thread sorts
-    (numpy's generator releases the GIL while it fills), and is the only
-    user of `rng` until it is joined.  A generator error is raised here
-    when the caller reaches the block it hit; an error in the caller stops
-    the helper.  Either way the helper has ended before this returns.
+    `sort_rows` sorts them.  The calling thread fills the first block; with
+    more, one helper thread then fills the rest in order while the caller
+    finishes and sorts the blocks filled (numpy's generator releases the
+    GIL while it fills), and is the only user of `rng` until it is joined.
+    A generator error is raised here when the caller reaches the block it
+    hit; an error in the caller stops the helper.  Either way the helper
+    has ended before this returns.
     """
     theta = np.empty((S, m))
-    blocks = row_blocks(S, m)
-    if len(blocks) == 1:
-
-        def make(rows):
-            rng.standard_normal(out=theta)
-            finish(theta, rows)
-
-        return theta, sort_rows(theta, make)
-
-    filled, free = threading.Semaphore(0), threading.Semaphore(2)
-    stop, failed = threading.Event(), {}
+    first, *rest = row_blocks(S, m)
+    filled, stop, failed = threading.Semaphore(0), threading.Event(), {}
 
     def fill():
-        for rows in blocks:
-            free.acquire()
+        for rows in rest:
             if stop.is_set():
                 return
             try:
@@ -137,26 +128,22 @@ def _draw_sorted(rng, S: int, m: int, finish):
                 filled.release()
 
     def make(rows):
-        filled.acquire()
-        if rows.start in failed:
-            raise failed[rows.start]
+        if rows.start > 0:
+            filled.acquire()
+            if rows.start in failed:
+                raise failed[rows.start]
         finish(theta[rows], rows)
-        free.release()
 
+    rng.standard_normal(out=theta[first])
     helper = threading.Thread(target=fill, name="rankcred-normals", daemon=True)
-    helper.start()
+    if rest:
+        helper.start()
     try:
         return theta, sort_rows(theta, make)
     finally:
         stop.set()
-        free.release()
-        helper.join()
-
-
-def _with_row_order(draws: PosteriorDraws, row_order) -> PosteriorDraws:
-    """`draws`, whose `row_order` is the one their sampler made as it drew them."""
-    object.__setattr__(draws, "_sorted_rows", row_order)
-    return draws
+        if rest:
+            helper.join()
 
 
 def sample_ub(ds: Dataset, S: int, seed: int) -> PosteriorDraws:
@@ -169,7 +156,7 @@ def sample_ub(ds: Dataset, S: int, seed: int) -> PosteriorDraws:
         block += ds.y
 
     theta, row_order = _draw_sorted(rng, S, ds.m, finish)
-    return _with_row_order(PosteriorDraws(theta=theta, model=UB), row_order)
+    return PosteriorDraws(theta=theta, model=UB, _sorted_rows=row_order)
 
 
 def _cholesky_columns(G):
@@ -345,7 +332,7 @@ def gibbs_hb(ds: Dataset, S: int, seed: int, include_intercept: bool = True) -> 
     a = _draw_a(X, ds.y, ds.d, S, rng)
     beta = _draw_beta(X, ds.y, ds.d, a, rng)
     theta, row_order = draw_theta(ds.y, ds.d, X, beta, a, rng)
-    return _with_row_order(PosteriorDraws(theta=theta, model=HB, beta=beta, a=a), row_order)
+    return PosteriorDraws(theta=theta, model=HB, beta=beta, a=a, _sorted_rows=row_order)
 
 
 def summarize(draws: PosteriorDraws) -> PosteriorSummary:

@@ -472,35 +472,37 @@ def bounded(fn, *args, timeout=60.0):
 
 
 class FakeGenerator:
-    """Fills each block with ones and counts its fills; fill number
-    `fail_at` (from 1) raises instead, and fill number `slow_at` sets
-    `slow` and takes 0.2 s."""
+    """Fills each block with ones, after sleeping `delay` s, and counts its
+    fills; fill number `fail_at` (from 1) raises instead."""
 
-    def __init__(self, fail_at=None, slow_at=None):
-        self.fills, self.fail_at, self.slow_at = 0, fail_at, slow_at
-        self.slow = threading.Event()
+    def __init__(self, fail_at=None, delay=0.0):
+        self.fills, self.fail_at, self.delay = 0, fail_at, delay
 
     def standard_normal(self, out):
         self.fills += 1
         if self.fills == self.fail_at:
             raise RuntimeError(f"fill {self.fills}")
-        if self.fills == self.slow_at:
-            self.slow.set()
-            time.sleep(0.2)
+        time.sleep(self.delay)
         out[...] = 1.0
 
 
 class TestDrawSorted:
-    """The samplers fill each block of normals on one helper thread while
-    the calling thread turns the blocks filled into draws and row-sorts
-    them (`sort_rows` with a block hook): the draws, their row order and
-    the generator's end state are those of one (S, m) call, the
-    whole-array formula and `sort_rows` of the draws, on one thread.  A
-    draw set of one block starts no thread."""
+    """The samplers' calling thread fills the first block of normals and one
+    helper thread fills the rest, while the caller turns the blocks filled
+    into draws and row-sorts them (`sort_rows` with a block hook): the
+    draws, their row order and the generator's end state are those of one
+    (S, m) call, the whole-array formula and `sort_rows` of the draws, on
+    one thread.  A draw set of one block starts no thread."""
 
     # (S, m, rows per block): 50 blocks of 1 row; 17 blocks of 3 rows, the
-    # last of 2; and at the default, 3 blocks of 4096 rows, the last of 1808
-    SHAPES = {"1-row": (50, 7, 1, 50), "3-row": (50, 7, 3, 17), "default": (10000, 64, None, 3)}
+    # last of 2; 2 blocks of 5 rows, the helper filling one; and at the
+    # default, 3 blocks of 4096 rows, the last of 1808
+    SHAPES = {
+        "1-row": (50, 7, 1, 50),
+        "3-row": (50, 7, 3, 17),
+        "2-block": (10, 7, 5, 2),
+        "default": (10000, 64, None, 3),
+    }
 
     @staticmethod
     def reference(ds, S, seed, hb):
@@ -598,24 +600,39 @@ class TestDrawSorted:
         assert threading.active_count() == threads
 
     def test_finish_error_stops_helper(self, monkeypatch):
-        # the helper fills at most two blocks beyond the last one finished:
-        # block 2 of 10 waits out fill 3, sees no fill follow it, and raises;
-        # the helper fills no more and has ended by the time the error
-        # reaches the caller
+        # 40 blocks of 1 row, each fill taking 0.05 s: finish raises on
+        # block 1, the helper stops after the fill it is in, far short of
+        # the last block, and has ended by the time the error reaches the
+        # caller
         threads = threading.active_count()
-        monkeypatch.setattr(domain, "BLOCK_CELLS", 4 * 5)
-        rng = FakeGenerator(slow_at=3)
+        monkeypatch.setattr(domain, "BLOCK_CELLS", 5)
+        rng = FakeGenerator(delay=0.05)
 
         def finish(block, rows):
-            if rows.start == 4:
-                assert rng.slow.wait(60.0)
-                time.sleep(0.4)  # fill 3 takes 0.2 s
-                raise ValueError(f"block 2 after {rng.fills} fills")
+            if rows.start == 1:
+                raise ValueError("block 1")
 
-        with pytest.raises(ValueError, match="block 2 after 3 fills"):
+        with pytest.raises(ValueError, match="block 1"):
             bounded(_draw_sorted, rng, 40, 5, finish)
+        assert rng.fills < 40
         assert threading.active_count() == threads
-        assert rng.fills == 3
+
+    def test_first_block_error_starts_no_thread(self, monkeypatch):
+        # 10 blocks of 4 rows: the caller's own fill of block 0 raises before
+        # any block is finished and before the helper would start
+        started, done = [], []
+
+        class Spy(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        monkeypatch.setattr(domain, "BLOCK_CELLS", 4 * 5)
+        monkeypatch.setattr(threading, "Thread", Spy)
+        rng = FakeGenerator(fail_at=1)
+        with pytest.raises(RuntimeError, match="fill 1"):
+            _draw_sorted(rng, 40, 5, lambda block, rows: done.append(rows.start))
+        assert done == [] and started == [] and rng.fills == 1
 
     def test_concurrent_samplers_with_fast_switching(self, monkeypatch):
         # four samplers at once on blocks of one row, each with its helper,
