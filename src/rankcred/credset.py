@@ -261,6 +261,9 @@ class Dispersion:
         """Squared distances ||L^-1 (theta - center)||^2 of the rows of `thetas`,
         L = diag(sqrt(var)) scaling each coordinate by 1/sqrt(var), computed per
         block of rows: the temporaries are a block's, not a copy of `thetas`."""
+        if np.shape(thetas)[1:] != self.center.shape:
+            m = len(self.center)
+            raise DomainError(f"draws of shape {np.shape(thetas)} do not fit a dispersion of m={m}")
         out = np.empty(len(thetas))
         scale = 1.0 / np.sqrt(np.diagonal(self.matrix)) if self._chol is None else None
         for block in row_blocks(len(thetas), thetas.shape[1]):

@@ -72,8 +72,13 @@ def build_distribution(
             distances = selection.ellip.distances
         if np.shape(distances) != (draws.S,):  # a box has no distances of its own
             raise DomainError(f"mahal weighting needs the distances of all {draws.S} draws")
+        chosen = np.asarray(distances)[idx]
+        valid = (chosen >= 0) & (chosen < np.inf)  # NaN is neither
+        if not valid.all():
+            k = np.argmin(valid)
+            raise DomainError(f"distance of draw {idx[k]} must be finite and >= 0, got {chosen[k]}")
         # exponent shift so the largest weight is exp(0); guards underflow
-        logw = -np.asarray(distances)[idx] / 2.0
+        logw = -chosen / 2.0
         logw -= logw.max()
         weights = np.exp(logw)
         weights /= weights.sum()

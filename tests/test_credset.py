@@ -369,6 +369,14 @@ class TestMahalanobis:
             mahalanobis_explicit(theta, center, disp), abs=1e-10
         )
 
+    def test_draws_of_another_width_raise(self):
+        # 18-wide draws against a 17-entity dispersion, through the ellipse
+        draws = normal_draws(50, 18)
+        with pytest.raises(rc.DomainError, match=r"shape \(50, 18\) do not fit .* m=17"):
+            rc.elliptical_select(draws, Dispersion(np.zeros(17), np.eye(17)), alpha=0.1)
+        with pytest.raises(rc.DomainError, match=r"shape \(3,\) do not fit .* m=3"):
+            Dispersion(np.zeros(3), np.diag([1.0, 2.0, 3.0])).distances(np.zeros(3))
+
     def test_non_spd_raises(self):
         with pytest.raises(rc.DomainError, match="positive definite"):
             Dispersion([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]])).distances(np.array([[1.0, 0.0]]))

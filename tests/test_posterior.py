@@ -283,6 +283,12 @@ def design(name):
 DESIGNS = ["intercept", "no-intercept x1", "covariate", "quadratic"]
 
 
+def whole_fits(beta, X):
+    """The fits X beta of every draw, as one S x m einsum: the theta step's
+    fits formed whole."""
+    return np.einsum("sq,qm->sm", beta, np.ascontiguousarray(X.T))
+
+
 class TestGls:
     """The one-factor kernel of `_gls` against the batched q x q formulas of
     `tests/oracles.py`."""
@@ -370,17 +376,19 @@ class TestDrawBeta:
 
     @pytest.mark.parametrize("name", DESIGNS)
     def test_gibbs_hb_is_its_three_steps(self, name):
-        # theta from the fits beta @ X.T, whole: with one column draw_theta
-        # multiplies elementwise, which must give the same bits
+        # theta from the fits formed whole by einsum; with one column these
+        # are the bits of beta @ X.T
         ds, include_intercept = design(name)
         X = design_matrix(ds, include_intercept)
         draws = rc.gibbs_hb(ds, 3000, seed=6, include_intercept=include_intercept)
         rng = np.random.default_rng(6)
         a = _draw_a(X, ds.y, ds.d, 3000, rng)
         beta = _draw_beta(X, ds.y, ds.d, a, rng)
-        A = a[:, None]
+        A, xb = a[:, None], whole_fits(beta, X)
+        if X.shape[1] == 1:
+            assert xb.tobytes() == (beta @ X.T).tobytes()
         z = rng.standard_normal((3000, ds.m))
-        theta = (A * ds.y + ds.d * (beta @ X.T)) / (A + ds.d) + np.sqrt(A * ds.d / (A + ds.d)) * z
+        theta = (A * ds.y + ds.d * xb) / (A + ds.d) + np.sqrt(A * ds.d / (A + ds.d)) * z
         assert draws.a.tobytes() == a.tobytes()
         assert draws.beta.tobytes() == beta.tobytes()
         assert draws.theta.tobytes() == theta.tobytes()
@@ -405,8 +413,9 @@ class TestPosteriorDraws:
 
 class TestDrawTheta:
     """`draw_theta` fills theta block by block of rows: the same bits as the
-    whole-array formula from one (S, m) call of the generator, and with one
-    design column no whole-array temporaries."""
+    whole-array formula from one (S, m) call of the generator, with the fits
+    formed whole by einsum, and no whole-array temporaries for any number of
+    design columns."""
 
     @staticmethod
     def inputs(S, m, q, seed):
@@ -416,19 +425,31 @@ class TestDrawTheta:
         return y, d, X, rng.standard_normal((S, q)), rng.uniform(0.1, 3.0, S)
 
     def test_blocks_match_whole_array_formula(self, monkeypatch):
-        # 50 draws in one block, and in blocks of 3 rows (the last of 2) or
-        # of one row, with one design column (fits per block) and two (the
-        # product whole: a product of one row can round differently)
-        S, m = 50, 7
-        for q, rows, blocks in ((1, 3, 17), (1, 1, 50), (2, 3, 17), (2, 1, 50)):
+        # each set in one block and in blocks of `rows` rows (None: the
+        # default blocks): 50 draws in blocks of 3 rows (the last of 2) or of
+        # one row, for one to three design columns; and at the default, sets
+        # whose per-block BLAS products moved bits (29,127 x 18 in 3 blocks,
+        # 1,311 x 200 in 2 whose last holds one row, 3,931 x 200 in 4)
+        cases = [(50, 7, q, rows, n) for q in (1, 2, 3) for rows, n in ((3, 17), (1, 50))]
+        shapes = ((29127, 18, 3), (1311, 200, 2), (3931, 200, 4))
+        cases += [(S, m, q, None, n) for S, m, n in shapes for q in (2, 3)]
+        for S, m, q, rows, blocks in cases:
             y, d, X, beta, a = self.inputs(S, m, q, seed=20)
             rng = np.random.default_rng(21)
-            A, xb = a[:, None], beta @ X.T
+            A, xb = a[:, None], whole_fits(beta, X)
+            # the defined rounding: each fit summed over the columns left to right
+            left_to_right = beta[:, :1] * X[:, 0]
+            for k in range(1, q):
+                left_to_right += beta[:, k : k + 1] * X[:, k]
+            assert xb.tobytes() == left_to_right.tobytes()
             z = rng.standard_normal((S, m))
             want = (A * y + d * xb) / (A + d) + np.sqrt(A * d / (A + d)) * z
-            one_block, one_block_order = draw_theta(y, d, X, beta, a, np.random.default_rng(21))
             with monkeypatch.context() as patch:
-                patch.setattr(domain, "BLOCK_CELLS", rows * m)
+                patch.setattr(domain, "BLOCK_CELLS", S * m)
+                one_block, one_block_order = draw_theta(y, d, X, beta, a, np.random.default_rng(21))
+            with monkeypatch.context() as patch:
+                if rows is not None:
+                    patch.setattr(domain, "BLOCK_CELLS", rows * m)
                 assert len(domain.row_blocks(S, m)) == blocks
                 blocked_rng = np.random.default_rng(21)
                 blocked, blocked_order = draw_theta(y, d, X, beta, a, blocked_rng)
@@ -439,12 +460,13 @@ class TestDrawTheta:
             # both streams end in one state
             assert blocked_rng.random() == rng.random()
 
-    def test_peak_memory_is_its_output(self):
-        # one design column: the output (the draws and their row order), and
-        # per block the sort's two key buffers and its mask, and the formula's
-        # two temporaries
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_peak_memory_is_its_output(self, q):
+        # the output (the draws and their row order), and per block the
+        # sort's two key buffers and its mask, and the formula's two
+        # temporaries: no S x m fits, which alone would take 32 MB
         S, m = 20000, 200
-        y, d, X, beta, a = self.inputs(S, m, 1, seed=22)
+        y, d, X, beta, a = self.inputs(S, m, q, seed=22)
         (theta, (order, tied)), peak = traced_peak(
             draw_theta, y, d, X, beta, a, np.random.default_rng(0)
         )
@@ -513,8 +535,9 @@ class TestDrawSorted:
         X = design_matrix(ds)
         a = _draw_a(X, ds.y, ds.d, S, rng)
         beta = _draw_beta(X, ds.y, ds.d, a, rng)
-        A, z = a[:, None], rng.standard_normal((S, ds.m))
-        theta = (A * ds.y + ds.d * (beta @ X.T)) / (A + ds.d) + np.sqrt(A * ds.d / (A + ds.d)) * z
+        A, xb = a[:, None], whole_fits(beta, X)
+        z = rng.standard_normal((S, ds.m))
+        theta = (A * ds.y + ds.d * xb) / (A + ds.d) + np.sqrt(A * ds.d / (A + ds.d)) * z
         return theta, rng
 
     @pytest.mark.parametrize("blocks", SHAPES)
@@ -544,15 +567,19 @@ class TestDrawSorted:
         assert [v.tobytes() for v in draws.row_order] == [v.tobytes() for v in want]
 
     def test_same_seed_reruns_are_byte_identical(self):
+        # UB, and HB with two design columns, whose theta step forms each
+        # block's fits: four blocks, three filled by the helper
         ds = wide_dataset(200, seed=3)
+        assert design_matrix(ds).shape[1] == 2
         assert len(domain.row_blocks(5000, 200)) == 4
-        first = rc.sample_ub(ds, 5000, seed=8)
-        for _ in range(20):
-            again = rc.sample_ub(ds, 5000, seed=8)
-            assert again.theta.tobytes() == first.theta.tobytes()
-            assert [v.tobytes() for v in again.row_order] == [
-                v.tobytes() for v in first.row_order
-            ]
+        for sampler in (rc.sample_ub, rc.gibbs_hb):
+            first = sampler(ds, 5000, seed=8)
+            for _ in range(20):
+                again = sampler(ds, 5000, seed=8)
+                assert again.theta.tobytes() == first.theta.tobytes()
+                assert [v.tobytes() for v in again.row_order] == [
+                    v.tobytes() for v in first.row_order
+                ]
 
     def test_one_thread_per_call_of_several_blocks(self, monkeypatch):
         threads, started = threading.active_count(), []

@@ -163,6 +163,22 @@ class TestBuildDistribution:
         with pytest.raises(rc.DomainError, match="needs the distances of all 400 draws"):
             rc.build_distribution(sel, draws, rc.MAHALANOBIS_EXP, distances[sel.indices])
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf, -1.0])
+    def test_bad_distance_of_selected_draw_named(self, bad):
+        # a weight from a distance that is not finite and >= 0 would make the
+        # whole matrix NaN or weigh a draw above the rest; one of an
+        # unselected draw weighs nothing and is not read
+        sel, draws = toy_selection_and_draws(seed=7)
+        distances = np.zeros(draws.S)
+        distances[np.setdiff1d(np.arange(draws.S), sel.indices)] = bad
+        ok = rc.build_distribution(sel, draws, rc.MAHALANOBIS_EXP, distances)
+        assert ok.probs.tobytes() == rc.build_distribution(sel, draws).probs.tobytes()
+        distances[sel.indices[[2, 5]]] = bad
+        with pytest.raises(
+            rc.DomainError, match=f"distance of draw {sel.indices[2]} must be finite and >= 0"
+        ):
+            rc.build_distribution(sel, draws, rc.MAHALANOBIS_EXP, distances)
+
     def test_given_distances_override_the_ellipse(self):
         # an ellipse's weights default to its own distances; a vector given
         # for all draws is read in their place
