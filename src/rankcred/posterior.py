@@ -5,7 +5,7 @@ the variance prior (Dbar+A)^(-1/2).
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -104,46 +104,38 @@ def _draw_sorted(rng, S: int, m: int, finish):
     one (S, m) call of `rng` draws them; finish(block, rows) turns the
     normals of draws `rows` into the draws, in place, just before
     `sort_rows` sorts them.  The calling thread fills the first block; with
-    more, one helper thread then fills the rest in order while the caller
-    finishes and sorts the blocks filled (numpy's generator releases the
-    GIL while it fills), and is the only user of `rng` until it is joined.
-    A generator error is raised here when the caller reaches the block it
-    hit; an error in the caller stops the helper.  Either way the helper
-    has ended before this returns.
+    more, the rest are filled in order by the one worker of an executor
+    while the caller finishes and sorts the blocks filled (numpy's
+    generator releases the GIL while it fills), and the worker is the only
+    user of `rng` until it is joined.  A fill waits on the one before it,
+    so after a generator error no later block is filled, and the error is
+    raised here when the caller reaches the block it hit; an error in the
+    caller cancels the fills not yet begun.  Either way the worker has
+    ended before this returns.
     """
     theta = np.empty((S, m))
     first, *rest = row_blocks(S, m)
-    filled, stop, failed = threading.Semaphore(0), threading.Event(), {}
 
-    def fill():
-        for rows in rest:
-            if stop.is_set():
-                return
-            try:
-                rng.standard_normal(out=theta[rows])
-            except BaseException as exc:  # raised in the caller once it reaches these rows
-                failed[rows.start] = exc
-                return
-            finally:
-                filled.release()
-
-    def make(rows):
-        if rows.start > 0:
-            filled.acquire()
-            if rows.start in failed:
-                raise failed[rows.start]
-        finish(theta[rows], rows)
+    def fill(rows, before):
+        if before is not None:
+            before.result()
+        rng.standard_normal(out=theta[rows])
 
     rng.standard_normal(out=theta[first])
-    helper = threading.Thread(target=fill, name="rankcred-normals", daemon=True)
-    if rest:
-        helper.start()
+    helper = ThreadPoolExecutor(1, thread_name_prefix="rankcred-normals")
     try:
+        filled, before = {}, None
+        for rows in rest:
+            filled[rows.start] = before = helper.submit(fill, rows, before)
+
+        def make(rows):
+            if rows.start > 0:
+                filled[rows.start].result()
+            finish(theta[rows], rows)
+
         return theta, sort_rows(theta, make)
     finally:
-        stop.set()
-        if rest:
-            helper.join()
+        helper.shutdown(cancel_futures=True)
 
 
 def sample_ub(ds: Dataset, S: int, seed: int) -> PosteriorDraws:
@@ -319,7 +311,7 @@ def gibbs_hb(ds: Dataset, S: int, seed: int, include_intercept: bool = True) -> 
     m, q = X.shape
     if m <= q + 1:
         raise DomainError(
-            f"propriety guard: need m > p + 2 (m={m}, design columns={q}); "
+            f"propriety guard: need m > design columns + 1 (m={m}, design columns={q}); "
             "posterior of the model variance would have a non-integrable tail"
         )
     if np.linalg.matrix_rank(X.T @ X) < q:

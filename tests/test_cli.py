@@ -33,14 +33,14 @@ e,0.20,0.004,0.24
 FIXTURE = str(Path(rc.__file__).parent / "data" / "baseball.csv")
 
 
-def run_module(cwd, *argv):
+def run_module(cwd, *argv, **env):
     """`python -m rankcred.cli *argv` in a fresh process from `cwd`, this
-    source tree first on PYTHONPATH."""
+    source tree first on PYTHONPATH and `env` added to the environment."""
     src = str(Path(rc.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "rankcred.cli", *argv],
-        cwd=cwd, env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        cwd=cwd, env={**os.environ, **env, "PYTHONPATH": path}, capture_output=True, text=True,
     )
 
 
@@ -731,6 +731,21 @@ def test_same_seed_rerun_in_subprocess(tmp_path, m, argv, n_files):
         # the box's volume overflows a double: null, with log_volume finite
         size = json.loads((tmp_path / "o1" / "size_report.json").read_text())
         assert size["volume"] is None and math.isfinite(size["log_volume"])
+
+
+@pytest.mark.parametrize("cred_set", ["cartesian", "elliptical"])
+def test_blas_thread_count_keeps_bytes(tmp_path, cred_set):
+    # the fixture's HB mahal fits write the same bytes with OpenBLAS at 1 and
+    # 2 threads; HB fits with a dense dispersion at m >= 100 need not (README)
+    argv = ["fit", FIXTURE, "--model", "hb", "--set", cred_set, "--weights", "mahal",
+            "--seed", "1", "--plot-data"]
+    for threads in ("1", "2"):
+        proc = run_module(tmp_path, *argv, "--out", threads, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    names = sorted(p.name for p in (tmp_path / "1").iterdir())
+    assert len(names) == 5 and names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_simulate_in_subprocess(tmp_path):

@@ -189,6 +189,15 @@ class TestGibbsHb:
         ds = make_dataset([1.0, 2.0, 3.0], np.ones(3), x=[(0.1,), (0.2,), (0.3,)])
         with pytest.raises(rc.DomainError, match="propriety guard"):
             rc.gibbs_hb(ds, 10, seed=0)
+        # without the intercept the two covariates are the design columns:
+        # 3 entities are refused and 4 fit
+        x = [(0.1, 0.5), (0.2, 0.1), (0.3, 0.9), (0.4, 0.2)]
+        ds = make_dataset([1.0, 2.0, 3.0], np.ones(3), x=x[:3])
+        need = r"need m > design columns \+ 1 \(m=3, design columns=2\)"
+        with pytest.raises(rc.DomainError, match=need):
+            rc.gibbs_hb(ds, 10, seed=0, include_intercept=False)
+        ds = make_dataset([1.0, 2.0, 3.0, 4.0], np.ones(4), x=x)
+        assert rc.gibbs_hb(ds, 10, seed=0, include_intercept=False).theta.shape == (10, 4)
 
     def test_rank_deficient_design(self):
         # duplicated covariate column collides with the intercept
@@ -493,17 +502,21 @@ def bounded(fn, *args, timeout=60.0):
     return out["result"]
 
 
+class Interrupt(BaseException):
+    """An error that is not an Exception, as KeyboardInterrupt is not."""
+
+
 class FakeGenerator:
     """Fills each block with ones, after sleeping `delay` s, and counts its
-    fills; fill number `fail_at` (from 1) raises instead."""
+    fills; fill number `fail_at` (from 1) raises `error` instead."""
 
-    def __init__(self, fail_at=None, delay=0.0):
-        self.fills, self.fail_at, self.delay = 0, fail_at, delay
+    def __init__(self, fail_at=None, delay=0.0, error=RuntimeError):
+        self.fills, self.fail_at, self.delay, self.error = 0, fail_at, delay, error
 
     def standard_normal(self, out):
         self.fills += 1
         if self.fills == self.fail_at:
-            raise RuntimeError(f"fill {self.fills}")
+            raise self.error(f"fill {self.fills}")
         time.sleep(self.delay)
         out[...] = 1.0
 
@@ -602,13 +615,14 @@ class TestDrawSorted:
         assert len(started) == 2
         assert threading.active_count() == threads
 
-    def test_generator_error_is_raised_in_caller(self, monkeypatch):
+    @pytest.mark.parametrize("error", [RuntimeError, Interrupt])
+    def test_generator_error_is_raised_in_caller(self, error, monkeypatch):
         # 10 blocks of 4 rows: the third fill raises; the caller finishes the
         # two blocks filled before it, here with the error already stored
         # when it starts on block 2, and raises the error at the third
         threads, done = threading.active_count(), []
         monkeypatch.setattr(domain, "BLOCK_CELLS", 4 * 5)
-        rng = FakeGenerator(fail_at=3)
+        rng = FakeGenerator(fail_at=3, error=error)
         sort_rows = posterior.sort_rows
 
         def late_sort_rows(values, make_block):
@@ -621,7 +635,7 @@ class TestDrawSorted:
             return sort_rows(values, make)
 
         monkeypatch.setattr(posterior, "sort_rows", late_sort_rows)
-        with pytest.raises(RuntimeError, match="fill 3"):
+        with pytest.raises(error, match="fill 3"):
             bounded(_draw_sorted, rng, 40, 5, lambda block, rows: done.append(rows.start))
         assert done == [0, 4] and rng.fills == 3
         assert threading.active_count() == threads
