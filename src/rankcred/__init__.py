@@ -29,6 +29,7 @@ from .posterior import (
 from .rankdist import (
     EQUAL,
     MAHALANOBIS_EXP,
+    Fit,
     RankCredibleDistribution,
     build_distribution,
     expected_rank,
@@ -48,6 +49,7 @@ __all__ = [
     "Dataset",
     "Dispersion",
     "DomainError",
+    "Fit",
     "KwwRankSet",
     "PosteriorDraws",
     "PosteriorSummary",

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import credset, kww, metrics, rankdist
+from . import kww, metrics, rankdist
 from .domain import Dataset, DomainError, rank_of
 from .fileio import FMT, csv_field, format_matrix, parse_dataset
 from .fileio import write_matrix_csv, write_rows_csv
-from .posterior import gibbs_hb, sample_ub, summarize
+from .posterior import gibbs_hb, sample_ub
+from .posterior import summarize  # noqa: F401  unused: benchmarks/tracing.py rebinds it by name
 from .simlab import RESULT_COLUMNS, SimConfig, run_study
 
 
@@ -41,31 +42,23 @@ def _cmd_fit(args) -> int:
     if args.model == "ub" and args.no_intercept:
         raise DomainError("--no-intercept applies to --model hb only: UB fits no regression")
     ds = parse_dataset(args.dataset)
-    if args.model == "hb" and args.set == "elliptical" and args.samples <= ds.m:
-        raise DomainError(f"HB elliptical fits need --samples > m: S={args.samples}, m={ds.m}")
-
     if args.model == "ub":
-        # UB writes only the posterior mean; its dispersion is diag(d)
         draws = sample_ub(ds, args.samples, args.seed)
-        dispersion = credset.Dispersion(ds.y, np.diag(ds.d))
-        mean, a_stats = draws.theta.mean(axis=0), {}
     else:
         draws = gibbs_hb(ds, args.samples, args.seed, include_intercept=not args.no_intercept)
-        summary = summarize(draws)
-        dispersion = credset.Dispersion(summary.mean, summary.cov)
-        mean = summary.mean
-        a_stats = {"a_mean": summary.a_mean, "a_median": summary.a_median}
-
-    if args.set == "cartesian":
-        sel = credset.cartesian_select(draws, args.alpha)
+    fit = rankdist.Fit(ds, draws)
+    sel = fit.select(args.set, args.alpha)
+    if sel.cart is not None:
         geometry_meta = {"kappa": sel.cart.kappa, "bounds": sel.cart.bounds}
     else:
-        sel = credset.elliptical_select(draws, dispersion, args.alpha)
         geometry_meta = {"cutoff": sel.ellip.cutoff}
     size = sel.size
-    box_mahal = sel.cart is not None and args.weights == rankdist.MAHALANOBIS_EXP
-    distances = dispersion.distances(draws.theta) if box_mahal else None
-    dist = rankdist.build_distribution(sel, draws, args.weights, distances)
+    dist = fit.distribution(sel, args.weights)
+    if args.model == "ub":  # UB writes only the posterior mean: no covariance
+        mean, a_stats = draws.theta.mean(axis=0), {}
+    else:
+        mean = fit.summary.mean
+        a_stats = {"a_mean": fit.summary.a_mean, "a_median": fit.summary.a_median}
 
     # the overlay's KWW ranks come before the first artifact: a bad alpha leaves none
     ranks = kww.rank_confidence_set(ds, args.alpha, kww.INDEPENDENCE) if args.plot_data else None

@@ -4,17 +4,19 @@ Each selected draw contributes a doubly stochastic rank table (a
 permutation matrix when tie-free, tie groups spread 1/g over their g^2
 cells); the weighted average over the credible selection is the m x m
 credible distribution, with entry (k, i) the probability that entity i
-holds rank k.
+holds rank k.  `Fit` wires one draw set's selections and distributions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import credset, posterior
 from .credset import CredibleSelection
-from .domain import DomainError, rank_span, row_blocks
+from .domain import Dataset, DomainError, rank_span, row_blocks
 from .posterior import PosteriorDraws
 
 EQUAL = "equal"
@@ -100,6 +102,56 @@ def build_distribution(
         probs += weights[s] * rank_table(draws.theta[idx[s]])
 
     return RankCredibleDistribution(probs=probs, model=draws.model)
+
+
+@dataclass(frozen=True, eq=False)
+class Fit:
+    """A dataset's posterior draws and what their selections and rank
+    distributions share, each computed once, on first use: the summary of
+    the draws, the dispersion (UB: center y and diag(d); HB: the draws' mean
+    and 1/S covariance) and one distance pass over all S draws, which an
+    elliptical selection makes and `mahal` weights read."""
+
+    ds: Dataset
+    draws: PosteriorDraws
+
+    @cached_property
+    def summary(self) -> posterior.PosteriorSummary:
+        return posterior.summarize(self.draws)
+
+    @cached_property
+    def dispersion(self) -> credset.Dispersion:
+        if self.draws.model == posterior.UB:
+            return credset.Dispersion(self.ds.y, np.diag(self.ds.d))
+        # with 1/S normalization S <= m draws have a singular covariance, and
+        # S = m + 1 draws all lie at squared distance m: no distance tells them apart
+        S, m = self.draws.S, self.draws.m
+        if S <= m + 1:
+            raise DomainError(f"an HB dispersion needs S > m + 1 draws: S={S}, m={m}")
+        return credset.Dispersion(self.summary.mean, self.summary.cov)
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Squared Mahalanobis distance of every draw from the dispersion."""
+        return self.dispersion.distances(self.draws.theta)
+
+    def select(self, geometry: str, alpha: float) -> CredibleSelection:
+        """The draws' (1-alpha) credible selection, a `cartesian` box or an
+        `elliptical` set; the ellipse's distances become the fit's."""
+        if geometry == credset.CARTESIAN:
+            return credset.cartesian_select(self.draws, alpha)
+        if geometry != credset.ELLIPTICAL:
+            raise DomainError(f"unknown geometry {geometry!r}")
+        sel = credset.elliptical_select(self.draws, self.dispersion, alpha)
+        self.__dict__.setdefault("distances", sel.ellip.distances)
+        return sel
+
+    def distribution(
+        self, selection: CredibleSelection, weighting: str = EQUAL
+    ) -> RankCredibleDistribution:
+        """The credible rank distribution over `selection`, a selection of these draws."""
+        distances = self.distances if weighting == MAHALANOBIS_EXP else None
+        return build_distribution(selection, self.draws, weighting, distances)
 
 
 def rank_marginal(dist: RankCredibleDistribution, i: int) -> np.ndarray:

@@ -13,10 +13,12 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import credset, kww, metrics, rankdist
+from . import kww, metrics, rankdist
+from .credset import CARTESIAN, ELLIPTICAL
 from .domain import Dataset, DomainError, rank_of
 from .fileio import baseball_dataset
-from .posterior import gibbs_hb, sample_ub, summarize
+from .posterior import gibbs_hb, sample_ub
+from .posterior import summarize  # noqa: F401  unused: benchmarks/tracing.py rebinds it by name
 
 
 def _baseball_d() -> tuple[float, ...]:
@@ -59,8 +61,8 @@ class SimConfig:
             raise DomainError("all model variances in a_grid must be > 0")
         if any(v <= 0 for v in self.d):
             raise DomainError("d must hold positive sampling variances")
-        if self.samples <= self.m:  # each replication fits an HB ellipse
-            raise DomainError(f"samples={self.samples} must be > m={self.m}")
+        if self.samples <= self.m + 1:  # each replication fits an HB ellipse
+            raise DomainError(f"samples={self.samples} must be > m + 1 = {self.m + 1}")
 
     @property
     def m(self) -> int:
@@ -87,8 +89,9 @@ def generate_instance(x, beta0, beta1, a, d, rng):
 def run_cell(cfg: SimConfig, x, a, beta1, cell_index):
     """Averages over replications for one (a, beta1) cell; returns row dicts.
 
-    Each model's draws take one distance pass, in its elliptical selection:
-    those distances of all S draws weight both selections' `mahal` rows."""
+    Each replication makes one `rankdist.Fit` per model and selects its
+    ellipse first: the ellipse's one distance pass over all S draws then
+    weights both selections' `mahal` rows."""
     acc = {}  # (method, geometry, weighting) -> [dev_sum, root_sum, len_sum]
 
     def add(key, dev, size):
@@ -106,19 +109,13 @@ def run_cell(cfg: SimConfig, x, a, beta1, cell_index):
         kww_dev = metrics.kww_abs_deviation(ranks.rank_lo, ranks.rank_hi, xi).mean()
         add(("KWW", "cartesian", "none"), kww_dev, metrics.orthotope_size(ranks.intervals))
 
-        ub = sample_ub(ds, cfg.samples, rng.integers(2**63))
-        hb = gibbs_hb(ds, cfg.samples, rng.integers(2**63))
-        summ = summarize(hb)
-        for method, draws, dispersion in (
-            ("UB", ub, credset.Dispersion(ds.y, np.diag(ds.d))),
-            ("HB", hb, credset.Dispersion(summ.mean, summ.cov)),
-        ):
-            ellipse = credset.elliptical_select(draws, dispersion, cfg.alpha)
-            for sel in (credset.cartesian_select(draws, cfg.alpha), ellipse):
+        ub = rankdist.Fit(ds, sample_ub(ds, cfg.samples, rng.integers(2**63)))
+        hb = rankdist.Fit(ds, gibbs_hb(ds, cfg.samples, rng.integers(2**63)))
+        for method, fit in (("UB", ub), ("HB", hb)):
+            ellipse = fit.select(ELLIPTICAL, cfg.alpha)
+            for sel in (fit.select(CARTESIAN, cfg.alpha), ellipse):
                 for weighting in (rankdist.EQUAL, rankdist.MAHALANOBIS_EXP):
-                    dist = rankdist.build_distribution(
-                        sel, draws, weighting, ellipse.ellip.distances
-                    )
+                    dist = fit.distribution(sel, weighting)
                     dev = metrics.expected_abs_deviation(dist.probs, xi).mean()
                     add((method, sel.geometry, weighting), dev, sel.size)
 

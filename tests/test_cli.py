@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import rankcred as rc
 from rankcred.cli import run_command
-from rankcred import cli
+from rankcred import cli, posterior
 from rankcred.fileio import emit_dataset, format_matrix, write_matrix_csv, write_rows_csv
 from rankcred.rankdist import DS_TOL
 
@@ -306,24 +306,36 @@ class TestFitCommand:
         means = [post["mean"][k] for k in ("a", "b", "c", "d", "e")]
         assert np.std(means) < np.std([0.40, 0.35, 0.30, 0.25, 0.20])
 
-    @pytest.mark.parametrize("samples", ["10", "12", "18"])
+    @pytest.mark.parametrize("samples", ["10", "12", "18", "19"])
     def test_hb_elliptical_with_fewer_draws_than_entities(self, tmp_path, capsys, samples):
         # S <= m = 18: the covariance of the draws is singular, so the ellipse
-        # would be sized by the jitter of its factor, not by the draws
+        # would be sized by the jitter of its factor, not by the draws; S = m + 1
+        # draws all lie at squared distance m, so the cutoff drops draws by rounding
         out = tmp_path / "out"
         data = Path(rc.__file__).parent / "data" / "baseball.csv"
         argv = ["fit", str(data), "--model", "hb", "--set", "elliptical", "--samples", samples]
         assert run_command([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == f"error: HB elliptical fits need --samples > m: S={samples}, m=18\n"
+        assert err == f"error: an HB dispersion needs S > m + 1 draws: S={samples}, m=18\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("samples", ["5", "12", "19"])
+    def test_hb_box_mahal_with_too_few_draws(self, tmp_path, capsys, samples):
+        # the box's mahal weights read the same dispersion: at S = m + 1 every
+        # draw's distance is m, so the weights would be the equal ones
+        out = tmp_path / "out"
+        argv = ["fit", FIXTURE, "--model", "hb", "--weights", "mahal", "--samples", samples]
+        assert run_command([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: an HB dispersion needs S > m + 1 draws: S={samples}, m=18\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "model, geometry, samples",
-        [("hb", "cartesian", "12"), ("ub", "elliptical", "12"), ("hb", "elliptical", "19")],
+        [("hb", "cartesian", "12"), ("ub", "elliptical", "12"), ("hb", "elliptical", "20")],
     )
     def test_few_draws_accepted(self, tmp_path, model, geometry, samples):
-        # only an HB ellipse reads the draws' covariance; S = m + 1 makes it regular
+        # only an HB dispersion reads the draws' covariance; S = m + 2 makes its distances differ
         data = Path(rc.__file__).parent / "data" / "baseball.csv"
         argv = ["fit", str(data), "--model", model, "--set", geometry, "--samples", samples]
         assert run_command([*argv, "--out", str(tmp_path / "out")]) == 0
@@ -408,7 +420,7 @@ class TestFitCommand:
         def no_summary(draws):
             raise AssertionError("UB fit called summarize")
 
-        monkeypatch.setattr(cli, "summarize", no_summary)
+        monkeypatch.setattr(posterior, "summarize", no_summary)
         out = tmp_path / "out"
         assert self.run_fit(data_path, out, "--model", "ub", "--set", "elliptical") == 0
         post = json.loads((out / "posterior_summary.json").read_text())
@@ -643,7 +655,7 @@ SIM = ["simulate", "--config", "sim.json", "--out", "out"]
         (
             {},
             ["fit", FIXTURE, "--model", "hb", "--set", "elliptical", "--samples", "18", "--out", "out"],
-            "HB elliptical fits need --samples > m",
+            "an HB dispersion needs S > m + 1 draws: S=18, m=18",
         ),
         ({"ragged.csv": "id,y,d\na,1\nb,2,1\nc,3,1\n"}, ["fit", "ragged.csv", "--out", "out"], "row 2"),
         ({"sim.json": '{"n_reps": "2"}'}, SIM, "n_reps="),
@@ -662,6 +674,8 @@ SIM = ["simulate", "--config", "sim.json", "--out", "out"]
             ["fit", FIXTURE, "--alpha", "0.9999", "--samples", "100", "--out", "out"],
             "S(1-alpha) = 0.01 < 1",
         ),
+        # one HB draw: the box finds no draw to select before anything summarizes it
+        ({}, ["fit", FIXTURE, "--samples", "1", "--out", "out"], "S(1-alpha) = 0.9 < 1"),
         ({}, ["kww", FIXTURE, "--alpha", "2", "--out", "out"], "alpha=2.0 must be in (0, 1)"),
         (
             {},
@@ -680,6 +694,7 @@ SIM = ["simulate", "--config", "sim.json", "--out", "out"]
         "hb-elliptical-few-draws", "ragged-row", "mistyped-value", "bool-count", "empty-grid",
         "nan-grid", "config-int", "config-null", "config-string", "config-array",
         "fit-negative-seed", "simulate-negative-seed", "hb-propriety", "no-draw-selected",
+        "hb-one-draw",
         "kww-alpha", "fit-plot-data-tiny-alpha", "kww-tiny-alpha", "simulate-missing-directory",
     ],
 )

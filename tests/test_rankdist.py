@@ -7,7 +7,7 @@ from rankcred import domain
 from rankcred.posterior import PosteriorDraws
 from rankcred.rankdist import DS_TOL, rank_table
 
-from conftest import traced_peak, wide_dataset
+from conftest import spy_distance_passes, traced_peak, wide_dataset
 from oracles import (
     mahalanobis_solve,
     rank_table_reference,
@@ -377,6 +377,87 @@ class TestBuildDistribution:
         dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
         assert np.all(np.isfinite(dist.probs))
         assert np.allclose(dist.probs.sum(axis=0), 1.0, atol=DS_TOL)
+
+
+def wired_probs(ds, draws, geometry, weighting, alpha=0.1):
+    """A credible distribution wired by hand, as each caller did before `Fit`:
+    its own dispersion, selection and, for a box's mahal weights, distance pass."""
+    if draws.model == "UB":
+        dispersion = rc.Dispersion(ds.y, np.diag(ds.d))
+    else:
+        summary = rc.summarize(draws)
+        dispersion = rc.Dispersion(summary.mean, summary.cov)
+    if geometry == "cartesian":
+        sel = rc.cartesian_select(draws, alpha)
+    else:
+        sel = rc.elliptical_select(draws, dispersion, alpha)
+    box_mahal = sel.cart is not None and weighting == rc.MAHALANOBIS_EXP
+    distances = dispersion.distances(draws.theta) if box_mahal else None
+    return rc.build_distribution(sel, draws, weighting, distances).probs
+
+
+@pytest.fixture(scope="module")
+def wide_hb():
+    ds = wide_dataset(200, 200)
+    return ds, rc.gibbs_hb(ds, 20011, seed=3)
+
+
+class TestFit:
+    @pytest.mark.parametrize("weighting", [rc.EQUAL, rc.MAHALANOBIS_EXP])
+    @pytest.mark.parametrize("geometry", ["cartesian", "elliptical"])
+    @pytest.mark.parametrize("model", ["ub", "hb"])
+    def test_matches_hand_wiring(self, baseball, ub_draws, hb_draws, model, geometry, weighting):
+        draws = ub_draws if model == "ub" else hb_draws
+        fit = rc.Fit(baseball, draws)
+        probs = fit.distribution(fit.select(geometry, 0.1), weighting).probs
+        assert np.array_equal(probs, wired_probs(baseball, draws, geometry, weighting))
+
+    @pytest.mark.parametrize("weighting", [rc.EQUAL, rc.MAHALANOBIS_EXP])
+    @pytest.mark.parametrize("geometry", ["cartesian", "elliptical"])
+    def test_matches_hand_wiring_with_covariate(self, wide_hb, geometry, weighting):
+        ds, draws = wide_hb
+        assert draws.beta.shape[1] == 2  # intercept and one covariate
+        fit = rc.Fit(ds, draws)
+        probs = fit.distribution(fit.select(geometry, 0.1), weighting).probs
+        assert np.array_equal(probs, wired_probs(ds, draws, geometry, weighting))
+
+    def test_ellipse_pass_weights_the_box(self, baseball, monkeypatch):
+        # an ellipse selected first makes the only distance pass: the box's
+        # mahal weights read the ellipse's distances
+        fit = rc.Fit(baseball, rc.gibbs_hb(baseball, 2000, seed=4))
+        passes = spy_distance_passes(monkeypatch)
+        ellipse = fit.select("elliptical", 0.1)
+        box = fit.select("cartesian", 0.1)
+        for sel in (box, ellipse):
+            fit.distribution(sel, rc.MAHALANOBIS_EXP)
+        assert passes == [2000]
+        assert fit.distances is ellipse.ellip.distances
+
+    def test_ub_dispersion_is_the_data(self, baseball, ub_draws, monkeypatch):
+        def no_summary(draws):
+            raise AssertionError("UB fit called summarize")
+
+        monkeypatch.setattr(rc.posterior, "summarize", no_summary)
+        fit = rc.Fit(baseball, ub_draws)
+        fit.distribution(fit.select("elliptical", 0.1), rc.MAHALANOBIS_EXP)
+        assert np.array_equal(fit.dispersion.center, baseball.y)
+        assert np.array_equal(fit.dispersion.matrix, np.diag(baseball.d))
+
+    def test_m_plus_one_draws_are_equidistant(self):
+        # with 1/S normalization, S = m + 1 draws all lie at squared distance m
+        # from their mean: no distance tells them apart, so no dispersion is built
+        ds = rc.baseball_dataset()
+        draws = rc.gibbs_hb(ds, 19, seed=1)
+        summary = rc.summarize(draws)
+        distances = rc.Dispersion(summary.mean, summary.cov).distances(draws.theta)
+        assert np.allclose(distances, 18.0, rtol=0, atol=1e-8)
+        with pytest.raises(rc.DomainError, match=r"needs S > m \+ 1 draws: S=19, m=18"):
+            rc.Fit(ds, draws).dispersion
+        assert rc.Fit(ds, rc.gibbs_hb(ds, 20, seed=1)).dispersion.center.shape == (18,)
+
+    def test_unknown_geometry(self, baseball, ub_draws):
+        with pytest.raises(rc.DomainError, match="unknown geometry 'sphere'"):
+            rc.Fit(baseball, ub_draws).select("sphere", 0.1)
 
 
 class TestMarginals:

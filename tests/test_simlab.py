@@ -27,12 +27,12 @@ class TestSimConfig:
             rc.SimConfig(n_reps=0)
         with pytest.raises(rc.DomainError):
             rc.SimConfig(a_grid=(0.1, -0.5))
-        # every replication fits an HB ellipse, which needs more draws than entities
-        with pytest.raises(rc.DomainError, match="samples=18 must be > m=18"):
-            rc.SimConfig(samples=18)
-        with pytest.raises(rc.DomainError, match="samples=3 must be > m=3"):
-            rc.SimConfig(samples=3, d=(0.1, 0.2, 0.3))
-        assert rc.SimConfig(samples=4, d=(0.1, 0.2, 0.3)).samples == 4
+        # every replication fits an HB ellipse, which needs more than m + 1 draws
+        with pytest.raises(rc.DomainError, match=r"samples=19 must be > m \+ 1 = 19"):
+            rc.SimConfig(samples=19)
+        with pytest.raises(rc.DomainError, match=r"samples=4 must be > m \+ 1 = 4"):
+            rc.SimConfig(samples=4, d=(0.1, 0.2, 0.3))
+        assert rc.SimConfig(samples=5, d=(0.1, 0.2, 0.3)).samples == 5
         # a JSON boolean is no number, and a grid needs a value
         with pytest.raises(rc.DomainError, match="n_reps=True must be int"):
             rc.SimConfig(n_reps=True)
