@@ -1,12 +1,6 @@
 """Credible distributions of overall rankings from noisy entity estimates."""
 
-from .credset import (
-    CredibleSelection,
-    Dispersion,
-    cartesian_select,
-    elliptical_select,
-    tune_kappa,
-)
+from .credset import CredibleSelection
 from .domain import HIGHEST_OF_TIES, MIDRANK, Dataset, DomainError, rank_of
 from .fileio import baseball_dataset, parse_csv_text, parse_dataset
 from .kww import BONFERRONI, INDEPENDENCE, KwwRankSet, gamma_from_alpha, rank_confidence_set
@@ -19,22 +13,14 @@ from .metrics import (
     orthotope_size,
     tese,
 )
-from .posterior import (
-    PosteriorDraws,
-    PosteriorSummary,
-    gibbs_hb,
-    sample_ub,
-    summarize,
-)
+from .posterior import PosteriorDraws, PosteriorSummary, gibbs_hb, sample_ub
 from .rankdist import (
     EQUAL,
     MAHALANOBIS_EXP,
     Fit,
     RankCredibleDistribution,
-    build_distribution,
     expected_rank,
     rank_marginal,
-    rank_table,
 )
 from .simlab import SimConfig, generate_instance, run_study
 
@@ -47,7 +33,6 @@ __all__ = [
     "MIDRANK",
     "CredibleSelection",
     "Dataset",
-    "Dispersion",
     "DomainError",
     "Fit",
     "KwwRankSet",
@@ -57,11 +42,8 @@ __all__ = [
     "SimConfig",
     "SizeReport",
     "baseball_dataset",
-    "build_distribution",
-    "cartesian_select",
     "ellipse_lengths",
     "ellipse_size",
-    "elliptical_select",
     "expected_abs_deviation",
     "expected_rank",
     "gamma_from_alpha",
@@ -74,10 +56,7 @@ __all__ = [
     "rank_confidence_set",
     "rank_marginal",
     "rank_of",
-    "rank_table",
-    "sample_ub",
-    "summarize",
-    "tese",
-    "tune_kappa",
     "run_study",
+    "sample_ub",
+    "tese",
 ]

@@ -213,27 +213,34 @@ def _cho_factor_spd(dispersion: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dispersion:
-    """A center and dispersion matrix for Mahalanobis distances.  A positive,
-    exactly diagonal matrix keeps its variances (`_chol` is None); any other
-    is factored once, on first use, as L L' (Cholesky, jittered if singular),
-    and L^-1 is formed once from that factor."""
+    """A center and dispersion for Mahalanobis distances.  `matrix` is either
+    (m,) positive variances, which scale each coordinate by 1/sqrt(var), or
+    an (m, m) symmetric positive definite matrix, factored once, on first
+    use, as L L' (Cholesky, jittered if singular), with L^-1 formed once from
+    that factor; its shape chooses the path."""
 
     center: np.ndarray  # (m,)
-    matrix: np.ndarray  # (m, m) SPD
+    matrix: np.ndarray  # (m,) variances or (m, m) SPD
 
     def __post_init__(self):
         # the factor takes NaN and inf without complaint, so check them here
         center = np.asarray(self.center, dtype=float)
         matrix = np.asarray(self.matrix, dtype=float)
-        if center.ndim != 1 or matrix.shape != (len(center), len(center)):
+        m = len(center) if center.ndim == 1 else -1
+        if matrix.shape not in ((m,), (m, m)):
             shapes = f"{center.shape} and {matrix.shape}"
-            raise DomainError(f"dispersion: shapes {shapes} are not (m,) and (m, m)")
-        for name, array in (("center", center), ("matrix", matrix)):
+            raise DomainError(f"dispersion: shapes {shapes} are not (m,) and (m,) or (m, m)")
+        kind = "variances" if matrix.ndim == 1 else "matrix"
+        for name, array in (("center", center), (kind, matrix)):
             bad = np.argwhere(~np.isfinite(array))
             if len(bad):
                 entry, value = ", ".join(map(str, bad[0])), array[tuple(bad[0])]
                 raise DomainError(f"dispersion {name}[{entry}] is not finite: {value}")
-        # the factor reads only the lower triangle, so an upper one unlike it would go unseen
+        if matrix.ndim == 1 and (matrix <= 0).any():
+            i = int(np.argmax(matrix <= 0))
+            raise DomainError(f"dispersion variances[{i}] = {matrix[i]} must be > 0")
+        # the factor reads only the lower triangle, so an upper one unlike it
+        # would go unseen; variances are their own transpose
         gap = matrix - matrix.T  # the one m x m temporary
         top = max(matrix.max(initial=0.0), -matrix.min(initial=0.0))
         asymmetric = np.argwhere(np.abs(gap, out=gap) > _SYMMETRY_TOL * top)
@@ -247,10 +254,7 @@ class Dispersion:
         object.__setattr__(self, "matrix", matrix)
 
     @cached_property
-    def _chol(self) -> np.ndarray | None:
-        var = np.diagonal(self.matrix)
-        if np.all(var > 0) and np.array_equal(self.matrix, np.diag(var)):
-            return None
+    def _chol(self) -> np.ndarray:
         return _cho_factor_spd(self.matrix)
 
     @cached_property
@@ -259,13 +263,13 @@ class Dispersion:
 
     def distances(self, thetas: np.ndarray) -> np.ndarray:
         """Squared distances ||L^-1 (theta - center)||^2 of the rows of `thetas`,
-        L = diag(sqrt(var)) scaling each coordinate by 1/sqrt(var), computed per
-        block of rows: the temporaries are a block's, not a copy of `thetas`."""
+        L = diag(sqrt(var)) for variances, computed per block of rows: the
+        temporaries are a block's, not a copy of `thetas`."""
         if np.shape(thetas)[1:] != self.center.shape:
             m = len(self.center)
             raise DomainError(f"draws of shape {np.shape(thetas)} do not fit a dispersion of m={m}")
         out = np.empty(len(thetas))
-        scale = 1.0 / np.sqrt(np.diagonal(self.matrix)) if self._chol is None else None
+        scale = 1.0 / np.sqrt(self.matrix) if self.matrix.ndim == 1 else None
         for block in row_blocks(len(thetas), thetas.shape[1]):
             diff = thetas[block] - self.center
             if scale is not None:
@@ -278,16 +282,16 @@ class Dispersion:
 
     @property
     def log_det(self) -> float:
-        """log det of the matrix as factored (jitter included)."""
-        if self._chol is None:
-            return float(np.sum(np.log(np.diagonal(self.matrix))))
+        """log det of the dispersion (of the matrix as factored, jitter included)."""
+        if self.matrix.ndim == 1:
+            return float(np.sum(np.log(self.matrix)))
         return 2.0 * float(np.sum(np.log(np.diagonal(self._chol))))
 
     @property
     def precision_diag(self) -> np.ndarray:
-        """Diagonal of the inverse matrix: the column sums of squares of L^-1."""
-        if self._chol is None:
-            return 1.0 / np.diagonal(self.matrix)
+        """Diagonal of the inverse dispersion: 1/var, or the column sums of squares of L^-1."""
+        if self.matrix.ndim == 1:
+            return 1.0 / self.matrix
         return np.einsum("ij,ij->j", self._chol_inv, self._chol_inv)
 
 

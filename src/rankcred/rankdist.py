@@ -108,9 +108,9 @@ def build_distribution(
 class Fit:
     """A dataset's posterior draws and what their selections and rank
     distributions share, each computed once, on first use: the summary of
-    the draws, the dispersion (UB: center y and diag(d); HB: the draws' mean
-    and 1/S covariance) and one distance pass over all S draws, which an
-    elliptical selection makes and `mahal` weights read."""
+    the draws, the dispersion (UB: center y and variances d; HB: the draws'
+    mean and 1/S covariance) and one distance pass over all S draws, which
+    an elliptical selection makes and `mahal` weights read."""
 
     ds: Dataset
     draws: PosteriorDraws
@@ -122,7 +122,7 @@ class Fit:
     @cached_property
     def dispersion(self) -> credset.Dispersion:
         if self.draws.model == posterior.UB:
-            return credset.Dispersion(self.ds.y, np.diag(self.ds.d))
+            return credset.Dispersion(self.ds.y, self.ds.d)
         # with 1/S normalization S <= m draws have a singular covariance, and
         # S = m + 1 draws all lie at squared distance m: no distance tells them apart
         S, m = self.draws.S, self.draws.m

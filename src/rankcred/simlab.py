@@ -63,6 +63,13 @@ class SimConfig:
             raise DomainError("d must hold positive sampling variances")
         if self.samples <= self.m + 1:  # each replication fits an HB ellipse
             raise DomainError(f"samples={self.samples} must be > m + 1 = {self.m + 1}")
+        # the HB fit needs m > q + 1 for q design columns: intercept and any covariate
+        q = 1 + any(b != 0 for b in self.beta1_grid)
+        if self.m <= q + 1:
+            raise DomainError(
+                f"d holds m={self.m} variances, but beta1_grid={self.beta1_grid} needs "
+                f"m > q + 1 = {q + 1}: its HB fits have q = {q} design columns"
+            )
 
     @property
     def m(self) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import rankcred as rc
+from rankcred import posterior
 
 
 @pytest.fixture(scope="session")
@@ -23,7 +24,7 @@ def hb_draws(baseball):
 
 @pytest.fixture(scope="session")
 def hb_summary(hb_draws):
-    return rc.summarize(hb_draws)
+    return posterior.summarize(hb_draws)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,7 @@ from scipy import stats
 from scipy.special import ndtri
 
 import rankcred as rc
-from rankcred import credset, metrics, rankdist
+from rankcred import credset, metrics, posterior, rankdist
 from rankcred.cli import run_command
 from rankcred.fileio import emit_dataset
 from rankcred.simlab import run_cell
@@ -61,7 +61,7 @@ def total_deviation(dist, xi):
 
 def fit_both(draws, center, dispersion, alpha=0.1):
     cart = credset.cartesian_select(draws, alpha)
-    ellip = credset.elliptical_select(draws, rc.Dispersion(center, dispersion), alpha)
+    ellip = credset.elliptical_select(draws, credset.Dispersion(center, dispersion), alpha)
     # the box's mahal weights read the ellipse's distances, as run_cell's do
     dist_c = rankdist.build_distribution(cart, draws, rc.MAHALANOBIS_EXP, ellip.ellip.distances)
     dist_e = rankdist.build_distribution(ellip, draws, rc.MAHALANOBIS_EXP)
@@ -161,7 +161,7 @@ def test_criterion_6_expected_ranks(baseball, ub_draws, hb_draws, hb_summary):
 def test_criterion_7_elliptical_cutoff(baseball):
     draws = rc.sample_ub(baseball, 100000, seed=11)
     sel = credset.elliptical_select(
-        draws, rc.Dispersion(baseball.y, np.diag(baseball.d)), alpha=0.1
+        draws, credset.Dispersion(baseball.y, np.diag(baseball.d)), alpha=0.1
     )
     assert sel.ellip.cutoff == pytest.approx(stats.chi2.ppf(0.9, 18), rel=0.02)
 
@@ -247,7 +247,7 @@ def test_criterion_10_property_suites(baseball):
     # Gibbs chain against the 1-D quadrature posterior oracle at m = 3
     ds3 = make_dataset([0.5, 1.0, 1.8], [0.3, 0.2, 0.4])
     chain = rc.gibbs_hb(ds3, 1000000, seed=5)
-    summ = rc.summarize(chain)
+    summ = posterior.summarize(chain)
     means, variances = hb_quadrature_posterior([0.5, 1.0, 1.8], [0.3, 0.2, 0.4])
     assert np.allclose(summ.mean, means, rtol=0.01)
     assert np.allclose(np.diag(summ.cov), variances, rtol=0.01)
@@ -259,10 +259,10 @@ def test_criterion_10_property_suites(baseball):
     b = rng.standard_normal(18)
     mapped = rc.PosteriorDraws(theta=base.theta @ A.T + b, model="UB")
     sel = credset.elliptical_select(
-        base, rc.Dispersion(baseball.y, np.diag(baseball.d)), alpha=0.1
+        base, credset.Dispersion(baseball.y, np.diag(baseball.d)), alpha=0.1
     )
     sel2 = credset.elliptical_select(
-        mapped, rc.Dispersion(A @ baseball.y + b, A @ np.diag(baseball.d) @ A.T), alpha=0.1
+        mapped, credset.Dispersion(A @ baseball.y + b, A @ np.diag(baseball.d) @ A.T), alpha=0.1
     )
     assert np.array_equal(sel.indices, sel2.indices)
 

@@ -41,13 +41,13 @@ def normal_draws(S, m, seed=0):
 class TestTuneKappa:
     def test_one_coordinate_recovers_alpha(self):
         draws = normal_draws(20000, 1, seed=1)
-        kappa = rc.tune_kappa(draws, alpha=0.1).kappa
+        kappa = credset.tune_kappa(draws, alpha=0.1).kappa
         assert kappa == pytest.approx(0.1, abs=0.02)
 
     def test_close_to_grid_oracle(self):
         draws = normal_draws(2000, 3, seed=2)
-        kappa = rc.tune_kappa(draws, alpha=0.1).kappa
-        sel = rc.cartesian_select(draws, alpha=0.1)
+        kappa = credset.tune_kappa(draws, alpha=0.1).kappa
+        sel = credset.cartesian_select(draws, alpha=0.1)
         target = round(2000 * 0.9)
         achieved = abs(sel.K - target)
         assert achieved <= max(1, kappa_grid_scan(draws.theta, 0.1, n_grid=1500))
@@ -55,7 +55,7 @@ class TestTuneKappa:
 
     def test_tiny_alpha_selects_almost_everything(self):
         draws = normal_draws(1000, 4, seed=3)
-        sel = rc.cartesian_select(draws, alpha=0.002)
+        sel = credset.cartesian_select(draws, alpha=0.002)
         assert sel.K >= 998
         assert sel.cart.kappa < 0.01
 
@@ -63,7 +63,7 @@ class TestTuneKappa:
         draws = normal_draws(100, 2)
         for alpha in (0.0, 1.0, -0.5):
             with pytest.raises(rc.DomainError):
-                rc.tune_kappa(draws, alpha)
+                credset.tune_kappa(draws, alpha)
 
     def test_peak_memory_keeps_no_sorted_copy(self):
         # it sorts a strided sample of each column (5,000 of 20,000 rows
@@ -77,7 +77,7 @@ class TestTuneKappa:
         tails = 2 * m * (1.5 * (S - round(S * 0.9) + 1) / m + m)
         bound = sample + S * m + 16 * 8 * tails + 8 * 8 * S
         assert bound < draws.theta.nbytes
-        _, peak = traced_peak(rc.tune_kappa, draws, 0.1)
+        _, peak = traced_peak(credset.tune_kappa, draws, 0.1)
         assert peak <= bound
 
 
@@ -96,9 +96,9 @@ def peeled_box(theta, alpha):
     S = len(theta)
     if S * (1 - alpha) < 1:
         with pytest.raises(rc.DomainError, match="no draw to select"):
-            rc.cartesian_select(draws, alpha)
+            credset.cartesian_select(draws, alpha)
         return None
-    sel = rc.cartesian_select(draws, alpha)
+    sel = credset.cartesian_select(draws, alpha)
     assert_box_equals(sel.cart, box_peel_reference(theta, alpha))
     assert np.array_equal(sel.indices, sel.cart.indices)
     assert sel.K >= round(S * (1 - alpha))
@@ -148,7 +148,7 @@ class TestBoxPeeling:
     @pytest.mark.parametrize("alpha", [0.3, 0.375, 0.45])
     def test_two_draws_select_one(self, alpha):
         draws = PosteriorDraws(theta=np.array([[-1.0], [1.0]]), model="UB")
-        sel = rc.cartesian_select(draws, alpha)
+        sel = credset.cartesian_select(draws, alpha)
         assert sel.K == 1
         assert list(sel.indices) == [1]
 
@@ -205,7 +205,7 @@ class TestColumnSort:
         # past 127 coordinates the 2m tail ids take two bytes, not one
         theta = np.random.default_rng(6).standard_normal((2000, 130))
         theta[:, 7] = np.round(theta[:, 7] * 4)  # a tied column among them
-        sel = rc.cartesian_select(PosteriorDraws(theta=theta, model="UB"), 0.1)
+        sel = credset.cartesian_select(PosteriorDraws(theta=theta, model="UB"), 0.1)
         assert np.min_scalar_type(2 * 130 - 1) == np.uint16
         assert_box_equals(sel.cart, box_column_reference(theta, 0.1))
 
@@ -219,7 +219,7 @@ class TestColumnSort:
         assert len(attempts) == 2
         theta = rng.standard_normal((3000, 1)) + 0.05 * rng.standard_normal((3000, 12))
         attempts.clear()
-        sel = rc.cartesian_select(PosteriorDraws(theta=theta, model="UB"), 0.1)
+        sel = credset.cartesian_select(PosteriorDraws(theta=theta, model="UB"), 0.1)
         assert len(attempts) == 3
         assert_box_equals(sel.cart, box_column_reference(theta, 0.1))
 
@@ -272,7 +272,7 @@ class TestMatchesColumnReference:
     @pytest.mark.parametrize("seed", range(8))
     def test_baseball_hb(self, baseball, seed):
         draws = rc.gibbs_hb(baseball, 50000, seed=seed)
-        assert_box_equals(rc.tune_kappa(draws, 0.1), box_column_reference(draws.theta, 0.1))
+        assert_box_equals(credset.tune_kappa(draws, 0.1), box_column_reference(draws.theta, 0.1))
 
     @pytest.mark.parametrize("cell, a, beta1", [(0, 1.0, 0.0), (1, 0.001, 0.4)])
     def test_criterion_9_cells(self, cell, a, beta1):
@@ -284,13 +284,13 @@ class TestMatchesColumnReference:
         ub = rc.sample_ub(ds, cfg.samples, rng.integers(2**63))
         hb = rc.gibbs_hb(ds, cfg.samples, rng.integers(2**63))
         for draws in (ub, hb):
-            box = rc.tune_kappa(draws, cfg.alpha)
+            box = credset.tune_kappa(draws, cfg.alpha)
             assert_box_equals(box, box_column_reference(draws.theta, cfg.alpha))
 
     def test_fixture_needs_one_attempt(self, hb_draws, monkeypatch):
         # tails sized for the fixture settle its box at the first attempt
         attempts = count_attempts(monkeypatch)
-        rc.tune_kappa(hb_draws, 0.1)
+        credset.tune_kappa(hb_draws, 0.1)
         assert hb_draws.S == 50000 and len(attempts) == 1
         assert np.all(np.isfinite(attempts[0][0]))
 
@@ -305,7 +305,7 @@ class TestMatchesQuantileReference:
         # the reference meets its tol after 14 bisection steps at fit seed 0, 51 at seed 2
         draws = rc.gibbs_hb(baseball, 50000, seed=seed)
         S = draws.S
-        sel = rc.cartesian_select(draws, 0.1)
+        sel = credset.cartesian_select(draws, 0.1)
         kappa_ref, _, _, ref_indices = cartesian_select_reference(draws.theta, 0.1)
         assert sel.K == round(S * 0.9)
         assert abs(len(ref_indices) - round(S * 0.9)) <= max(1, S // 10000)
@@ -318,12 +318,12 @@ class TestMatchesQuantileReference:
 
 class TestCartesianSelect:
     def test_count_within_tolerance(self, ub_draws):
-        sel = rc.cartesian_select(ub_draws, alpha=0.1)
+        sel = credset.cartesian_select(ub_draws, alpha=0.1)
         target = round(ub_draws.S * 0.9)
         assert abs(sel.K - target) <= max(1, ub_draws.S // 10000)
 
     def test_membership_is_exactly_the_box(self, ub_draws):
-        sel = rc.cartesian_select(ub_draws, alpha=0.1)
+        sel = credset.cartesian_select(ub_draws, alpha=0.1)
         inside = np.all(
             (ub_draws.theta >= sel.cart.lower) & (ub_draws.theta <= sel.cart.upper), axis=1
         )
@@ -332,7 +332,7 @@ class TestCartesianSelect:
     def test_ub_bounds_match_normal_quantiles(self, baseball, ub_draws):
         # bounds converge to y -/+ z_{1-kappa/2} sqrt(d); kappa near the
         # independence value 1 - 0.9^(1/18), in closed form here
-        sel = rc.cartesian_select(ub_draws, alpha=0.1)
+        sel = credset.cartesian_select(ub_draws, alpha=0.1)
         kappa_ref = 1 - 0.9 ** (1 / 18)
         assert sel.cart.kappa == pytest.approx(kappa_ref, rel=0.35)
         z = stats.norm.ppf(1 - sel.cart.kappa / 2)
@@ -341,11 +341,11 @@ class TestCartesianSelect:
 
     def test_monotone_transform_invariance(self):
         draws = normal_draws(3000, 4, seed=5)
-        sel = rc.cartesian_select(draws, alpha=0.1)
+        sel = credset.cartesian_select(draws, alpha=0.1)
         warped = PosteriorDraws(
             theta=np.exp(draws.theta / 2) + draws.theta, model="UB"
         )
-        sel2 = rc.cartesian_select(warped, alpha=0.1)
+        sel2 = credset.cartesian_select(warped, alpha=0.1)
         assert np.array_equal(sel.indices, sel2.indices)
 
 
@@ -373,7 +373,7 @@ class TestMahalanobis:
         # 18-wide draws against a 17-entity dispersion, through the ellipse
         draws = normal_draws(50, 18)
         with pytest.raises(rc.DomainError, match=r"shape \(50, 18\) do not fit .* m=17"):
-            rc.elliptical_select(draws, Dispersion(np.zeros(17), np.eye(17)), alpha=0.1)
+            credset.elliptical_select(draws, Dispersion(np.zeros(17), np.eye(17)), alpha=0.1)
         with pytest.raises(rc.DomainError, match=r"shape \(3,\) do not fit .* m=3"):
             Dispersion(np.zeros(3), np.diag([1.0, 2.0, 3.0])).distances(np.zeros(3))
 
@@ -415,13 +415,13 @@ class TestMahalanobis:
 
 
     def test_many_diagonal_matches_solve_oracle_m200(self, monkeypatch):
-        # a positive diagonal scales each coordinate and factors nothing
+        # a diagonal given as (m,) variances scales each coordinate and factors nothing
         calls = spy_factorizations(monkeypatch)
         rng = np.random.default_rng(14)
         var = rng.uniform(0.5, 2.0, 200)
         center = rng.standard_normal(200)
         thetas = center + rng.standard_normal((500, 200)) * 2
-        got = Dispersion(center, np.diag(var)).distances(thetas)
+        got = Dispersion(center, var).distances(thetas)
         assert calls == []
         assert np.allclose(got, mahalanobis_solve(thetas, center, np.diag(var)), rtol=1e-12, atol=0)
 
@@ -455,7 +455,7 @@ class TestMahalanobis:
 
 
 class TestBlockedDistances:
-    """`Dispersion.distances` works per block of rows: the diagonal path's
+    """`Dispersion.distances` works per block of rows: the variances' path
     result does not depend on the blocks, the factored one's only by the
     rounding of its matrix product, and its temporaries are a few blocks."""
 
@@ -464,7 +464,7 @@ class TestBlockedDistances:
         thetas = rng.standard_normal((S, m)) * rng.uniform(0.5, 2.0, m)
         B = rng.standard_normal((m, m))
         factored = Dispersion(thetas.mean(axis=0), B @ B.T / m + np.eye(m))
-        diagonal = Dispersion(thetas.mean(axis=0), np.diag(rng.uniform(0.5, 2.0, m)))
+        diagonal = Dispersion(thetas.mean(axis=0), rng.uniform(0.5, 2.0, m))
         return thetas, diagonal, factored
 
     def test_blocks_of_three_rows_match_one_block(self, monkeypatch):
@@ -560,38 +560,75 @@ class TestDispersion:
         [(np.zeros(3), np.ones((3, 2))), (np.zeros(2), np.eye(3)), (np.zeros((3, 3)), np.eye(3))],
     )
     def test_wrong_shape_raises(self, center, matrix):
-        with pytest.raises(rc.DomainError, match=r"are not \(m,\) and \(m, m\)"):
+        with pytest.raises(rc.DomainError, match=r"are not \(m,\) and \(m,\) or \(m, m\)"):
             Dispersion(center, matrix)
 
     def test_diagonal_is_not_factored(self, monkeypatch):
+        # (m,) variances give, bitwise, the diagonal formulas: each coordinate
+        # scaled by 1/sqrt(var), log det sum(log var) and precision 1/var
         calls = spy_factorizations(monkeypatch)
-        var = np.random.default_rng(18).uniform(0.5, 2.0, 50)
-        d = Dispersion(np.zeros(50), np.diag(var))
+        rng = np.random.default_rng(18)
+        var, center = rng.uniform(0.5, 2.0, 50), rng.standard_normal(50)
+        thetas = center + rng.standard_normal((300, 50))
+        d = Dispersion(center, var)
+        scaled = (thetas - center) * (1.0 / np.sqrt(var))
+        assert d.distances(thetas).tobytes() == np.einsum("si,si->s", scaled, scaled).tobytes()
         assert d.log_det == float(np.sum(np.log(var)))
-        assert np.array_equal(d.precision_diag, 1.0 / var)
+        assert d.precision_diag.tobytes() == (1.0 / var).tobytes()
         assert calls == []
+
+    def test_variances_match_their_diagonal_matrix(self, monkeypatch):
+        # the same dispersion as (m,) variances and as an (m, m) diagonal,
+        # which is factored like any other matrix
+        calls = spy_factorizations(monkeypatch)
+        rng = np.random.default_rng(26)
+        var, center = 10.0 ** rng.uniform(-3, 3, 200), rng.standard_normal(200)
+        thetas = center + rng.standard_normal((500, 200)) * np.sqrt(var)
+        scaled, factored = Dispersion(center, var), Dispersion(center, np.diag(var))
+        np.testing.assert_allclose(
+            scaled.distances(thetas), factored.distances(thetas), rtol=1e-12, atol=0
+        )
+        assert scaled.log_det == pytest.approx(factored.log_det, rel=1e-12)
+        np.testing.assert_allclose(
+            scaled.precision_diag, factored.precision_diag, rtol=1e-12, atol=0
+        )
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "var, message",
+        [
+            ([1.0, 0.0, 2.0], r"variances\[1\] = 0.0 must be > 0"),
+            ([1.0, 2.0, -0.5], r"variances\[2\] = -0.5 must be > 0"),
+            ([np.nan, 1.0, 2.0], r"variances\[0\] is not finite: nan"),
+            ([1.0, np.inf, 2.0], r"variances\[1\] is not finite: inf"),
+            ([1.0, 2.0], r"shapes \(3,\) and \(2,\) are not \(m,\) and \(m,\)"),
+        ],
+    )
+    def test_bad_variances_raise(self, var, message):
+        with pytest.raises(rc.DomainError, match=message):
+            Dispersion(np.zeros(3), var)
 
 
 class TestEllipticalSelect:
     def test_cutoff_near_chi2(self, baseball, ub_draws):
-        sel = rc.elliptical_select(ub_draws, Dispersion(baseball.y, np.diag(baseball.d)), alpha=0.1)
+        sel = credset.elliptical_select(ub_draws, Dispersion(baseball.y, np.diag(baseball.d)), alpha=0.1)
         ref = stats.chi2.ppf(0.9, df=18)
         assert sel.ellip.cutoff == pytest.approx(ref, rel=0.03)
 
     def test_count_within_one(self, ub_draws):
         for alpha in (0.05, 0.1, 0.3):
-            sel = rc.elliptical_select(ub_draws, Dispersion(np.zeros(18), np.eye(18)), alpha)
+            sel = credset.elliptical_select(ub_draws, Dispersion(np.zeros(18), np.eye(18)), alpha)
             assert abs(sel.K - ub_draws.S * (1 - alpha)) <= 1
 
     def test_single_draw_center(self):
         draws = PosteriorDraws(theta=np.array([[1.0, 2.0], [5.0, 5.0]]), model="UB")
-        sel = rc.elliptical_select(draws, Dispersion([1.0, 2.0], np.eye(2)), alpha=0.5)
+        sel = credset.elliptical_select(draws, Dispersion([1.0, 2.0], np.eye(2)), alpha=0.5)
         assert list(sel.indices) == [0]
         assert sel.ellip.distances[0] == 0.0
 
     def test_identity_dispersion_is_squared_norm(self):
         draws = normal_draws(200, 3, seed=7)
-        sel = rc.elliptical_select(draws, Dispersion(np.zeros(3), np.eye(3)), alpha=0.2)
+        sel = credset.elliptical_select(draws, Dispersion(np.zeros(3), np.eye(3)), alpha=0.2)
         assert np.allclose(sel.ellip.distances, np.sum(draws.theta**2, axis=1))
 
     def test_affine_invariance(self):
@@ -602,14 +639,14 @@ class TestEllipticalSelect:
         center = np.array([0.1, -0.2, 0.3])
         disp = np.eye(3) * 2.0
         mapped = PosteriorDraws(theta=draws.theta @ A.T + b, model="UB")
-        sel = rc.elliptical_select(draws, Dispersion(center, disp), alpha=0.1)
-        sel2 = rc.elliptical_select(mapped, Dispersion(A @ center + b, A @ disp @ A.T), alpha=0.1)
+        sel = credset.elliptical_select(draws, Dispersion(center, disp), alpha=0.1)
+        sel2 = credset.elliptical_select(mapped, Dispersion(A @ center + b, A @ disp @ A.T), alpha=0.1)
         assert np.array_equal(sel.indices, sel2.indices)
 
     def test_nesting_in_alpha(self):
         draws = normal_draws(5000, 4, seed=10)
-        sel_wide = rc.elliptical_select(draws, Dispersion(np.zeros(4), np.eye(4)), alpha=0.05)
-        sel_narrow = rc.elliptical_select(draws, Dispersion(np.zeros(4), np.eye(4)), alpha=0.20)
+        sel_wide = credset.elliptical_select(draws, Dispersion(np.zeros(4), np.eye(4)), alpha=0.05)
+        sel_narrow = credset.elliptical_select(draws, Dispersion(np.zeros(4), np.eye(4)), alpha=0.20)
         assert set(sel_narrow.indices) <= set(sel_wide.indices)
 
     def test_batch_distances_match_scalar(self):

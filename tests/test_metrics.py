@@ -7,12 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import special, stats
 
 import rankcred as rc
+from rankcred import credset
 from rankcred.metrics import log_ellipse_volume
 
 
 def ellipse(K):
     """The ellipse {x : x' K x <= c} as a Dispersion: center 0, matrix K^-1."""
-    return rc.Dispersion(np.zeros(len(K)), np.linalg.inv(K))
+    return credset.Dispersion(np.zeros(len(K)), np.linalg.inv(K))
 
 
 def ellipse_volume(K, c):

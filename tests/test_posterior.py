@@ -739,7 +739,7 @@ class TestDrawA:
 class TestSummarize:
     def test_constant_draws(self):
         draws = rc.PosteriorDraws(theta=np.ones((5, 3)), model="UB")
-        s = rc.summarize(draws)
+        s = posterior.summarize(draws)
         assert np.allclose(s.cov, 0.0)
         assert np.allclose(s.mean, 1.0)
 
@@ -747,12 +747,12 @@ class TestSummarize:
         u = np.array([1.0, 2.0])
         v = np.array([3.0, -2.0])
         draws = rc.PosteriorDraws(theta=np.stack([u, v]), model="UB")
-        s = rc.summarize(draws)
+        s = posterior.summarize(draws)
         assert np.allclose(s.mean, (u + v) / 2)
         assert np.allclose(s.cov, np.outer(u - v, u - v) / 4)  # 1/S normalization
 
     def test_ub_large_s(self, baseball, ub_draws):
-        s = rc.summarize(ub_draws)
+        s = posterior.summarize(ub_draws)
         assert np.allclose(s.mean, baseball.y, atol=0.002)
         assert np.allclose(np.diag(s.cov), baseball.d, rtol=0.1)
         off = s.cov - np.diag(np.diag(s.cov))
@@ -761,4 +761,4 @@ class TestSummarize:
     def test_needs_two_draws(self):
         draws = rc.PosteriorDraws(theta=np.ones((1, 2)), model="UB")
         with pytest.raises(rc.DomainError):
-            rc.summarize(draws)
+            posterior.summarize(draws)

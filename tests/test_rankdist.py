@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import rankcred as rc
-from rankcred import domain
+from rankcred import credset, domain, posterior, rankdist
 from rankcred.posterior import PosteriorDraws
 from rankcred.rankdist import DS_TOL, rank_table
 
@@ -82,7 +82,7 @@ def toy_selection_and_draws(S=400, m=5, seed=0):
     rng = np.random.default_rng(seed)
     theta = rng.standard_normal((S, m)) + np.arange(m)
     draws = PosteriorDraws(theta=theta, model="UB")
-    sel = rc.cartesian_select(draws, alpha=0.1)
+    sel = credset.cartesian_select(draws, alpha=0.1)
     return sel, draws
 
 
@@ -118,23 +118,23 @@ def one_count_reference(sel, theta, weighting):
 class TestBuildDistribution:
     def test_doubly_stochastic_equal(self):
         sel, draws = toy_selection_and_draws()
-        dist = rc.build_distribution(sel, draws)
+        dist = rankdist.build_distribution(sel, draws)
         assert np.allclose(dist.probs.sum(axis=0), 1.0, atol=DS_TOL)
         assert np.allclose(dist.probs.sum(axis=1), 1.0, atol=DS_TOL)
 
     def test_doubly_stochastic_mahal(self):
         sel, draws = toy_selection_and_draws(seed=1)
-        disp = rc.Dispersion(draws.theta.mean(axis=0), np.cov(draws.theta.T))
+        disp = credset.Dispersion(draws.theta.mean(axis=0), np.cov(draws.theta.T))
         distances = disp.distances(draws.theta)
-        dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP, distances=distances)
+        dist = rankdist.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP, distances=distances)
         assert np.allclose(dist.probs.sum(axis=0), 1.0, atol=DS_TOL)
         assert np.allclose(dist.probs.sum(axis=1), 1.0, atol=DS_TOL)
 
     def test_equal_weighting_averages_tables(self):
         theta = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
         draws = PosteriorDraws(theta=theta, model="UB")
-        sel = rc.elliptical_select(draws, rc.Dispersion(theta.mean(axis=0), np.eye(3)), alpha=0.01)
-        dist = rc.build_distribution(sel, draws)
+        sel = credset.elliptical_select(draws, credset.Dispersion(theta.mean(axis=0), np.eye(3)), alpha=0.01)
+        dist = rankdist.build_distribution(sel, draws)
         manual = 0.5 * (rank_table(theta[0]) + rank_table(theta[1]))
         assert np.allclose(dist.probs, manual)
 
@@ -143,9 +143,9 @@ class TestBuildDistribution:
         # toward the ranking of the first draw
         theta = np.array([[0.1, 0.2, 0.9], [0.9, 0.2, 0.1], [0.9, 0.2, 0.1]])
         draws = PosteriorDraws(theta=theta, model="UB")
-        sel = rc.elliptical_select(draws, rc.Dispersion([0.1, 0.2, 0.9], np.eye(3)), alpha=0.01)
+        sel = credset.elliptical_select(draws, credset.Dispersion([0.1, 0.2, 0.9], np.eye(3)), alpha=0.01)
         assert sel.K == 3
-        dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
+        dist = rankdist.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
         d1 = mahalanobis_solve(theta[1:2], [0.1, 0.2, 0.9], np.eye(3))[0]
         w_far = np.exp(-d1 / 2.0) / (1.0 + 2.0 * np.exp(-d1 / 2.0))
         expected = (1 - 2 * w_far) * rank_table(theta[0]) + 2 * w_far * rank_table(theta[1])
@@ -158,10 +158,10 @@ class TestBuildDistribution:
         # alone are not the S that the weights index
         sel, draws = toy_selection_and_draws(seed=2)
         with pytest.raises(rc.DomainError, match="needs the distances of all 400 draws"):
-            rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
-        distances = rc.Dispersion(np.zeros(5), np.eye(5)).distances(draws.theta)
+            rankdist.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
+        distances = credset.Dispersion(np.zeros(5), np.eye(5)).distances(draws.theta)
         with pytest.raises(rc.DomainError, match="needs the distances of all 400 draws"):
-            rc.build_distribution(sel, draws, rc.MAHALANOBIS_EXP, distances[sel.indices])
+            rankdist.build_distribution(sel, draws, rc.MAHALANOBIS_EXP, distances[sel.indices])
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf, -1.0])
     def test_bad_distance_of_selected_draw_named(self, bad):
@@ -171,29 +171,29 @@ class TestBuildDistribution:
         sel, draws = toy_selection_and_draws(seed=7)
         distances = np.zeros(draws.S)
         distances[np.setdiff1d(np.arange(draws.S), sel.indices)] = bad
-        ok = rc.build_distribution(sel, draws, rc.MAHALANOBIS_EXP, distances)
-        assert ok.probs.tobytes() == rc.build_distribution(sel, draws).probs.tobytes()
+        ok = rankdist.build_distribution(sel, draws, rc.MAHALANOBIS_EXP, distances)
+        assert ok.probs.tobytes() == rankdist.build_distribution(sel, draws).probs.tobytes()
         distances[sel.indices[[2, 5]]] = bad
         with pytest.raises(
             rc.DomainError, match=f"distance of draw {sel.indices[2]} must be finite and >= 0"
         ):
-            rc.build_distribution(sel, draws, rc.MAHALANOBIS_EXP, distances)
+            rankdist.build_distribution(sel, draws, rc.MAHALANOBIS_EXP, distances)
 
     def test_given_distances_override_the_ellipse(self):
         # an ellipse's weights default to its own distances; a vector given
         # for all draws is read in their place
         sel, draws = toy_selection_and_draws(seed=6)
-        ellipse = rc.elliptical_select(draws, rc.Dispersion(np.arange(5.0), np.eye(5)), 0.1)
-        own = rc.build_distribution(ellipse, draws, rc.MAHALANOBIS_EXP)
-        same = rc.build_distribution(ellipse, draws, rc.MAHALANOBIS_EXP, ellipse.ellip.distances)
+        ellipse = credset.elliptical_select(draws, credset.Dispersion(np.arange(5.0), np.eye(5)), 0.1)
+        own = rankdist.build_distribution(ellipse, draws, rc.MAHALANOBIS_EXP)
+        same = rankdist.build_distribution(ellipse, draws, rc.MAHALANOBIS_EXP, ellipse.ellip.distances)
         assert own.probs.tobytes() == same.probs.tobytes()
-        flat = rc.build_distribution(ellipse, draws, rc.MAHALANOBIS_EXP, np.zeros(draws.S))
-        assert flat.probs.tobytes() == rc.build_distribution(ellipse, draws).probs.tobytes()
+        flat = rankdist.build_distribution(ellipse, draws, rc.MAHALANOBIS_EXP, np.zeros(draws.S))
+        assert flat.probs.tobytes() == rankdist.build_distribution(ellipse, draws).probs.tobytes()
 
     def test_unknown_weighting(self):
         sel, draws = toy_selection_and_draws(seed=3)
         with pytest.raises(rc.DomainError, match="weighting"):
-            rc.build_distribution(sel, draws, weighting="softmax")
+            rankdist.build_distribution(sel, draws, weighting="softmax")
 
     def test_monotone_relabeling_invariance(self):
         # a strictly increasing transform of every draw leaves the
@@ -202,16 +202,16 @@ class TestBuildDistribution:
         warped = PosteriorDraws(
             theta=np.exp(draws.theta) + 3 * draws.theta, model="UB"
         )
-        d1 = rc.build_distribution(sel, draws)
-        d2 = rc.build_distribution(sel, warped)
+        d1 = rankdist.build_distribution(sel, draws)
+        d2 = rankdist.build_distribution(sel, warped)
         assert np.allclose(d1.probs, d2.probs)
 
     def test_tie_free_rows_match_rank_tables(self):
         # the weighted count over (rank, entity) cells against the table path
         theta = np.random.default_rng(5).standard_normal((40, 6))
         draws = PosteriorDraws(theta=theta, model="UB")
-        sel = rc.elliptical_select(draws, rc.Dispersion(np.zeros(6), np.eye(6)), alpha=0.01)
-        dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
+        sel = credset.elliptical_select(draws, credset.Dispersion(np.zeros(6), np.eye(6)), alpha=0.01)
+        dist = rankdist.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
         w = np.exp(-sel.ellip.distances[sel.indices] / 2)
         manual = sum(wi * rank_table(t) for wi, t in zip(w / w.sum(), theta[sel.indices]))
         assert np.allclose(dist.probs, manual, atol=1e-12)
@@ -219,8 +219,8 @@ class TestBuildDistribution:
     def test_tied_rows_handled(self):
         theta = np.array([[1.0, 1.0, 2.0], [1.0, 2.0, 3.0], [2.0, 2.0, 2.0]])
         draws = PosteriorDraws(theta=theta, model="UB")
-        sel = rc.elliptical_select(draws, rc.Dispersion(theta.mean(axis=0), np.eye(3)), alpha=0.01)
-        dist = rc.build_distribution(sel, draws)
+        sel = credset.elliptical_select(draws, credset.Dispersion(theta.mean(axis=0), np.eye(3)), alpha=0.01)
+        dist = rankdist.build_distribution(sel, draws)
         manual = sum(rank_table(t) for t in theta) / 3.0
         assert np.allclose(dist.probs, manual, atol=1e-12)
         assert np.allclose(dist.probs.sum(axis=0), 1.0, atol=DS_TOL)
@@ -240,11 +240,11 @@ class TestBuildDistribution:
         draws = PosteriorDraws(theta=theta, model="UB")
         order, tied = draws.row_order
         assume(tied.any() and not tied.all())
-        sels = [rc.cartesian_select(draws, a) for a in alphas]
+        sels = [credset.cartesian_select(draws, a) for a in alphas]
         assume(all(sel.K < S for sel in sels))
         center = theta.mean(axis=0)
         dispersion = np.cov(theta.T).reshape(m, m) + np.eye(m)
-        distances = rc.Dispersion(center, dispersion).distances(theta)
+        distances = credset.Dispersion(center, dispersion).distances(theta)
         for sel in sels:
             rows = theta[sel.indices]
             dist = mahalanobis_solve(rows, center, dispersion)
@@ -252,7 +252,7 @@ class TestBuildDistribution:
                 (rc.EQUAL, np.ones(sel.K)),
                 (rc.MAHALANOBIS_EXP, np.exp(-(dist - dist.min()) / 2)),
             ):
-                got = rc.build_distribution(sel, draws, weighting, distances)
+                got = rankdist.build_distribution(sel, draws, weighting, distances)
                 manual = sum(wi * rank_table(t) for wi, t in zip(w / w.sum(), rows))
                 assert np.allclose(got.probs, manual, rtol=0, atol=1e-12)
         assert draws.row_order[0] is order and draws.row_order[1] is tied
@@ -269,10 +269,10 @@ class TestBuildDistribution:
         monkeypatch.setattr(domain, "BLOCK_CELLS", 16 * m)
         theta, tied_rows = draws_with_ties(64, m, [3, 20, 40], seed=22)
         draws = PosteriorDraws(theta=theta, model="UB")
-        sel = rc.elliptical_select(draws, rc.Dispersion(np.zeros(m), np.eye(m)), alpha=0.2)
+        sel = credset.elliptical_select(draws, credset.Dispersion(np.zeros(m), np.eye(m)), alpha=0.2)
         assert sel.indices[-1] >= 48 and set(tied_rows) <= set(sel.indices)
         assert len(sel.indices) < 64
-        got = rc.build_distribution(sel, draws, weighting).probs
+        got = rankdist.build_distribution(sel, draws, weighting).probs
         w, reference = one_count_reference(sel, theta, weighting)
         assert got.tobytes() == reference.tobytes()
         manual = sum(wi * rank_table(t) for wi, t in zip(w, theta[sel.indices]))
@@ -284,14 +284,14 @@ class TestBuildDistribution:
         # cells, weights and np.add.at's own copies), not a K x m copy of the
         # selected draws
         draws = rc.gibbs_hb(wide_dataset(200, seed=200), 20000, seed=1)
-        summary = rc.summarize(draws)
-        distances = rc.Dispersion(summary.mean, summary.cov).distances(draws.theta)
-        sel = rc.cartesian_select(draws, 0.1)
+        summary = posterior.summarize(draws)
+        distances = credset.Dispersion(summary.mean, summary.cov).distances(draws.theta)
+        sel = credset.cartesian_select(draws, 0.1)
         draws.row_order  # cached outside the trace
         K, m = sel.K, draws.m
         bound = 4 * 8 * domain.BLOCK_CELLS + 8 * 8 * K + 8 * m * m
         assert bound < K * m * 8 / 2
-        _, peak = traced_peak(rc.build_distribution, sel, draws, rc.MAHALANOBIS_EXP, distances)
+        _, peak = traced_peak(rankdist.build_distribution, sel, draws, rc.MAHALANOBIS_EXP, distances)
         assert peak <= bound
 
     def test_default_blocks_match_one_count(self):
@@ -303,10 +303,10 @@ class TestBuildDistribution:
         order, tied = draws.row_order
         assert np.flatnonzero(tied).tolist() == tied_rows
         assert np.array_equal(order[~tied], np.argsort(theta[~tied], axis=1, kind="stable"))
-        sel = rc.elliptical_select(draws, rc.Dispersion(np.zeros(m), np.eye(m)), alpha=0.2)
+        sel = credset.elliptical_select(draws, credset.Dispersion(np.zeros(m), np.eye(m)), alpha=0.2)
         assert sel.indices[-1] > 2 * 4096 and tied[sel.indices].sum() >= 2
         for weighting in (rc.EQUAL, rc.MAHALANOBIS_EXP):
-            got = rc.build_distribution(sel, draws, weighting).probs
+            got = rankdist.build_distribution(sel, draws, weighting).probs
             assert got.tobytes() == one_count_reference(sel, theta, weighting)[1].tobytes()
 
     def test_row_order_ties_match_loop_reference(self, monkeypatch):
@@ -365,16 +365,16 @@ class TestBuildDistribution:
     def test_every_selected_row_tied(self):
         theta = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         draws = PosteriorDraws(theta=theta, model="UB")
-        sel = rc.elliptical_select(draws, rc.Dispersion(theta.mean(axis=0), np.eye(2)), alpha=0.01)
-        dist = rc.build_distribution(sel, draws)
+        sel = credset.elliptical_select(draws, credset.Dispersion(theta.mean(axis=0), np.eye(2)), alpha=0.01)
+        dist = rankdist.build_distribution(sel, draws)
         assert np.array_equal(dist.probs, np.full((2, 2), 0.5))
 
     def test_extreme_distances_stay_finite(self):
         # weights survive distances large enough to underflow exp(-d/2)
         theta = np.array([[0.0, 1.0], [100.0, -100.0], [0.1, 1.1]])
         draws = PosteriorDraws(theta=theta, model="UB")
-        sel = rc.elliptical_select(draws, rc.Dispersion([0.0, 1.0], 1e-4 * np.eye(2)), alpha=0.01)
-        dist = rc.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
+        sel = credset.elliptical_select(draws, credset.Dispersion([0.0, 1.0], 1e-4 * np.eye(2)), alpha=0.01)
+        dist = rankdist.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
         assert np.all(np.isfinite(dist.probs))
         assert np.allclose(dist.probs.sum(axis=0), 1.0, atol=DS_TOL)
 
@@ -383,17 +383,17 @@ def wired_probs(ds, draws, geometry, weighting, alpha=0.1):
     """A credible distribution wired by hand, as each caller did before `Fit`:
     its own dispersion, selection and, for a box's mahal weights, distance pass."""
     if draws.model == "UB":
-        dispersion = rc.Dispersion(ds.y, np.diag(ds.d))
+        dispersion = credset.Dispersion(ds.y, ds.d)
     else:
-        summary = rc.summarize(draws)
-        dispersion = rc.Dispersion(summary.mean, summary.cov)
+        summary = posterior.summarize(draws)
+        dispersion = credset.Dispersion(summary.mean, summary.cov)
     if geometry == "cartesian":
-        sel = rc.cartesian_select(draws, alpha)
+        sel = credset.cartesian_select(draws, alpha)
     else:
-        sel = rc.elliptical_select(draws, dispersion, alpha)
+        sel = credset.elliptical_select(draws, dispersion, alpha)
     box_mahal = sel.cart is not None and weighting == rc.MAHALANOBIS_EXP
     distances = dispersion.distances(draws.theta) if box_mahal else None
-    return rc.build_distribution(sel, draws, weighting, distances).probs
+    return rankdist.build_distribution(sel, draws, weighting, distances).probs
 
 
 @pytest.fixture(scope="module")
@@ -441,15 +441,29 @@ class TestFit:
         fit = rc.Fit(baseball, ub_draws)
         fit.distribution(fit.select("elliptical", 0.1), rc.MAHALANOBIS_EXP)
         assert np.array_equal(fit.dispersion.center, baseball.y)
-        assert np.array_equal(fit.dispersion.matrix, np.diag(baseball.d))
+        assert np.array_equal(fit.dispersion.matrix, baseball.d)
+
+    def test_ub_dispersion_peak_m1000(self):
+        # the variances, with no m x m diag(d) (8 MB at m = 1000) and no factor
+        m = 1000
+        rng = np.random.default_rng(27)
+        y, d = rng.standard_normal(m), rng.uniform(0.5, 2.0, m)
+        ds = rc.Dataset([f"e{i}" for i in range(m)], y, d)
+        fit = rc.Fit(ds, PosteriorDraws(theta=rng.standard_normal((10, m)), model="UB"))
+
+        def dispersion_and_distances():
+            return fit.dispersion.log_det, fit.dispersion.precision_diag, fit.distances
+
+        _, peak = traced_peak(dispersion_and_distances)
+        assert peak < 2**20
 
     def test_m_plus_one_draws_are_equidistant(self):
         # with 1/S normalization, S = m + 1 draws all lie at squared distance m
         # from their mean: no distance tells them apart, so no dispersion is built
         ds = rc.baseball_dataset()
         draws = rc.gibbs_hb(ds, 19, seed=1)
-        summary = rc.summarize(draws)
-        distances = rc.Dispersion(summary.mean, summary.cov).distances(draws.theta)
+        summary = posterior.summarize(draws)
+        distances = credset.Dispersion(summary.mean, summary.cov).distances(draws.theta)
         assert np.allclose(distances, 18.0, rtol=0, atol=1e-8)
         with pytest.raises(rc.DomainError, match=r"needs S > m \+ 1 draws: S=19, m=18"):
             rc.Fit(ds, draws).dispersion
@@ -463,13 +477,13 @@ class TestFit:
 class TestMarginals:
     def test_expected_rank_sums_to_total(self):
         sel, draws = toy_selection_and_draws(seed=5, m=6)
-        dist = rc.build_distribution(sel, draws)
+        dist = rankdist.build_distribution(sel, draws)
         total = sum(rc.expected_rank(dist, i) for i in range(6))
         assert total == pytest.approx(6 * 7 / 2, abs=1e-9)
 
     def test_marginal_is_column(self):
         sel, draws = toy_selection_and_draws(seed=6)
-        dist = rc.build_distribution(sel, draws)
+        dist = rankdist.build_distribution(sel, draws)
         for i in range(5):
             marg = rc.rank_marginal(dist, i)
             assert np.array_equal(marg, dist.probs[:, i])
@@ -477,7 +491,7 @@ class TestMarginals:
 
     def test_out_of_range_entity(self):
         sel, draws = toy_selection_and_draws(seed=7)
-        dist = rc.build_distribution(sel, draws)
+        dist = rankdist.build_distribution(sel, draws)
         with pytest.raises(rc.DomainError):
             rc.rank_marginal(dist, 5)
 
@@ -485,8 +499,8 @@ class TestMarginals:
         rng = np.random.default_rng(8)
         theta = rng.normal(loc=np.array([0.0, 10.0, 20.0]), scale=0.1, size=(500, 3))
         draws = PosteriorDraws(theta=theta, model="UB")
-        sel = rc.cartesian_select(draws, alpha=0.1)
-        dist = rc.build_distribution(sel, draws)
+        sel = credset.cartesian_select(draws, alpha=0.1)
+        dist = rankdist.build_distribution(sel, draws)
         assert np.allclose(np.diag(dist.probs), 1.0)
         assert rc.expected_rank(dist, 2) == pytest.approx(3.0)
 
@@ -503,9 +517,9 @@ class TestExactUbOracle:
         # on every entity fails a correct count with chance about 1e-4 at m = 200
         ds = baseball if m == 18 else wide_dataset(m, [seed, m])
         draws = rc.sample_ub(ds, S, seed)
-        sel = rc.cartesian_select(draws, alpha=0.4 / S)
+        sel = credset.cartesian_select(draws, alpha=0.4 / S)
         assert sel.K == S
-        probs = rc.build_distribution(sel, draws, rc.EQUAL).probs
+        probs = rankdist.build_distribution(sel, draws, rc.EQUAL).probs
         k = np.arange(1, m + 1)[:, None]
         mean = (k * probs).sum(axis=0)
         se = np.sqrt(((k - mean) ** 2 * probs).sum(axis=0) / S)
@@ -520,9 +534,9 @@ class TestExactUbOracle:
         # 324 cells is 2.9, 2.7 and 3.2 for seeds 0, 1 and 2
         S = 50_000
         draws = rc.sample_ub(baseball, S, seed)
-        sel = rc.cartesian_select(draws, alpha=0.4 / S)
+        sel = credset.cartesian_select(draws, alpha=0.4 / S)
         assert sel.K == S
-        probs = rc.build_distribution(sel, draws, rc.EQUAL).probs
+        probs = rankdist.build_distribution(sel, draws, rc.EQUAL).probs
         exact = ub_rank_marginal(baseball.y, baseball.d)
         se = np.sqrt(exact * (1 - exact) / S)
         assert np.all(np.abs(probs - exact) <= 5 * se), np.abs((probs - exact) / se).max()

@@ -17,10 +17,10 @@ class TestSimConfig:
         assert np.allclose(cfg.d, baseball.d)
 
     def test_m_follows_d(self):
-        cfg = rc.SimConfig(d=(0.1, 0.2, 0.3))
-        assert cfg.m == 3
+        cfg = rc.SimConfig(d=(0.1, 0.2, 0.3, 0.4))
+        assert cfg.m == 4
         with pytest.raises(AttributeError):
-            cfg.m = 4
+            cfg.m = 5
 
     def test_validation(self):
         with pytest.raises(rc.DomainError):
@@ -31,8 +31,17 @@ class TestSimConfig:
         with pytest.raises(rc.DomainError, match=r"samples=19 must be > m \+ 1 = 19"):
             rc.SimConfig(samples=19)
         with pytest.raises(rc.DomainError, match=r"samples=4 must be > m \+ 1 = 4"):
-            rc.SimConfig(samples=4, d=(0.1, 0.2, 0.3))
-        assert rc.SimConfig(samples=5, d=(0.1, 0.2, 0.3)).samples == 5
+            rc.SimConfig(samples=4, d=(0.1, 0.2, 0.3), beta1_grid=(0.0,))
+        assert rc.SimConfig(samples=5, d=(0.1, 0.2, 0.3), beta1_grid=(0.0,)).samples == 5
+        # an HB fit needs m > q + 1: q = 2 design columns where beta1 != 0, else 1
+        with pytest.raises(
+            rc.DomainError, match=r"d holds m=3 .* beta1_grid=\(0.0, 0.4\) needs m > q \+ 1 = 3"
+        ):
+            rc.SimConfig(d=(0.1, 0.2, 0.3))
+        with pytest.raises(
+            rc.DomainError, match=r"d holds m=2 .* beta1_grid=\(0.0,\) needs m > q \+ 1 = 2"
+        ):
+            rc.SimConfig(d=(0.1, 0.2), beta1_grid=(0.0,))
         # a JSON boolean is no number, and a grid needs a value
         with pytest.raises(rc.DomainError, match="n_reps=True must be int"):
             rc.SimConfig(n_reps=True)
