@@ -38,9 +38,20 @@ def _write_json(path, payload):
         f.write("\n")
 
 
+def _out_dir(out) -> Path:
+    """`--out`, refused before any work when it or a parent names a file; the
+    directory is made at the first artifact, so a failed run leaves none."""
+    out = Path(out)
+    taken = next(p for p in (out, *out.parents) if p.exists())
+    if not taken.is_dir():
+        raise DomainError(f"--out {str(out)!r}: {str(taken)!r} is not a directory")
+    return out
+
+
 def _cmd_fit(args) -> int:
     if args.model == "ub" and args.no_intercept:
         raise DomainError("--no-intercept applies to --model hb only: UB fits no regression")
+    out = _out_dir(args.out)
     ds = parse_dataset(args.dataset)
     if args.model == "ub":
         draws = sample_ub(ds, args.samples, args.seed)
@@ -54,45 +65,32 @@ def _cmd_fit(args) -> int:
         geometry_meta = {"cutoff": sel.ellip.cutoff}
     size = sel.size
     dist = fit.distribution(sel, args.weights)
-    if args.model == "ub":  # UB writes only the posterior mean: no covariance
-        mean, a_stats = draws.theta.mean(axis=0), {}
-    else:
-        mean = fit.summary.mean
-        a_stats = {"a_mean": fit.summary.a_mean, "a_median": fit.summary.a_median}
+    summary = fit.summary  # its means: only a dispersion forms the covariance
 
     # the overlay's KWW ranks come before the first artifact: a bad alpha leaves none
     ranks = kww.rank_confidence_set(ds, args.alpha, kww.INDEPENDENCE) if args.plot_data else None
-    cells = format_matrix(dist.probs)
-    out = Path(args.out)  # made at the first artifact: a failed fit leaves no directory
+    matrix_rows = format_matrix(dist.probs)
     out.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(out / "rank_matrix.csv", cells, ds.ids)
+    write_matrix_csv(out / "rank_matrix.csv", matrix_rows, ds.ids)
 
     observed = rank_of(ds.y)
     header = ["id", "y", "observed_rank", "expected_rank", "rank_q05", "rank_q50", "rank_q95"]
-    if ds.has_gold:
-        header += ["gold_rank", "exp_abs_dev"]
-        gold_ranks = ds.gold_ranks()
-        exp_abs_dev = metrics.expected_abs_deviation(dist.probs, gold_ranks)
     # rank quantile q: the first rank whose cumulative mass reaches q
     cum = np.cumsum(dist.probs, axis=0)
     # (within rounding: a mass that sums to q may round just below it)
     q05, q50, q95 = (
         ((cum < q - rankdist.DS_TOL).sum(axis=0) + 1).tolist() for q in (0.05, 0.50, 0.95)
     )
-    rows = []
-    for i, ident in enumerate(ds.ids):
-        row = [
-            ident,
-            ds.y[i],
-            observed[i],
-            rankdist.expected_rank(dist, i),
-            q05[i],
-            q50[i],
-            q95[i],
-        ]
-        if ds.has_gold:
-            row += [gold_ranks[i], exp_abs_dev[i]]
-        rows.append(row)
+    rows = [
+        [ident, ds.y[i], observed[i], rankdist.expected_rank(dist, i), q05[i], q50[i], q95[i]]
+        for i, ident in enumerate(ds.ids)
+    ]
+    if ds.has_gold:
+        header += ["gold_rank", "exp_abs_dev"]
+        gold_ranks = ds.gold_ranks()
+        exp_abs_dev = metrics.expected_abs_deviation(dist.probs, gold_ranks)
+        for row, rank, dev in zip(rows, gold_ranks, exp_abs_dev):
+            row += [rank, dev]
     write_rows_csv(out / "rank_summary.csv", header, rows)
 
     _write_json(
@@ -114,23 +112,24 @@ def _cmd_fit(args) -> int:
         "model": dist.model,
         "seed": args.seed,
         "samples": draws.S,
-        "mean": dict(zip(ds.ids, mean)),
-        **a_stats,
+        "mean": dict(zip(ds.ids, summary.mean)),
     }
+    if summary.a_mean is not None:  # HB: the model variance A
+        post.update(a_mean=summary.a_mean, a_median=summary.a_median)
     if ds.has_gold:
         post["tese_direct"] = metrics.tese(ds.y, ds.gold)
-        post["tese_posterior_mean"] = metrics.tese(mean, ds.gold)
+        post["tese_posterior_mean"] = metrics.tese(summary.mean, ds.gold)
     _write_json(out / "posterior_summary.json", post)
 
     if args.plot_data:
-        _write_plot_data(out / "plot_data.csv", ds, dist, cells, ranks)
+        _write_plot_data(out / "plot_data.csv", ds, dist, matrix_rows, ranks)
     return 0
 
 
-def _write_plot_data(path, ds: Dataset, dist, cells, ranks: kww.KwwRankSet):
+def _write_plot_data(path, ds: Dataset, dist, matrix_rows, ranks: kww.KwwRankSet):
     """Tidy overlay data: KWW ranges, nonzero credible cells, observed and
-    gold ranks.  No image rendering; feed this to any plotter.  `cells` is
-    `dist.probs` as `fileio.format_matrix` formats it."""
+    gold ranks.  No image rendering; feed this to any plotter.  `matrix_rows`
+    is `dist.probs` as `fileio.format_matrix` formats it."""
     observed = rank_of(ds.y, tie_rule="highest")
     # write_rows_csv's bytes, built as text: each id quoted once, and each
     # credible cell's value and rank taken from strings formatted once
@@ -138,6 +137,7 @@ def _write_plot_data(path, ds: Dataset, dist, cells, ranks: kww.KwwRankSet):
     ids = [csv_field(ident) for ident in ds.ids]
     rank_text = [FMT % k for k in range(1, ds.m + 1)]
     lines = ["kind,id,rank,value\n"]
+    cells = [row.split(",") for row in matrix_rows]
     for i, (ident, column) in enumerate(zip(ids, zip(*cells))):
         lines.append(row % ("kww_range", ident, ranks.rank_lo[i], ranks.rank_hi[i]))
         lines.append(row % ("observed_rank", ident, observed[i], 1))
@@ -154,24 +154,16 @@ def _write_plot_data(path, ds: Dataset, dist, cells, ranks: kww.KwwRankSet):
 
 
 def _cmd_kww(args) -> int:
+    out = _out_dir(args.out)
     ds = parse_dataset(args.dataset)
     ranks = kww.rank_confidence_set(ds, args.alpha, args.method)
     eps = [""] * ds.m
     if ds.has_gold:
         eps = metrics.kww_abs_deviation(ranks.rank_lo, ranks.rank_hi, ds.gold_ranks())
-    rows = []
-    for i, ident in enumerate(ds.ids):
-        rows.append(
-            [
-                ident,
-                ranks.intervals[i, 0],
-                ranks.intervals[i, 1],
-                int(ranks.rank_lo[i]),
-                int(ranks.rank_hi[i]),
-                eps[i],
-            ]
-        )
-    out = Path(args.out)  # made at the first artifact, as in fit
+    rows = [
+        [ident, *ranks.intervals[i], int(ranks.rank_lo[i]), int(ranks.rank_hi[i]), eps[i]]
+        for i, ident in enumerate(ds.ids)
+    ]
     out.mkdir(parents=True, exist_ok=True)
     write_rows_csv(out / "kww_ranksets.csv", ["id", "L", "U", "rank_lo", "rank_hi", "eps_kww"], rows)
     return 0

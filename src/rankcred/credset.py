@@ -296,12 +296,14 @@ class Dispersion:
 
 
 def elliptical_select(
-    draws: PosteriorDraws, dispersion: Dispersion, alpha: float
+    draws: PosteriorDraws, dispersion: Dispersion, alpha: float, distances=None
 ) -> CredibleSelection:
     """Select draws whose Mahalanobis distance is at most the empirical
-    (1-alpha) quantile cutoff (ties at the cutoff are included)."""
+    (1-alpha) quantile cutoff (ties at the cutoff are included).  `distances`
+    are `dispersion.distances(draws.theta)`, computed here when not given."""
     _check_alpha(draws, alpha)
-    distances = dispersion.distances(draws.theta)
+    if distances is None:
+        distances = dispersion.distances(draws.theta)
     cutoff = float(np.quantile(distances, 1 - alpha, method="linear"))
     indices = np.flatnonzero(distances <= cutoff)
     return CredibleSelection(

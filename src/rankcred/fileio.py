@@ -36,19 +36,19 @@ def _parse_float(text: str, row: int, column: str) -> float:
 
 
 def parse_dataset(path) -> Dataset:
-    """Read a dataset from the UTF-8 CSV file at `path` (a str or a Path); a
-    leading byte-order mark is skipped."""
-    return parse_csv_text(Path(path).read_text(encoding="utf-8-sig"))
+    """Read a dataset from the UTF-8 CSV file at `path` (a str or a Path)."""
+    return parse_csv_text(Path(path).read_text(encoding="utf-8"))
 
 
 def parse_csv_text(text: str) -> Dataset:
-    """Parse a dataset from CSV text.
+    """Parse a dataset from CSV text; one leading byte-order mark, which
+    spreadsheet exports write, is skipped.
 
     Required columns: id, y, d.  Optional: x1..xp (consecutive), gold.
     Column order is free, and no column name repeats.  Row numbers in
     error messages count the header as row 1 and blank lines as rows.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     header = next(reader, None)
     if header is None:
         raise DomainError("empty input: no CSV header found")
@@ -118,20 +118,20 @@ def baseball_dataset() -> Dataset:
     return parse_csv_text(text)
 
 
-def format_matrix(probs: np.ndarray) -> list[list[str]]:
-    """The cells of `probs` in FMT, row by row: one format call per row."""
+def format_matrix(probs: np.ndarray) -> list[str]:
+    """Each row of `probs` as one string of comma-separated FMT cells, formed by one call."""
     row_format = ",".join([FMT] * probs.shape[1])
-    return [(row_format % tuple(row)).split(",") for row in probs.tolist()]
+    return [row_format % tuple(row) for row in probs.tolist()]
 
 
-def write_matrix_csv(path, cells: list[list[str]], ids: list[str]) -> None:
-    """m x m credible matrix from its `format_matrix` cells; rows are ranks
+def write_matrix_csv(path, rows: list[str], ids: list[str]) -> None:
+    """m x m credible matrix from its `format_matrix` rows; rows are ranks
     1..m, columns the entities."""
     # a formatted number holds no comma, quote or newline, so only the ids
     # need the csv module's quoting
     with open(path, "w", newline="", encoding="utf-8") as f:
         csv.writer(f, lineterminator="\n").writerow(["rank"] + ids)
-        f.write("".join([f"{k},{','.join(row)}\n" for k, row in enumerate(cells, start=1)]))
+        f.write("".join([f"{k},{row}\n" for k, row in enumerate(rows, start=1)]))
 
 
 def write_rows_csv(path, header: list[str], rows) -> None:

@@ -73,10 +73,18 @@ class PosteriorDraws:
 
 @dataclass(frozen=True)
 class PosteriorSummary:
+    """Posterior mean of theta and, for HB, mean and median of A; the 1/S
+    covariance of theta is formed from the draws on first use."""
+
+    draws: PosteriorDraws = field(repr=False)
     mean: np.ndarray  # (m,)
-    cov: np.ndarray  # (m, m), 1/S normalization
     a_mean: float | None = None
     a_median: float | None = None
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        centered = self.draws.theta - self.mean
+        return centered.T @ centered / self.draws.S
 
 
 def design_matrix(ds: Dataset, include_intercept: bool = True) -> np.ndarray:
@@ -324,14 +332,9 @@ def gibbs_hb(ds: Dataset, S: int, seed: int, include_intercept: bool = True) -> 
 
 
 def summarize(draws: PosteriorDraws) -> PosteriorSummary:
-    """Posterior mean and covariance of theta, with 1/S normalization."""
+    """Posterior mean of theta, and its covariance (1/S normalization) when read."""
     if draws.S < 2:
         raise DomainError("need at least 2 draws to summarize")
-    mean = draws.theta.mean(axis=0)
-    centered = draws.theta - mean
-    cov = centered.T @ centered / draws.S
-    a_mean = a_median = None
-    if draws.a is not None:
-        a_mean = float(np.mean(draws.a))
-        a_median = float(np.median(draws.a))
-    return PosteriorSummary(mean=mean, cov=cov, a_mean=a_mean, a_median=a_median)
+    a = draws.a
+    a_stats = () if a is None else (float(np.mean(a)), float(np.median(a)))
+    return PosteriorSummary(draws, draws.theta.mean(axis=0), *a_stats)

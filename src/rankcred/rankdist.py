@@ -107,13 +107,17 @@ def build_distribution(
 @dataclass(frozen=True, eq=False)
 class Fit:
     """A dataset's posterior draws and what their selections and rank
-    distributions share, each computed once, on first use: the summary of
-    the draws, the dispersion (UB: center y and variances d; HB: the draws'
-    mean and 1/S covariance) and one distance pass over all S draws, which
-    an elliptical selection makes and `mahal` weights read."""
+    distributions share, each computed once, when an output first reads it,
+    whatever the call order: the summary of the draws, the dispersion (UB:
+    center y and variances d; HB: the draws' mean and 1/S covariance, which
+    only it forms) and one distance pass over all S draws."""
 
     ds: Dataset
     draws: PosteriorDraws
+
+    def __post_init__(self):
+        if self.draws.m != self.ds.m:
+            raise DomainError(f"draws of width {self.draws.m} do not fit a dataset of m={self.ds.m}")
 
     @cached_property
     def summary(self) -> posterior.PosteriorSummary:
@@ -137,14 +141,12 @@ class Fit:
 
     def select(self, geometry: str, alpha: float) -> CredibleSelection:
         """The draws' (1-alpha) credible selection, a `cartesian` box or an
-        `elliptical` set; the ellipse's distances become the fit's."""
+        `elliptical` set cut from the fit's distances."""
         if geometry == credset.CARTESIAN:
             return credset.cartesian_select(self.draws, alpha)
         if geometry != credset.ELLIPTICAL:
             raise DomainError(f"unknown geometry {geometry!r}")
-        sel = credset.elliptical_select(self.draws, self.dispersion, alpha)
-        self.__dict__.setdefault("distances", sel.ellip.distances)
-        return sel
+        return credset.elliptical_select(self.draws, self.dispersion, alpha, self.distances)
 
     def distribution(
         self, selection: CredibleSelection, weighting: str = EQUAL

@@ -96,9 +96,9 @@ def generate_instance(x, beta0, beta1, a, d, rng):
 def run_cell(cfg: SimConfig, x, a, beta1, cell_index):
     """Averages over replications for one (a, beta1) cell; returns row dicts.
 
-    Each replication makes one `rankdist.Fit` per model and selects its
-    ellipse first: the ellipse's one distance pass over all S draws then
-    weights both selections' `mahal` rows."""
+    Each replication makes one `rankdist.Fit` per model, whose one distance
+    pass over all S draws cuts the ellipse and weights both selections'
+    `mahal` rows."""
     acc = {}  # (method, geometry, weighting) -> [dev_sum, root_sum, len_sum]
 
     def add(key, dev, size):
@@ -119,8 +119,7 @@ def run_cell(cfg: SimConfig, x, a, beta1, cell_index):
         ub = rankdist.Fit(ds, sample_ub(ds, cfg.samples, rng.integers(2**63)))
         hb = rankdist.Fit(ds, gibbs_hb(ds, cfg.samples, rng.integers(2**63)))
         for method, fit in (("UB", ub), ("HB", hb)):
-            ellipse = fit.select(ELLIPTICAL, cfg.alpha)
-            for sel in (fit.select(CARTESIAN, cfg.alpha), ellipse):
+            for sel in (fit.select(CARTESIAN, cfg.alpha), fit.select(ELLIPTICAL, cfg.alpha)):
                 for weighting in (rankdist.EQUAL, rankdist.MAHALANOBIS_EXP):
                     dist = fit.distribution(sel, weighting)
                     dev = metrics.expected_abs_deviation(dist.probs, xi).mean()

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -94,6 +95,21 @@ def spy_distance_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(credset.Dispersion, "distances", spy)
     return passes
+
+
+def spy_covariances(monkeypatch) -> list:
+    """Record the draw count of every covariance a `PosteriorSummary` forms."""
+    formed = []
+    form = posterior.PosteriorSummary.cov.func
+
+    def spy(summary):
+        formed.append(summary.draws.S)
+        return form(summary)
+
+    cov = functools.cached_property(spy)
+    cov.__set_name__(posterior.PosteriorSummary, "cov")
+    monkeypatch.setattr(posterior.PosteriorSummary, "cov", cov)
+    return formed
 
 
 def pytest_terminal_summary(terminalreporter):

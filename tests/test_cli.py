@@ -18,7 +18,7 @@ from rankcred.fileio import emit_dataset, format_matrix, write_matrix_csv, write
 from rankcred.rankdist import DS_TOL
 
 from conftest import HB_FACTORIZATION, count_factorizations, make_dataset, wide_dataset
-from conftest import spy_distance_passes
+from conftest import spy_covariances, spy_distance_passes
 from oracles import plot_data_reference
 
 DATA_CSV = """id,y,d,gold
@@ -132,6 +132,20 @@ class TestFileio:
         p = tmp_path / "bom.csv"
         p.write_bytes(b"\xef\xbb\xbf" + DATA_CSV.encode("utf-8"))
         assert rc.parse_dataset(p) == rc.parse_csv_text(DATA_CSV)
+
+    def test_byte_order_mark_in_text(self):
+        # the text `open(path, encoding="utf-8")` returns for a spreadsheet export
+        assert rc.parse_csv_text("\ufeff" + DATA_CSV) == rc.parse_csv_text(DATA_CSV)
+        with pytest.raises(rc.DomainError, match="missing required column 'id'"):
+            rc.parse_csv_text("\ufeff\ufeff" + DATA_CSV)  # only one is skipped
+
+    def test_format_matrix_rows(self):
+        probs = np.array([[0.5, 0.5, 0.0], [1 / 3, 2 / 3, 0.0], [1 / 6, 0.0, 5 / 6]])
+        assert format_matrix(probs) == [
+            "0.5,0.5,0",
+            "0.333333333333,0.666666666667,0",
+            "0.166666666667,0,0.833333333333",
+        ]
 
     def test_writers_match_csv_module(self, tmp_path):
         ids = ["plain", "comma,id", 'quote"id', "Zoë", " lead"]
@@ -416,17 +430,24 @@ class TestFitCommand:
         assert math.log(size["vol_mth_root"]) == pytest.approx(size["log_volume"] / 1000, rel=1e-9)
 
     def test_ub_fit_skips_covariance(self, data_path, tmp_path, monkeypatch):
-        # a UB fit writes only the posterior mean, so it never summarizes
-        def no_summary(draws):
-            raise AssertionError("UB fit called summarize")
-
-        monkeypatch.setattr(posterior, "summarize", no_summary)
+        # a UB fit writes only the posterior mean, so it forms no covariance
+        covariances = spy_covariances(monkeypatch)
         out = tmp_path / "out"
         assert self.run_fit(data_path, out, "--model", "ub", "--set", "elliptical") == 0
+        assert covariances == []
         post = json.loads((out / "posterior_summary.json").read_text())
         draws = rc.sample_ub(rc.parse_dataset(data_path), 2000, seed=3)
         means = [float("%.12g" % v) for v in draws.theta.mean(axis=0)]
         assert [post["mean"][k] for k in ("a", "b", "c", "d", "e")] == means
+        assert "a_mean" not in post
+
+    @pytest.mark.parametrize("weighting, formed", [("equal", []), ("mahal", [2000])], ids=["equal", "mahal"])
+    def test_hb_box_fit_covariance(self, data_path, tmp_path, monkeypatch, weighting, formed):
+        # the default fit's box and equal weights need no dispersion, so no
+        # covariance; mahal weights form it once, for the dispersion
+        covariances = spy_covariances(monkeypatch)
+        assert self.run_fit(data_path, tmp_path / "out", "--weights", weighting) == 0
+        assert covariances == formed
 
     def test_non_ascii_ids_round_trip(self, tmp_path):
         ids = ["Zoë", "東京", "a,b", 'q"t', "plain"]
@@ -689,6 +710,14 @@ SIM = ["simulate", "--config", "sim.json", "--out", "out"]
             ["simulate", "--config", "sim.json", "--out", "missing/out"],
             "--out 'missing/out': no such directory",
         ),
+        # an --out that names a file is refused before the dataset is read
+        (
+            {"taken": "", "ragged.csv": "id,y,d\na,1\n"},
+            ["fit", "ragged.csv", "--out", "taken"],
+            "--out 'taken': 'taken' is not a directory",
+        ),
+        ({"taken": ""}, ["fit", FIXTURE, "--out", "taken/out"], "--out 'taken/out': 'taken' is not a"),
+        ({"taken": ""}, ["kww", FIXTURE, "--out", "taken"], "--out 'taken': 'taken' is not a directory"),
     ],
     ids=[
         "hb-elliptical-few-draws", "ragged-row", "mistyped-value", "bool-count", "empty-grid",
@@ -696,6 +725,7 @@ SIM = ["simulate", "--config", "sim.json", "--out", "out"]
         "fit-negative-seed", "simulate-negative-seed", "hb-propriety", "no-draw-selected",
         "hb-one-draw",
         "kww-alpha", "fit-plot-data-tiny-alpha", "kww-tiny-alpha", "simulate-missing-directory",
+        "fit-out-file", "fit-out-under-file", "kww-out-file",
     ],
 )
 def test_input_error_in_subprocess(tmp_path, files, argv, message):

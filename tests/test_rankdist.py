@@ -421,17 +421,28 @@ class TestFit:
         probs = fit.distribution(fit.select(geometry, 0.1), weighting).probs
         assert np.array_equal(probs, wired_probs(ds, draws, geometry, weighting))
 
-    def test_ellipse_pass_weights_the_box(self, baseball, monkeypatch):
-        # an ellipse selected first makes the only distance pass: the box's
-        # mahal weights read the ellipse's distances
+    @pytest.mark.parametrize("box_first", [False, True], ids=["ellipse-first", "box-first"])
+    def test_ellipse_pass_weights_the_box(self, baseball, monkeypatch, box_first):
+        # one distance pass in either order: the ellipse and both selections'
+        # mahal weights read the fit's distances
         fit = rc.Fit(baseball, rc.gibbs_hb(baseball, 2000, seed=4))
         passes = spy_distance_passes(monkeypatch)
-        ellipse = fit.select("elliptical", 0.1)
-        box = fit.select("cartesian", 0.1)
+        if box_first:
+            box = fit.select("cartesian", 0.1)
+            fit.distribution(box, rc.MAHALANOBIS_EXP)
+            ellipse = fit.select("elliptical", 0.1)
+        else:
+            ellipse = fit.select("elliptical", 0.1)
+            box = fit.select("cartesian", 0.1)
         for sel in (box, ellipse):
             fit.distribution(sel, rc.MAHALANOBIS_EXP)
         assert passes == [2000]
         assert fit.distances is ellipse.ellip.distances
+
+    def test_draws_of_another_width_raise(self, baseball):
+        ds = rc.Dataset([f"e{i}" for i in range(5)], baseball.y[:5], baseball.d[:5])
+        with pytest.raises(rc.DomainError, match="draws of width 18 do not fit a dataset of m=5"):
+            rc.Fit(ds, rc.gibbs_hb(baseball, 100, seed=1))
 
     def test_ub_dispersion_is_the_data(self, baseball, ub_draws, monkeypatch):
         def no_summary(draws):
