@@ -21,7 +21,6 @@ from .posterior import PosteriorDraws
 CARTESIAN = "cartesian"
 ELLIPTICAL = "elliptical"
 
-_JITTER = 1e-10
 _SYMMETRY_TOL = 1e-10  # |a_ij - a_ji| allowed for rounding, relative to the largest |a_ij|
 
 # values per column in the sample that places the tail thresholds of the box
@@ -44,7 +43,6 @@ class CartesianBounds:
 class EllipticalGeometry:
     dispersion: Dispersion
     cutoff: float
-    distances: np.ndarray  # (S,) Mahalanobis distance of every draw
 
 
 @dataclass(frozen=True)
@@ -200,15 +198,12 @@ def cartesian_select(draws: PosteriorDraws, alpha: float) -> CredibleSelection:
 
 
 def _cho_factor_spd(dispersion: np.ndarray) -> np.ndarray:
-    """The lower Cholesky factor L of L L' = dispersion, jittered if singular."""
+    """The lower Cholesky factor L of L L' = dispersion, from one attempt: a
+    singular or indefinite dispersion raises."""
     try:
         return np.linalg.cholesky(dispersion)
     except np.linalg.LinAlgError:
-        jitter = _JITTER * float(np.mean(np.diag(dispersion)))
-        try:
-            return np.linalg.cholesky(dispersion + jitter * np.eye(len(dispersion)))
-        except np.linalg.LinAlgError:
-            raise DomainError("dispersion matrix is not positive definite (even after jitter)")
+        raise DomainError("dispersion matrix is not positive definite")
 
 
 @dataclass(frozen=True)
@@ -216,8 +211,9 @@ class Dispersion:
     """A center and dispersion for Mahalanobis distances.  `matrix` is either
     (m,) positive variances, which scale each coordinate by 1/sqrt(var), or
     an (m, m) symmetric positive definite matrix, factored once, on first
-    use, as L L' (Cholesky, jittered if singular), with L^-1 formed once from
-    that factor; its shape chooses the path."""
+    use, as L L' (Cholesky, which refuses a matrix that is not positive
+    definite), with L^-1 formed once from that factor; its shape chooses the
+    path."""
 
     center: np.ndarray  # (m,)
     matrix: np.ndarray  # (m,) variances or (m, m) SPD
@@ -282,7 +278,7 @@ class Dispersion:
 
     @property
     def log_det(self) -> float:
-        """log det of the dispersion (of the matrix as factored, jitter included)."""
+        """log det of the dispersion: the sum of log variances, or twice that of diag L."""
         if self.matrix.ndim == 1:
             return float(np.sum(np.log(self.matrix)))
         return 2.0 * float(np.sum(np.log(np.diagonal(self._chol))))
@@ -296,18 +292,13 @@ class Dispersion:
 
 
 def elliptical_select(
-    draws: PosteriorDraws, dispersion: Dispersion, alpha: float, distances=None
+    draws: PosteriorDraws, dispersion: Dispersion, alpha: float, distances: np.ndarray
 ) -> CredibleSelection:
     """Select draws whose Mahalanobis distance is at most the empirical
     (1-alpha) quantile cutoff (ties at the cutoff are included).  `distances`
-    are `dispersion.distances(draws.theta)`, computed here when not given."""
+    are the squared distances `dispersion.distances(draws.theta)` of all S
+    draws, as `Fit.distances` holds them."""
     _check_alpha(draws, alpha)
-    if distances is None:
-        distances = dispersion.distances(draws.theta)
     cutoff = float(np.quantile(distances, 1 - alpha, method="linear"))
     indices = np.flatnonzero(distances <= cutoff)
-    return CredibleSelection(
-        indices=indices,
-        alpha=alpha,
-        ellip=EllipticalGeometry(dispersion=dispersion, cutoff=cutoff, distances=distances),
-    )
+    return CredibleSelection(indices, alpha, ellip=EllipticalGeometry(dispersion, cutoff))

@@ -5,6 +5,7 @@ the variance prior (Dbar+A)^(-1/2).
 
 from __future__ import annotations
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -290,6 +291,15 @@ def draw_theta(y, d, X, beta, a, rng):
     one (S, m) call and xb = np.einsum("sq,qm->sm", beta, X.T).
     """
     _check_variances(a)
+    # at extreme scales of the data A d_i underflows to 0, and the draws would
+    # silently lose their spread, or overflows, and they would turn infinite
+    low = float(a.min()) * float(d.min())
+    high = float(a.max()) * float(max(d.max(), np.abs(y).max()))  # floats: no overflow warning
+    if low < sys.float_info.min or not np.isfinite(high):
+        raise DomainError(
+            f"d spans {d.min():.3g} to {d.max():.3g}: there the theta step's products A*d "
+            "leave the range of a double; rescale y by a factor s and d by s**2"
+        )
     xt = np.ascontiguousarray(X.T)  # einsum's inner loop then runs over m, not q: 5x faster
 
     def finish(block, rows):  # two temporaries the size of the block

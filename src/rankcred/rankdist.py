@@ -60,7 +60,7 @@ def build_distribution(
 
     Under `mahal` weighting w_s is proportional to exp(-d_s/2), with d_s =
     distances[s] the Mahalanobis distance of draw s: one per draw, all S, as
-    `Dispersion.distances(draws.theta)` gives; an ellipse's own by default.
+    `Fit.distances` gives them, whichever geometry selected the draws.
     """
     if selection.K == 0:
         raise DomainError("cannot build a distribution from an empty selection")
@@ -70,9 +70,7 @@ def build_distribution(
     if weighting == EQUAL:
         weights = np.full(K, 1.0 / K)
     elif weighting == MAHALANOBIS_EXP:
-        if distances is None and selection.ellip is not None:
-            distances = selection.ellip.distances
-        if np.shape(distances) != (draws.S,):  # a box has no distances of its own
+        if np.shape(distances) != (draws.S,):
             raise DomainError(f"mahal weighting needs the distances of all {draws.S} draws")
         chosen = np.asarray(distances)[idx]
         valid = (chosen >= 0) & (chosen < np.inf)  # NaN is neither

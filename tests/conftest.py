@@ -46,6 +46,15 @@ def wide_dataset(m, seed):
     return rc.generate_instance(x, 0.2, 0.4, 1.0, d, rng)[1]
 
 
+def select_ellipse(draws, dispersion, alpha):
+    """An elliptical selection cut from the dispersion's own distance pass
+    over all the draws, as a `Fit` cuts one; returns it and the distances."""
+    from rankcred import credset
+
+    distances = dispersion.distances(draws.theta)
+    return credset.elliptical_select(draws, dispersion, alpha, distances), distances
+
+
 def traced_peak(fn, *args):
     """fn(*args) and the peak bytes it held at once, as tracemalloc (which
     numpy reports its buffers to) counts them.  The peak counts the result,

@@ -61,10 +61,12 @@ def total_deviation(dist, xi):
 
 def fit_both(draws, center, dispersion, alpha=0.1):
     cart = credset.cartesian_select(draws, alpha)
-    ellip = credset.elliptical_select(draws, credset.Dispersion(center, dispersion), alpha)
-    # the box's mahal weights read the ellipse's distances, as run_cell's do
-    dist_c = rankdist.build_distribution(cart, draws, rc.MAHALANOBIS_EXP, ellip.ellip.distances)
-    dist_e = rankdist.build_distribution(ellip, draws, rc.MAHALANOBIS_EXP)
+    disp = credset.Dispersion(center, dispersion)
+    # one distance pass cuts the ellipse and weights both selections, as a Fit's does
+    distances = disp.distances(draws.theta)
+    ellip = credset.elliptical_select(draws, disp, alpha, distances)
+    dist_c = rankdist.build_distribution(cart, draws, rc.MAHALANOBIS_EXP, distances)
+    dist_e = rankdist.build_distribution(ellip, draws, rc.MAHALANOBIS_EXP, distances)
     return cart, ellip, dist_c, dist_e
 
 
@@ -160,9 +162,8 @@ def test_criterion_6_expected_ranks(baseball, ub_draws, hb_draws, hb_summary):
 @criterion(7)
 def test_criterion_7_elliptical_cutoff(baseball):
     draws = rc.sample_ub(baseball, 100000, seed=11)
-    sel = credset.elliptical_select(
-        draws, credset.Dispersion(baseball.y, np.diag(baseball.d)), alpha=0.1
-    )
+    disp = credset.Dispersion(baseball.y, np.diag(baseball.d))
+    sel = credset.elliptical_select(draws, disp, alpha=0.1, distances=disp.distances(draws.theta))
     assert sel.ellip.cutoff == pytest.approx(stats.chi2.ppf(0.9, 18), rel=0.02)
 
 
@@ -258,11 +259,11 @@ def test_criterion_10_property_suites(baseball):
     A = rng.standard_normal((18, 18)) + 4 * np.eye(18)
     b = rng.standard_normal(18)
     mapped = rc.PosteriorDraws(theta=base.theta @ A.T + b, model="UB")
-    sel = credset.elliptical_select(
-        base, credset.Dispersion(baseball.y, np.diag(baseball.d)), alpha=0.1
-    )
+    disp = credset.Dispersion(baseball.y, np.diag(baseball.d))
+    disp2 = credset.Dispersion(A @ baseball.y + b, A @ np.diag(baseball.d) @ A.T)
+    sel = credset.elliptical_select(base, disp, alpha=0.1, distances=disp.distances(base.theta))
     sel2 = credset.elliptical_select(
-        mapped, credset.Dispersion(A @ baseball.y + b, A @ np.diag(baseball.d) @ A.T), alpha=0.1
+        mapped, disp2, alpha=0.1, distances=disp2.distances(mapped.theta)
     )
     assert np.array_equal(sel.indices, sel2.indices)
 

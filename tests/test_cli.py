@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import rankcred as rc
 from rankcred.cli import run_command
-from rankcred import cli, credset, posterior, rankdist
+from rankcred import cli, rankdist
 from rankcred.fileio import emit_dataset, format_matrix, write_matrix_csv, write_rows_csv
 from rankcred.rankdist import DS_TOL
 
@@ -322,9 +322,9 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("samples", ["10", "12", "18", "19"])
     def test_hb_elliptical_with_fewer_draws_than_entities(self, tmp_path, capsys, samples):
-        # S <= m = 18: the covariance of the draws is singular, so the ellipse
-        # would be sized by the jitter of its factor, not by the draws; S = m + 1
-        # draws all lie at squared distance m, so the cutoff drops draws by rounding
+        # S <= m = 18: the covariance of the draws is singular, so its factor
+        # fails; S = m + 1 draws all lie at squared distance m, so the cutoff
+        # drops draws by rounding
         out = tmp_path / "out"
         data = Path(rc.__file__).parent / "data" / "baseball.csv"
         argv = ["fit", str(data), "--model", "hb", "--set", "elliptical", "--samples", samples]
@@ -397,9 +397,9 @@ class TestFitCommand:
         out = tmp_path / "out"
         argv = ["fit", FIXTURE, "--model", "hb", "--set", "elliptical", "--seed", "1"]
         assert run_command([*argv, "--weights", "equal", "--out", str(out)]) == 0
-        draws = rc.gibbs_hb(rc.parse_dataset(FIXTURE), 50000, 1)
-        summary = posterior.summarize(draws)
-        sel = credset.elliptical_select(draws, credset.Dispersion(summary.mean, summary.cov), 0.1)
+        ds = rc.parse_dataset(FIXTURE)
+        draws = rc.gibbs_hb(ds, 50000, 1)
+        sel = rc.Fit(ds, draws).select("elliptical", 0.1)
         theta = draws.theta[sel.indices]
         assert sel.K == 45000 and not (np.diff(np.sort(theta, axis=1), axis=1) == 0).any()
         ranks = np.argsort(np.argsort(theta, axis=1), axis=1) + 1  # (K, m), in 1..m
@@ -528,9 +528,8 @@ class TestFitCommand:
         m = len(ids)
         gold = [i % 4 for i in range(m)] if with_gold else None
         ds = rc.Dataset(ids, range(m), [0.5] * m, gold=gold)
-        draws = rc.sample_ub(ds, 2000, seed=1)
-        sel = credset.elliptical_select(draws, credset.Dispersion(ds.y, ds.d), 0.1)
-        dist = rankdist.build_distribution(sel, draws, rc.MAHALANOBIS_EXP)
+        fit = rc.Fit(ds, rc.sample_ub(ds, 2000, seed=1))
+        dist = fit.distribution(fit.select("elliptical", 0.1), rc.MAHALANOBIS_EXP)
         assert (dist.probs == 0).any() and ((dist.probs > 0) & (dist.probs < 1)).any()
         ranks = rc.rank_confidence_set(ds, 0.1, rc.INDEPENDENCE)
         cli._write_plot_data(tmp_path / "plot.csv", ds, dist, format_matrix(dist.probs), ranks)

@@ -7,10 +7,10 @@ from scipy import stats
 
 import rankcred as rc
 from rankcred import credset, domain, metrics
-from rankcred.credset import _JITTER, Dispersion
+from rankcred.credset import Dispersion
 from rankcred.posterior import PosteriorDraws
 
-from conftest import traced_peak
+from conftest import count_factorizations, select_ellipse, traced_peak
 from oracles import (
     box_column_reference,
     box_peel_reference,
@@ -370,10 +370,10 @@ class TestMahalanobis:
         )
 
     def test_draws_of_another_width_raise(self):
-        # 18-wide draws against a 17-entity dispersion, through the ellipse
+        # 18-wide draws against a 17-entity dispersion, in the ellipse's distance pass
         draws = normal_draws(50, 18)
         with pytest.raises(rc.DomainError, match=r"shape \(50, 18\) do not fit .* m=17"):
-            credset.elliptical_select(draws, Dispersion(np.zeros(17), np.eye(17)), alpha=0.1)
+            select_ellipse(draws, Dispersion(np.zeros(17), np.eye(17)), alpha=0.1)
         with pytest.raises(rc.DomainError, match=r"shape \(3,\) do not fit .* m=3"):
             Dispersion(np.zeros(3), np.diag([1.0, 2.0, 3.0])).distances(np.zeros(3))
 
@@ -381,11 +381,13 @@ class TestMahalanobis:
         with pytest.raises(rc.DomainError, match="positive definite"):
             Dispersion([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]])).distances(np.array([[1.0, 0.0]]))
 
-    def test_jitter_rescues_semidefinite(self):
-        # rank-1 dispersion is singular; the one-shot jitter makes it usable
+    def test_semidefinite_raises(self, monkeypatch):
+        # a rank-1 dispersion is singular: one Cholesky attempt, which fails
+        calls = count_factorizations(monkeypatch, 2)
         disp = np.outer([1.0, 1.0], [1.0, 1.0])
-        val = Dispersion([0.0, 0.0], disp).distances(np.array([[1e-8, 1e-8]]))[0]
-        assert np.isfinite(val)
+        with pytest.raises(rc.DomainError, match="^dispersion matrix is not positive definite$"):
+            Dispersion([0.0, 0.0], disp).distances(np.array([[1e-8, 1e-8]]))
+        assert calls == ["_cho_factor_spd", "cholesky"]
 
     def test_many_matches_solve_oracle_m200(self):
         rng = np.random.default_rng(12)
@@ -397,22 +399,16 @@ class TestMahalanobis:
         got = Dispersion(center, disp).distances(thetas)
         assert np.allclose(got, mahalanobis_solve(thetas, center, disp), rtol=1e-10, atol=0)
 
-    def test_many_jitter_path_matches_solve_oracle_m200(self):
+    def test_many_rank_deficient_covariance_raises_m200(self, monkeypatch):
         # the 1/S covariance of S = 150 draws of m = 200 coordinates has rank
-        # 149: its Cholesky factor needs the jitter, and the draws lie in its
-        # range, where the jittered form is well conditioned
+        # 149: one Cholesky attempt, which fails, and no distance
         rng = np.random.default_rng(13)
         thetas = rng.standard_normal((150, 200)) * rng.uniform(0.5, 2.0, 200)
-        center = thetas.mean(axis=0)
         disp = np.cov(thetas.T, bias=True)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(disp)
-        jittered = disp + _JITTER * np.mean(np.diag(disp)) * np.eye(200)
-        got = Dispersion(center, disp).distances(thetas)
-        assert np.allclose(got, mahalanobis_solve(thetas, center, jittered), rtol=1e-10, atol=0)
-        # S draws in S-1 dimensions all lie at distance S-1 from their mean
-        assert np.allclose(got, 149.0, rtol=1e-8, atol=0)
-
+        calls = count_factorizations(monkeypatch, 200)
+        with pytest.raises(rc.DomainError, match="^dispersion matrix is not positive definite$"):
+            Dispersion(thetas.mean(axis=0), disp).distances(thetas)
+        assert calls == ["_cho_factor_spd", "cholesky"]
 
     def test_many_diagonal_matches_solve_oracle_m200(self, monkeypatch):
         # a diagonal given as (m,) variances scales each coordinate and factors nothing
@@ -425,15 +421,14 @@ class TestMahalanobis:
         assert calls == []
         assert np.allclose(got, mahalanobis_solve(thetas, center, np.diag(var)), rtol=1e-12, atol=0)
 
-    def test_many_diagonal_with_zero_takes_jitter(self, monkeypatch):
-        calls = spy_factorizations(monkeypatch)
+    def test_many_diagonal_with_zero_raises(self, monkeypatch):
+        calls = count_factorizations(monkeypatch, 3)
         var = np.array([1.0, 0.0, 2.0])
         thetas = np.random.default_rng(15).standard_normal((50, 3))
         center = np.array([0.1, 0.2, 0.3])
-        got = Dispersion(center, np.diag(var)).distances(thetas)
-        jittered = np.diag(var) + _JITTER * np.mean(var) * np.eye(3)
-        assert len(calls) == 1
-        assert np.allclose(got, mahalanobis_solve(thetas, center, jittered), rtol=1e-10, atol=0)
+        with pytest.raises(rc.DomainError, match="^dispersion matrix is not positive definite$"):
+            Dispersion(center, np.diag(var)).distances(thetas)
+        assert calls == ["_cho_factor_spd", "cholesky"]
 
     @pytest.mark.parametrize("var", [[1.0, -0.5, 2.0], [1.0, -1.0], [-1.0, 0.0]])
     def test_many_diagonal_with_negative_raises(self, var, monkeypatch):
@@ -508,15 +503,18 @@ class TestDispersion:
         d.distances(rng.standard_normal((5, 200)))
         assert len(calls) == 1
 
-    def test_jittered_log_det_and_precision(self):
-        # rank-149 covariance of 150 draws at m = 200: both read the jittered
-        # factor; its condition number is about 1e10, hence the tolerances
+    def test_rank_deficient_log_det_and_precision_raise(self, monkeypatch):
+        # rank-149 covariance of 150 draws at m = 200: both read the factor,
+        # and each read makes one Cholesky attempt, since a failed one is not kept
         thetas = np.random.default_rng(13).standard_normal((150, 200))
-        disp = np.cov(thetas.T, bias=True)
-        jittered = disp + _JITTER * np.mean(np.diag(disp)) * np.eye(200)
-        d = Dispersion(thetas.mean(axis=0), disp)
-        assert d.log_det == pytest.approx(np.linalg.slogdet(jittered)[1], rel=1e-8)
-        assert np.allclose(d.precision_diag, np.diag(np.linalg.inv(jittered)), rtol=1e-5, atol=0)
+        d = Dispersion(thetas.mean(axis=0), np.cov(thetas.T, bias=True))
+        calls = count_factorizations(monkeypatch, 200)
+        with pytest.raises(rc.DomainError, match="^dispersion matrix is not positive definite$"):
+            d.log_det
+        assert calls == ["_cho_factor_spd", "cholesky"]
+        with pytest.raises(rc.DomainError, match="^dispersion matrix is not positive definite$"):
+            d.precision_diag
+        assert calls == ["_cho_factor_spd", "cholesky"] * 2
 
     def test_nan_matrix_entry_raises(self):
         disp = np.eye(3)
@@ -611,25 +609,26 @@ class TestDispersion:
 
 class TestEllipticalSelect:
     def test_cutoff_near_chi2(self, baseball, ub_draws):
-        sel = credset.elliptical_select(ub_draws, Dispersion(baseball.y, np.diag(baseball.d)), alpha=0.1)
+        sel, _ = select_ellipse(ub_draws, Dispersion(baseball.y, np.diag(baseball.d)), alpha=0.1)
         ref = stats.chi2.ppf(0.9, df=18)
         assert sel.ellip.cutoff == pytest.approx(ref, rel=0.03)
 
     def test_count_within_one(self, ub_draws):
         for alpha in (0.05, 0.1, 0.3):
-            sel = credset.elliptical_select(ub_draws, Dispersion(np.zeros(18), np.eye(18)), alpha)
+            sel, _ = select_ellipse(ub_draws, Dispersion(np.zeros(18), np.eye(18)), alpha)
             assert abs(sel.K - ub_draws.S * (1 - alpha)) <= 1
 
     def test_single_draw_center(self):
         draws = PosteriorDraws(theta=np.array([[1.0, 2.0], [5.0, 5.0]]), model="UB")
-        sel = credset.elliptical_select(draws, Dispersion([1.0, 2.0], np.eye(2)), alpha=0.5)
+        sel, distances = select_ellipse(draws, Dispersion([1.0, 2.0], np.eye(2)), alpha=0.5)
         assert list(sel.indices) == [0]
-        assert sel.ellip.distances[0] == 0.0
+        assert distances[0] == 0.0
 
     def test_identity_dispersion_is_squared_norm(self):
         draws = normal_draws(200, 3, seed=7)
-        sel = credset.elliptical_select(draws, Dispersion(np.zeros(3), np.eye(3)), alpha=0.2)
-        assert np.allclose(sel.ellip.distances, np.sum(draws.theta**2, axis=1))
+        sel, distances = select_ellipse(draws, Dispersion(np.zeros(3), np.eye(3)), alpha=0.2)
+        assert np.allclose(distances, np.sum(draws.theta**2, axis=1))
+        assert np.array_equal(sel.indices, np.flatnonzero(distances <= sel.ellip.cutoff))
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(8)
@@ -639,14 +638,14 @@ class TestEllipticalSelect:
         center = np.array([0.1, -0.2, 0.3])
         disp = np.eye(3) * 2.0
         mapped = PosteriorDraws(theta=draws.theta @ A.T + b, model="UB")
-        sel = credset.elliptical_select(draws, Dispersion(center, disp), alpha=0.1)
-        sel2 = credset.elliptical_select(mapped, Dispersion(A @ center + b, A @ disp @ A.T), alpha=0.1)
+        sel, _ = select_ellipse(draws, Dispersion(center, disp), alpha=0.1)
+        sel2, _ = select_ellipse(mapped, Dispersion(A @ center + b, A @ disp @ A.T), alpha=0.1)
         assert np.array_equal(sel.indices, sel2.indices)
 
     def test_nesting_in_alpha(self):
         draws = normal_draws(5000, 4, seed=10)
-        sel_wide = credset.elliptical_select(draws, Dispersion(np.zeros(4), np.eye(4)), alpha=0.05)
-        sel_narrow = credset.elliptical_select(draws, Dispersion(np.zeros(4), np.eye(4)), alpha=0.20)
+        sel_wide, _ = select_ellipse(draws, Dispersion(np.zeros(4), np.eye(4)), alpha=0.05)
+        sel_narrow, _ = select_ellipse(draws, Dispersion(np.zeros(4), np.eye(4)), alpha=0.20)
         assert set(sel_narrow.indices) <= set(sel_wide.indices)
 
     def test_batch_distances_match_scalar(self):
@@ -680,7 +679,7 @@ class TestSelectionSize:
         if geometry == "cartesian":
             sel = credset.cartesian_select(draws, 0.1)
         else:
-            sel = credset.elliptical_select(draws, Dispersion(np.zeros(3), np.eye(3)), 0.1)
+            sel, _ = select_ellipse(draws, Dispersion(np.zeros(3), np.eye(3)), 0.1)
         assert sel.geometry == geometry and calls == []
         assert sel.size is sel.size
         assert calls == [sizer]
@@ -694,7 +693,7 @@ class TestSelectionSize:
 
     def test_ellipse_size_reads_its_dispersion_and_cutoff(self):
         disp = Dispersion(np.zeros(3), np.diag([1.0, 2.0, 4.0]))
-        sel = credset.elliptical_select(normal_draws(400, 3, seed=2), disp, 0.1)
+        sel, _ = select_ellipse(normal_draws(400, 3, seed=2), disp, 0.1)
         assert sel.cart is None
         ref = metrics.ellipse_size(math.log(8.0), [1.0, 0.5, 0.25], sel.ellip.cutoff)
         assert sel.size.log_volume == pytest.approx(ref.log_volume, rel=1e-14)

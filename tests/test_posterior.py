@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -480,6 +481,27 @@ class TestDrawTheta:
             draw_theta, y, d, X, beta, a, np.random.default_rng(0)
         )
         assert peak <= theta.nbytes + order.nbytes + tied.nbytes + 5 * 8 * domain.BLOCK_CELLS
+
+    @staticmethod
+    def scaled_fit(ds, s):
+        """HB draws of the dataset with y scaled by s and d by s**2, S = 4000, seed 3."""
+        return rc.gibbs_hb(rc.Dataset(ds.ids, ds.y * s, ds.d * s**2), 4000, seed=3)
+
+    @pytest.mark.parametrize("s", [1e-80, 1e79])
+    def test_out_of_range_scale_raises(self, baseball, s):
+        # at s = 1e-80 the step's products A*d underflow to 0, so the draws
+        # would lose their spread; at 1e79 they overflow.  The step refuses
+        # both before it runs, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rc.DomainError, match=r"^d spans .* rescale y by a factor s and d by s\*\*2$"):
+                self.scaled_fit(baseball, s)
+
+    @pytest.mark.parametrize("s", [1e-60, 1e60])
+    def test_far_in_range_scale_keeps_row_orders(self, baseball, s):
+        # theta scales by s, so every draw ranks the entities as at s = 1
+        order = self.scaled_fit(baseball, s).row_order[0]
+        assert np.array_equal(order, self.scaled_fit(baseball, 1.0).row_order[0])
 
 
 def bounded(fn, *args, timeout=60.0):

@@ -7,7 +7,7 @@ from rankcred import credset, domain, posterior, rankdist
 from rankcred.posterior import PosteriorDraws
 from rankcred.rankdist import DS_TOL, rank_table
 
-from conftest import spy_distance_passes, traced_peak, wide_dataset
+from conftest import select_ellipse, spy_distance_passes, traced_peak, wide_dataset
 from oracles import (
     mahalanobis_solve,
     rank_table_reference,
@@ -93,7 +93,7 @@ def draws_with_ties(S, m, tied_rows, seed):
     return theta, list(tied_rows)
 
 
-def one_count_reference(sel, theta, weighting):
+def one_count_reference(sel, theta, weighting, distances):
     """The selection's weights, and its distribution as one np.bincount over
     the cells of its tie-free draws plus the tied draws' tables in selection
     order.  Returns (weights, probs)."""
@@ -101,7 +101,7 @@ def one_count_reference(sel, theta, weighting):
     if weighting == rc.EQUAL:
         w = np.full(sel.K, 1.0 / sel.K)
     else:
-        logw = -sel.ellip.distances[sel.indices] / 2.0
+        logw = -distances[sel.indices] / 2.0
         logw -= logw.max()
         w = np.exp(logw)
         w /= w.sum()
@@ -133,7 +133,7 @@ class TestBuildDistribution:
     def test_equal_weighting_averages_tables(self):
         theta = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
         draws = PosteriorDraws(theta=theta, model="UB")
-        sel = credset.elliptical_select(draws, credset.Dispersion(theta.mean(axis=0), np.eye(3)), alpha=0.01)
+        sel, _ = select_ellipse(draws, credset.Dispersion(theta.mean(axis=0), np.eye(3)), alpha=0.01)
         dist = rankdist.build_distribution(sel, draws)
         manual = 0.5 * (rank_table(theta[0]) + rank_table(theta[1]))
         assert np.allclose(dist.probs, manual)
@@ -143,9 +143,9 @@ class TestBuildDistribution:
         # toward the ranking of the first draw
         theta = np.array([[0.1, 0.2, 0.9], [0.9, 0.2, 0.1], [0.9, 0.2, 0.1]])
         draws = PosteriorDraws(theta=theta, model="UB")
-        sel = credset.elliptical_select(draws, credset.Dispersion([0.1, 0.2, 0.9], np.eye(3)), alpha=0.01)
+        sel, distances = select_ellipse(draws, credset.Dispersion([0.1, 0.2, 0.9], np.eye(3)), alpha=0.01)
         assert sel.K == 3
-        dist = rankdist.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
+        dist = rankdist.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP, distances=distances)
         d1 = mahalanobis_solve(theta[1:2], [0.1, 0.2, 0.9], np.eye(3))[0]
         w_far = np.exp(-d1 / 2.0) / (1.0 + 2.0 * np.exp(-d1 / 2.0))
         expected = (1 - 2 * w_far) * rank_table(theta[0]) + 2 * w_far * rank_table(theta[1])
@@ -154,8 +154,8 @@ class TestBuildDistribution:
         assert dist.probs[0, 0] > 1.0 / 3.0
 
     def test_cartesian_mahal_requires_context(self):
-        # a box has no distances of its own, and those of its selected draws
-        # alone are not the S that the weights index
+        # no selection holds distances, and those of the selected draws alone
+        # are not the S that the weights index
         sel, draws = toy_selection_and_draws(seed=2)
         with pytest.raises(rc.DomainError, match="needs the distances of all 400 draws"):
             rankdist.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
@@ -180,13 +180,10 @@ class TestBuildDistribution:
             rankdist.build_distribution(sel, draws, rc.MAHALANOBIS_EXP, distances)
 
     def test_given_distances_override_the_ellipse(self):
-        # an ellipse's weights default to its own distances; a vector given
-        # for all draws is read in their place
+        # an ellipse's weights read only the distances given, not those that
+        # cut it: all-zero ones give the equal weights
         sel, draws = toy_selection_and_draws(seed=6)
-        ellipse = credset.elliptical_select(draws, credset.Dispersion(np.arange(5.0), np.eye(5)), 0.1)
-        own = rankdist.build_distribution(ellipse, draws, rc.MAHALANOBIS_EXP)
-        same = rankdist.build_distribution(ellipse, draws, rc.MAHALANOBIS_EXP, ellipse.ellip.distances)
-        assert own.probs.tobytes() == same.probs.tobytes()
+        ellipse, _ = select_ellipse(draws, credset.Dispersion(np.arange(5.0), np.eye(5)), 0.1)
         flat = rankdist.build_distribution(ellipse, draws, rc.MAHALANOBIS_EXP, np.zeros(draws.S))
         assert flat.probs.tobytes() == rankdist.build_distribution(ellipse, draws).probs.tobytes()
 
@@ -210,16 +207,16 @@ class TestBuildDistribution:
         # the weighted count over (rank, entity) cells against the table path
         theta = np.random.default_rng(5).standard_normal((40, 6))
         draws = PosteriorDraws(theta=theta, model="UB")
-        sel = credset.elliptical_select(draws, credset.Dispersion(np.zeros(6), np.eye(6)), alpha=0.01)
-        dist = rankdist.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
-        w = np.exp(-sel.ellip.distances[sel.indices] / 2)
+        sel, distances = select_ellipse(draws, credset.Dispersion(np.zeros(6), np.eye(6)), alpha=0.01)
+        dist = rankdist.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP, distances=distances)
+        w = np.exp(-distances[sel.indices] / 2)
         manual = sum(wi * rank_table(t) for wi, t in zip(w / w.sum(), theta[sel.indices]))
         assert np.allclose(dist.probs, manual, atol=1e-12)
 
     def test_tied_rows_handled(self):
         theta = np.array([[1.0, 1.0, 2.0], [1.0, 2.0, 3.0], [2.0, 2.0, 2.0]])
         draws = PosteriorDraws(theta=theta, model="UB")
-        sel = credset.elliptical_select(draws, credset.Dispersion(theta.mean(axis=0), np.eye(3)), alpha=0.01)
+        sel, _ = select_ellipse(draws, credset.Dispersion(theta.mean(axis=0), np.eye(3)), alpha=0.01)
         dist = rankdist.build_distribution(sel, draws)
         manual = sum(rank_table(t) for t in theta) / 3.0
         assert np.allclose(dist.probs, manual, atol=1e-12)
@@ -269,11 +266,11 @@ class TestBuildDistribution:
         monkeypatch.setattr(domain, "BLOCK_CELLS", 16 * m)
         theta, tied_rows = draws_with_ties(64, m, [3, 20, 40], seed=22)
         draws = PosteriorDraws(theta=theta, model="UB")
-        sel = credset.elliptical_select(draws, credset.Dispersion(np.zeros(m), np.eye(m)), alpha=0.2)
+        sel, distances = select_ellipse(draws, credset.Dispersion(np.zeros(m), np.eye(m)), alpha=0.2)
         assert sel.indices[-1] >= 48 and set(tied_rows) <= set(sel.indices)
         assert len(sel.indices) < 64
-        got = rankdist.build_distribution(sel, draws, weighting).probs
-        w, reference = one_count_reference(sel, theta, weighting)
+        got = rankdist.build_distribution(sel, draws, weighting, distances).probs
+        w, reference = one_count_reference(sel, theta, weighting, distances)
         assert got.tobytes() == reference.tobytes()
         manual = sum(wi * rank_table(t) for wi, t in zip(w, theta[sel.indices]))
         assert np.allclose(got, manual, rtol=0, atol=1e-12)
@@ -303,11 +300,12 @@ class TestBuildDistribution:
         order, tied = draws.row_order
         assert np.flatnonzero(tied).tolist() == tied_rows
         assert np.array_equal(order[~tied], np.argsort(theta[~tied], axis=1, kind="stable"))
-        sel = credset.elliptical_select(draws, credset.Dispersion(np.zeros(m), np.eye(m)), alpha=0.2)
+        sel, distances = select_ellipse(draws, credset.Dispersion(np.zeros(m), np.eye(m)), alpha=0.2)
         assert sel.indices[-1] > 2 * 4096 and tied[sel.indices].sum() >= 2
         for weighting in (rc.EQUAL, rc.MAHALANOBIS_EXP):
-            got = rankdist.build_distribution(sel, draws, weighting).probs
-            assert got.tobytes() == one_count_reference(sel, theta, weighting)[1].tobytes()
+            got = rankdist.build_distribution(sel, draws, weighting, distances).probs
+            reference = one_count_reference(sel, theta, weighting, distances)[1]
+            assert got.tobytes() == reference.tobytes()
 
     def test_row_order_ties_match_loop_reference(self, monkeypatch):
         # blocks of 4 draws; row 2's only tie is -0.0 against 0.0, which ==
@@ -365,7 +363,7 @@ class TestBuildDistribution:
     def test_every_selected_row_tied(self):
         theta = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         draws = PosteriorDraws(theta=theta, model="UB")
-        sel = credset.elliptical_select(draws, credset.Dispersion(theta.mean(axis=0), np.eye(2)), alpha=0.01)
+        sel, _ = select_ellipse(draws, credset.Dispersion(theta.mean(axis=0), np.eye(2)), alpha=0.01)
         dist = rankdist.build_distribution(sel, draws)
         assert np.array_equal(dist.probs, np.full((2, 2), 0.5))
 
@@ -373,26 +371,25 @@ class TestBuildDistribution:
         # weights survive distances large enough to underflow exp(-d/2)
         theta = np.array([[0.0, 1.0], [100.0, -100.0], [0.1, 1.1]])
         draws = PosteriorDraws(theta=theta, model="UB")
-        sel = credset.elliptical_select(draws, credset.Dispersion([0.0, 1.0], 1e-4 * np.eye(2)), alpha=0.01)
-        dist = rankdist.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP)
+        sel, distances = select_ellipse(draws, credset.Dispersion([0.0, 1.0], 1e-4 * np.eye(2)), alpha=0.01)
+        dist = rankdist.build_distribution(sel, draws, weighting=rc.MAHALANOBIS_EXP, distances=distances)
         assert np.all(np.isfinite(dist.probs))
         assert np.allclose(dist.probs.sum(axis=0), 1.0, atol=DS_TOL)
 
 
 def wired_probs(ds, draws, geometry, weighting, alpha=0.1):
     """A credible distribution wired by hand, as each caller did before `Fit`:
-    its own dispersion, selection and, for a box's mahal weights, distance pass."""
+    its own dispersion, distance pass and selection."""
     if draws.model == "UB":
         dispersion = credset.Dispersion(ds.y, ds.d)
     else:
         summary = posterior.summarize(draws)
         dispersion = credset.Dispersion(summary.mean, summary.cov)
+    distances = dispersion.distances(draws.theta)
     if geometry == "cartesian":
         sel = credset.cartesian_select(draws, alpha)
     else:
-        sel = credset.elliptical_select(draws, dispersion, alpha)
-    box_mahal = sel.cart is not None and weighting == rc.MAHALANOBIS_EXP
-    distances = dispersion.distances(draws.theta) if box_mahal else None
+        sel = credset.elliptical_select(draws, dispersion, alpha, distances)
     return rankdist.build_distribution(sel, draws, weighting, distances).probs
 
 
@@ -437,7 +434,7 @@ class TestFit:
         for sel in (box, ellipse):
             fit.distribution(sel, rc.MAHALANOBIS_EXP)
         assert passes == [2000]
-        assert fit.distances is ellipse.ellip.distances
+        assert np.array_equal(ellipse.indices, np.flatnonzero(fit.distances <= ellipse.ellip.cutoff))
 
     def test_draws_of_another_width_raise(self, baseball):
         ds = rc.Dataset([f"e{i}" for i in range(5)], baseball.y[:5], baseball.d[:5])
